@@ -6,8 +6,11 @@ purely angle-dependent part kicks the actions), and an implicit midpoint
 fallback for non-separable truncations.  Both are symplectic; energy along
 the trajectory is monitored, never corrected.
 
-Escape and crossing times are reported at sample resolution with a one-step
-bracket and no interpolation.
+The midpoint iterates on z = (theta, I) and reads its vector field, as the
+energy monitor reads H, from one ``SeriesStack`` term table per numpy pass.
+A trajectory escapes when its action leaves the ball of radius R around the
+series center.  Escape and crossing times are reported at sample resolution
+with a one-step bracket and no interpolation.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .series import (
     Gevrey,
     HamiltonianSystem,
     Regularity,
+    SeriesStack,
     split_by_modes,
 )
 
@@ -114,50 +118,6 @@ class TrajectoryRecord:
         return min(idx, len(self.times) - 1)
 
 
-class _FastEval:
-    """Precompiled arrays for fast point evaluation of a series."""
-
-    __slots__ = ("K", "L", "C", "center", "is_zero", "theta_only", "action_only")
-
-    def __init__(self, s: FourierTaylorSeries) -> None:
-        self.is_zero = s.is_zero
-        items = list(s.items())
-        n = s.domain.n
-        self.K = np.array([k for (k, _), _ in items], dtype=float).reshape(-1, n)
-        self.L = np.array([l for (_, l), _ in items], dtype=int).reshape(-1, n)
-        self.C = np.array([c for _, c in items], dtype=complex)
-        self.center = np.asarray(s.center)
-        self.theta_only = bool(np.all(self.L == 0))
-        self.action_only = bool(np.all(self.K == 0))
-
-    def value(self, theta: np.ndarray, action: np.ndarray) -> float:
-        if self.is_zero:
-            return 0.0
-        term = self.C.copy()
-        if not self.action_only:
-            term = term * np.exp(2j * math.pi * (self.K @ theta))
-        if not self.theta_only:
-            term = term * np.prod((action - self.center) ** self.L, axis=1)
-        return float(np.sum(term).real)
-
-
-class _Flow:
-    """Right-hand-side data for one Hamiltonian series."""
-
-    def __init__(self, H: FourierTaylorSeries) -> None:
-        n = H.domain.n
-        self.n = n
-        self.H = _FastEval(H)
-        self.dtheta = [_FastEval(H.partial_theta(j)) for j in range(n)]
-        self.daction = [_FastEval(H.partial_action(j)) for j in range(n)]
-
-    def grad_theta(self, theta: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return np.array([d.value(theta, action) for d in self.dtheta])
-
-    def grad_action(self, theta: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return np.array([d.value(theta, action) for d in self.daction])
-
-
 class _SplitFlow:
     """Strang splitting for H = A(I) + B(theta): drift-kick-drift.
 
@@ -230,27 +190,35 @@ class _MidpointFlow:
     """Implicit midpoint by fixed-point iteration; symplectic for any H."""
 
     def __init__(self, H: FourierTaylorSeries, tol: float, max_iter: int) -> None:
-        self.flow = _Flow(H)
+        self.n = n = H.domain.n
+        self.field = SeriesStack(  # dz/dt = (dH/dI, -dH/dtheta)
+            [H.partial_action(j) for j in range(n)]
+            + [-H.partial_theta(j) for j in range(n)]
+        )
         self.tol = tol
         self.max_iter = max_iter
 
-    def step(self, theta: np.ndarray, action: np.ndarray, dt: float):
-        th_mid, ac_mid = theta.copy(), action.copy()
-        for _ in range(self.max_iter):
-            dth = self.flow.grad_action(th_mid, ac_mid)
-            dac = -self.flow.grad_theta(th_mid, ac_mid)
-            th_new = theta + 0.5 * dt * dth
-            ac_new = action + 0.5 * dt * dac
-            delta = max(
-                float(np.max(np.abs(th_new - th_mid))),
-                float(np.max(np.abs(ac_new - ac_mid))),
-            )
-            th_mid, ac_mid = th_new, ac_new
-            if delta < self.tol:
-                break
-        else:
-            raise RuntimeError("implicit midpoint failed to converge")
-        return 2 * th_mid - theta, 2 * ac_mid - action
+    def run_block(
+        self, theta: np.ndarray, action: np.ndarray, dt: float, nsteps: int, t0: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n, field, half = self.n, self.field, 0.5 * dt
+        z = np.concatenate((theta, action))
+        for i in range(nsteps):
+            zm = z
+            for _ in range(self.max_iter):
+                zn = z + half * field.values(zm[:n], zm[n:])
+                delta = abs(zn - zm).max()
+                zm = zn
+                if delta < self.tol:
+                    break
+            else:
+                raise RuntimeError(
+                    f"implicit midpoint did not converge in the step from "
+                    f"t={t0 + i * dt:.17g}: last update {delta:.3g} >= "
+                    f"tol {self.tol:.3g} after {self.max_iter} iterations"
+                )
+            z = 2 * zm - z
+        return z[:n], z[n:]
 
 
 def _choose_scheme(H: FourierTaylorSeries, cfg: IntegratorConfig) -> str:
@@ -277,8 +245,9 @@ def integrate(
 
     Negative ``t_max`` integrates backward (the symmetric schemes are their
     own inverses up to roundoff).  The trajectory halts early, flagged
-    ``escaped``, if the action leaves the domain ball; ``stop_when(t, I)`` is
-    evaluated at sample points for caller-defined early exits.
+    ``escaped``, if the action leaves the domain ball around H's center;
+    ``stop_when(t, I)`` is evaluated at sample points for caller-defined
+    early exits.
     """
     cfg = cfg or IntegratorConfig()
     if hasattr(system, "hamiltonian"):  # accept a systems.System bundle
@@ -290,8 +259,8 @@ def integrate(
         stepper = _SplitFlow(avg, osc)
     else:
         stepper = _MidpointFlow(H, cfg.midpoint_tol, cfg.midpoint_max_iter)
-    energy_eval = _FastEval(H)
-    R = system.domain.R
+    energy = SeriesStack([H])
+    domain, center = system.domain, H.center
     direction = 1.0 if t_max >= 0 else -1.0
     dt = direction * cfg.step
     n_steps = int(round(abs(t_max) / cfg.step))
@@ -300,7 +269,7 @@ def integrate(
     times = [0.0]
     thetas = [theta % 1.0]
     actions = [action.copy()]
-    energies = [energy_eval.value(theta, action)]
+    energies = [float(energy.values(theta, action)[0])]
     escaped = False
     k = 0
     th_list, ac_list = list(map(float, theta)), list(map(float, action))
@@ -311,9 +280,7 @@ def integrate(
             theta = np.array(th_list)
             action = np.array(ac_list)
         else:
-            for _ in range(block):
-                theta, action = stepper.step(theta, action, dt)
-            th_list, ac_list = list(map(float, theta)), list(map(float, action))
+            theta, action = stepper.run_block(theta, action, dt, block, k * dt)
         k += block
         t = k * dt
         if not np.all(np.isfinite(action)) or not np.all(np.isfinite(theta)):
@@ -321,8 +288,8 @@ def integrate(
         times.append(t)
         thetas.append(theta % 1.0)
         actions.append(action.copy())
-        energies.append(energy_eval.value(theta, action))
-        if np.max(np.abs(action)) > R:
+        energies.append(float(energy.values(theta, action)[0]))
+        if not domain.contains_action(action, center):
             escaped = True
             break
         if stop_when is not None and stop_when(t, action):

@@ -99,6 +99,18 @@ class ScalingRecord:
             self.config_hash, format(self.runtime_s, ".3f"),
         ]
 
+    @classmethod
+    def from_csv_row(cls, parts: Sequence[str]) -> "ScalingRecord":
+        row = dict(zip(cls.CSV_FIELDS, parts))
+        return cls(
+            eps=float(row["eps"]), ic_index=int(row["ic_index"]), seed=int(row["seed"]),
+            threshold=float(row["threshold"]), drift_time=float(row["drift_time"]),
+            drift_at_budget=float(row["drift_at_budget"]), tau_m=float(row["tau_m"]),
+            m=int(row["m"]), certificate=row["certificate"],
+            censored=bool(int(row["censored"])), runtime_s=float(row["runtime_s"]),
+            config_hash=row["config_hash"],
+        )
+
 
 def initial_condition(
     cfg: ExperimentConfig, system: System, eps_index: int, ic_index: int
@@ -179,7 +191,7 @@ class FitSummary:
 
     def describe(self) -> str:
         if self.kind == "empty":
-            return "fit: no finite crossing times (all rows censored or sentinel)"
+            return f"fit needs >= 2 finite crossing times, got {self.points}"
         return (
             f"fit[{self.kind}]: log T* ~ {self.intercept:.4g} + "
             f"{self.slope:.4g} * x, rms residual {self.residual_rms:.3g} "
@@ -215,7 +227,9 @@ def run_scaling(
     The CSV data section (everything outside '#' comment lines) is a pure
     function of the config and seed.  In sequential mode rows stream out as
     they finish; with workers > 1 results are computed in parallel and
-    written in canonical order afterwards.
+    written in canonical order afterwards.  On resume, rows already in the
+    file are read back, so the records and the fit cover the whole ladder;
+    a file whose ``# config:`` line differs from ``cfg`` is refused.
     """
     out_path = Path(out_path)
     pairs = [
@@ -223,22 +237,22 @@ def run_scaling(
         for ei in range(len(cfg.eps_ladder))
         for ii in range(cfg.num_ic)
     ]
-    done: set[str] = set()
-    existing: list[str] = []
+    done: dict[tuple[str, str], ScalingRecord] = {}
     if resume and out_path.exists():
         with open(out_path) as fh:
-            for ln in fh:
-                if ln.startswith("#") or ln.startswith("eps,"):
-                    continue
-                parts = ln.rstrip("\n").split(",")
-                if len(parts) == len(ScalingRecord.CSV_FIELDS):
-                    done.add(f"{parts[0]}|{parts[1]}")
-                    existing.append(ln.rstrip("\n"))
-    todo = [
-        (ei, ii)
-        for ei, ii in pairs
-        if f"{format(cfg.eps_ladder[ei], '.17g')}|{ii}" not in done
-    ]
+            lines = fh.read().splitlines()
+        config = next((ln for ln in lines if ln.startswith("# config: ")), None)
+        if config != f"# config: {cfg}":
+            raise ValueError(f"cannot resume {out_path}: its config line {config!r} "
+                             f"differs from {cfg}")
+        for parts in csv.reader(ln for ln in lines if not ln.startswith("#")):
+            if len(parts) == len(ScalingRecord.CSV_FIELDS) and parts[0] != "eps":
+                done[(parts[0], parts[1])] = ScalingRecord.from_csv_row(parts)
+
+    def key(ei: int, ii: int) -> tuple[str, str]:
+        return format(cfg.eps_ladder[ei], ".17g"), str(ii)
+
+    todo = [(ei, ii) for ei, ii in pairs if key(ei, ii) not in done]
     records: list[ScalingRecord] = []
     if workers > 1:
         from multiprocessing import Pool
@@ -265,6 +279,8 @@ def run_scaling(
                 records.append(rec)
                 writer.writerow(rec.csv_row())
                 fh.flush()
+    fresh = dict(zip(todo, records))
+    records = [fresh[p] if p in fresh else done[key(*p)] for p in pairs]
     system = make_system(cfg.system, cfg.eps_ladder[0], **dict(cfg.system_kwargs))
     exps = exponents(system.domain.n, _tau_frac(cfg.tau))
     fit = fit_scaling(records, system.hamiltonian.regularity, exps)

@@ -493,14 +493,6 @@ class FourierTaylorSeries:
             _validate=False,
         )
 
-    def partial_derivative(self, coord: str, j: int) -> "FourierTaylorSeries":
-        """Derivative along one coordinate: coord is 'theta' or 'action'."""
-        if coord == "theta":
-            return self.partial_theta(j)
-        if coord == "action":
-            return self.partial_action(j)
-        raise ValueError(f"coord must be 'theta' or 'action', got {coord!r}")
-
     def derivative_multi(
         self, l_theta: Sequence[int], l_action: Sequence[int]
     ) -> "FourierTaylorSeries":
@@ -550,6 +542,39 @@ class FourierTaylorSeries:
             self.domain, self._coeffs, max(k_max, self.k_max), max(d_max, self.d_max),
             self.center, trunc_loss=self.trunc_loss, _validate=False,
         )
+
+
+class SeriesStack:
+    """Same-geometry series packed into one term table for point reads.
+
+    ``values`` reads every row in one numpy pass, without the domain and
+    reality checks of ``evaluate``.
+    """
+
+    __slots__ = ("K", "L", "C", "S", "center", "angle_free")
+
+    def __init__(self, rows: Sequence[FourierTaylorSeries]) -> None:
+        for s in rows[1:]:
+            rows[0]._same_geometry(s)
+        n = rows[0].domain.n
+        terms = [(r, k, l, c) for r, s in enumerate(rows) for (k, l), c in s.items()]
+        self.K = np.array([t[1] for t in terms], dtype=float).reshape(-1, n)
+        self.L = np.array([t[2] for t in terms], dtype=float).reshape(-1, n)
+        self.C = np.array([t[3] for t in terms], dtype=complex)
+        # term-to-row selection, transposed: (term vector) @ S sums each row
+        self.S = np.zeros((len(terms), len(rows)))
+        self.S[np.arange(len(terms)), [t[0] for t in terms]] = 1.0
+        self.center = np.asarray(rows[0].center)
+        self.angle_free = not self.K.any()
+
+    def values(self, theta: np.ndarray | None, action: np.ndarray) -> np.ndarray:
+        """Every row at (theta, action): shape (rows,) for one action point,
+        (m, rows) for an (m, n) stack of them.  ``theta`` is not read when no
+        row depends on the angles."""
+        mono = ((action[..., None, :] - self.center) ** self.L).prod(axis=-1)
+        if self.angle_free:
+            return (self.C.real * mono) @ self.S
+        return (self.C * np.exp(2j * math.pi * (self.K @ theta)) * mono).real @ self.S
 
 
 def _partition(

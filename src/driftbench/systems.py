@@ -15,7 +15,9 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .series import Domain, FourierTaylorSeries, Gevrey, HamiltonianSystem, Regularity
+from .series import (
+    Domain, FourierTaylorSeries, Gevrey, HamiltonianSystem, Regularity, SeriesStack,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -83,40 +85,31 @@ class LinearHamiltonian(_GradManyMixin):
         return np.broadcast_to(np.asarray(self.omega, dtype=float), pts.shape).copy()
 
 
-class SeriesHamiltonian(_GradManyMixin):
-    """Adapter for an angle-independent Fourier-Taylor series."""
+class SeriesHamiltonian:
+    """Adapter for an angle-independent series; each read is one term table."""
 
     def __init__(self, series: FourierTaylorSeries) -> None:
         if not series.angle_independent():
             raise ValueError("series must be angle-independent")
         self.series = series
         n = series.domain.n
-        self._grad = [series.partial_action(j) for j in range(n)]
-        self._hess = [
-            [self._grad[i].partial_action(j) for j in range(n)] for i in range(n)
-        ]
-        self._theta0 = (0.0,) * n
+        grad = [series.partial_action(j) for j in range(n)]
+        self._value_table = SeriesStack([series])
+        self._grad_table = SeriesStack(grad)
+        self._hess_table = SeriesStack([g.partial_action(j) for g in grad for j in range(n)])
 
     def value(self, I: np.ndarray) -> float:
-        return self.series._evaluate_unchecked(self._theta0, tuple(I))
+        return float(self._value_table.values(None, np.asarray(I, dtype=float))[0])
 
     def grad(self, I: np.ndarray) -> np.ndarray:
-        I = tuple(np.asarray(I, dtype=float))
-        return np.array([g._evaluate_unchecked(self._theta0, I) for g in self._grad])
+        return self._grad_table.values(None, np.asarray(I, dtype=float))
 
     def hess(self, I: np.ndarray) -> np.ndarray:
-        I = tuple(np.asarray(I, dtype=float))
-        n = len(self._grad)
-        return np.array(
-            [[self._hess[i][j]._evaluate_unchecked(self._theta0, I) for j in range(n)]
-             for i in range(n)]
-        )
+        n = self.series.domain.n
+        return self._hess_table.values(None, np.asarray(I, dtype=float)).reshape(n, n)
 
     def grad_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        theta = np.zeros((1, pts.shape[1]))
-        cols = [g.evaluate_grid(theta, pts)[0] for g in self._grad]
-        return np.stack(cols, axis=-1)
+        return self._grad_table.values(None, np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,9 @@ class TestScaling:
         before = data_section(path)
         code, out, _ = run(capsys, *self.ARGS, "--out", str(path))
         assert code == 0
-        assert "0 rows" in out  # nothing left to do
+        # the finished rows are read back, not run again: the report covers
+        # the whole ladder and the data section gains no row
+        assert "scaling: 4 rows" in out
         assert data_section(path) == before
 
     def test_config_file(self, capsys, tmp_path):

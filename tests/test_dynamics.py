@@ -129,6 +129,104 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(sys, ((0.0,), (0.1,)), 1.0, IntegratorConfig(scheme="split"))
 
+    def test_escape_measured_from_series_center(self):
+        # a series centered at 3.0 with R = 0.5: a start at I = 3.1 is inside
+        # the ball, and a strong kick off that center still escapes it
+        d = Domain(1, 0.5)
+        h = FourierTaylorSeries.monomial(d, (2,), 0.5, k_max=1, d_max=2, center=(3.0,))
+        f = FourierTaylorSeries.cosine(d, (1,), 1e-3, k_max=1, d_max=2, center=(3.0,))
+        quiet = HamiltonianSystem(h, f, 1e-3, Gevrey(1.0, 0.5))
+        traj = integrate(quiet, ((0.2,), (3.1,)), 10.0,
+                         IntegratorConfig(step=0.01, sample_stride=10))
+        assert not traj.escaped
+        assert traj.times[-1] == pytest.approx(10.0)
+        d = Domain(1, 0.05)
+        h = FourierTaylorSeries.monomial(d, (2,), 0.5, k_max=1, d_max=2, center=(3.0,))
+        f = FourierTaylorSeries.cosine(d, (1,), 0.3, k_max=1, d_max=2, center=(3.0,))
+        kicked = HamiltonianSystem(h, f, 0.3, Gevrey(1.0, 0.5))
+        traj = integrate(kicked, ((0.13,), (3.0,)), 50.0,
+                         IntegratorConfig(step=0.01, sample_stride=5))
+        assert traj.escaped
+        dist = np.abs(traj.actions[:, 0] - 3.0)
+        assert dist[-1] > 0.05 and np.all(dist[:-1] <= 0.05)
+
+    def test_midpoint_nonconvergence_raises_with_time_and_update(self):
+        sys = HamiltonianSystem(*_nonseparable(2, seed=3), 1e-3, Gevrey(1.0, 0.5))
+        cfg = IntegratorConfig(step=0.05, scheme="midpoint", midpoint_max_iter=1)
+        with pytest.raises(RuntimeError, match=r"from t=0: last update [\d.e+-]+ >= tol 1e-13"):
+            integrate(sys, ((0.1, 0.2), (0.1, -0.2)), 1.0, cfg)
+
+
+def _nonseparable(n, seed, center=None):
+    """Seeded H = h(I) + f(theta, I): twist plus small cubic terms, and
+    angle modes whose amplitudes depend on the actions."""
+    rng = np.random.default_rng(seed)
+    d = Domain(n, 0.5)
+    c = center if center is not None else (0.0,) * n
+    h = FourierTaylorSeries.zero(d, 1, 3, c)
+    f = FourierTaylorSeries.zero(d, 1, 3, c)
+    for j in range(n):
+        e2 = tuple(2 if i == j else 0 for i in range(n))
+        e3 = tuple(3 if i == j else 0 for i in range(n))
+        h = h + FourierTaylorSeries.monomial(d, e2, 0.5, 1, 3, c)
+        h = h + FourierTaylorSeries.monomial(d, e3, float(rng.uniform(-0.1, 0.1)), 1, 3, c)
+        mode = tuple(int(x) for x in rng.integers(-1, 2, n))
+        mode = mode if any(mode) else tuple(1 if i == j else 0 for i in range(n))
+        amp = FourierTaylorSeries.constant(d, 1.0, 1, 3, c) + (
+            FourierTaylorSeries.action_coordinate(d, j, 1, 3, c).scaled(float(rng.uniform(0.5, 2)))
+        )
+        f = f + FourierTaylorSeries.cosine(d, mode, 1e-3, 1, 3, c).product(amp)
+        f = f + FourierTaylorSeries.sine(d, mode, 5e-4, 1, 3, c)
+    return h, f
+
+
+def _reference_midpoint(H, theta, action, dt, nsteps, tol=1e-13, max_iter=50):
+    """The per-derivative fixed-point midpoint loop: 2n separate series
+    evaluations per iteration, angles and actions tested separately."""
+    n = H.domain.n
+    dtheta = [H.partial_theta(j) for j in range(n)]
+    daction = [H.partial_action(j) for j in range(n)]
+    theta, action = np.array(theta, dtype=float), np.array(action, dtype=float)
+    thetas, actions = [theta % 1.0], [action]
+    for _ in range(nsteps):
+        th_mid, ac_mid = theta.copy(), action.copy()
+        for _ in range(max_iter):
+            dth = np.array([g.evaluate(th_mid, ac_mid) for g in daction])
+            dac = -np.array([g.evaluate(th_mid, ac_mid) for g in dtheta])
+            th_new = theta + 0.5 * dt * dth
+            ac_new = action + 0.5 * dt * dac
+            delta = max(np.max(np.abs(th_new - th_mid)), np.max(np.abs(ac_new - ac_mid)))
+            th_mid, ac_mid = th_new, ac_new
+            if delta < tol:
+                break
+        else:
+            raise RuntimeError("reference midpoint failed to converge")
+        theta, action = 2 * th_mid - theta, 2 * ac_mid - action
+        thetas.append(theta % 1.0)
+        actions.append(action)
+    return np.array(thetas), np.array(actions)
+
+
+@pytest.mark.parametrize("n, seed, center", [
+    (2, 11, None),
+    (3, 12, None),
+    (2, 13, (3.0, -1.5)),
+])
+def test_midpoint_matches_reference_loop(n, seed, center):
+    h, f = _nonseparable(n, seed, center)
+    sys = HamiltonianSystem(h, f, 1e-3, Gevrey(1.0, 0.5))
+    rng = np.random.default_rng(seed)
+    theta0 = rng.uniform(0, 1, n)
+    action0 = np.asarray(h.center) + rng.uniform(-0.2, 0.2, n)
+    traj = integrate(sys, (theta0, action0), 200 * 0.05,
+                     IntegratorConfig(step=0.05, scheme="midpoint", sample_stride=1))
+    assert traj.metadata["scheme"] == "midpoint" and not traj.escaped
+    ref_th, ref_ac = _reference_midpoint(sys.total(), theta0, action0, 0.05, 200)
+    assert traj.actions.shape == ref_ac.shape
+    assert np.max(np.abs(traj.actions - ref_ac)) <= 1e-12
+    dth = (traj.thetas - ref_th + 0.5) % 1.0 - 0.5
+    assert np.max(np.abs(dth)) <= 1e-12
+
 
 class TestEscapeTime:
     def test_integrable_sentinel(self):

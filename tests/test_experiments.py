@@ -79,7 +79,15 @@ class TestFit:
         recs = self._records([(1e-2, math.inf)])
         fit = fit_scaling(recs, Gevrey(1.0, 0.5), exponents(1, 2))
         assert fit.kind == "empty"
-        assert "no finite" in fit.describe()
+        assert fit.describe() == "fit needs >= 2 finite crossing times, got 0"
+
+    def test_single_finite_row_fit_message(self):
+        # one finite crossing is too few for a line, and the message says so
+        # instead of claiming there were none
+        recs = self._records([(1e-2, 5.0), (1e-3, math.inf)])
+        fit = fit_scaling(recs, Gevrey(1.0, 0.5), exponents(1, 2))
+        assert fit.kind == "empty"
+        assert fit.describe() == "fit needs >= 2 finite crossing times, got 1"
 
 
 class TestRunScaling:
@@ -90,8 +98,31 @@ class TestRunScaling:
         assert len(records) == 4
         section = data_section(out)
         again, _ = run_scaling(cfg, out, resume=True)
-        assert again == []
+        assert [r.csv_row()[:-1] for r in again] == [r.csv_row()[:-1] for r in records]
         assert data_section(out) == section
+
+    def test_resume_returns_whole_ladder(self, tmp_path):
+        # interrupted after 2 of 6 rows: the resumed run reads those 2 back,
+        # so its records and its fit cover all 6
+        cfg = ExperimentConfig(**{**FAST, "eps_ladder": (1e-2, 1e-3, 1e-4)})
+        full_path, cut_path = tmp_path / "full.csv", tmp_path / "cut.csv"
+        full, full_fit = run_scaling(cfg, full_path, resume=False)
+        lines = full_path.read_text().splitlines(keepends=True)
+        header = [ln for ln in lines if ln.startswith("#") and "fit" not in ln]
+        cut_path.write_text("".join(header + [ln for ln in lines if not ln.startswith("#")][:3]))
+        records, fit = run_scaling(cfg, cut_path, resume=True)
+        assert len(records) == 6
+        assert [r.csv_row()[:-1] for r in records] == [r.csv_row()[:-1] for r in full]
+        assert fit.points == full_fit.points
+        assert data_section(cut_path) == data_section(full_path)
+
+    def test_resume_refuses_other_config(self, tmp_path):
+        out = tmp_path / "s.csv"
+        run_scaling(ExperimentConfig(**FAST), out, resume=False)
+        before = out.read_text()
+        with pytest.raises(ValueError, match="config line"):
+            run_scaling(ExperimentConfig(**{**FAST, "seed": 6}), out, resume=True)
+        assert out.read_text() == before
 
     def test_parallel_matches_sequential(self, tmp_path):
         cfg = ExperimentConfig(**FAST)

@@ -12,6 +12,7 @@ from driftbench.series import (
     Gevrey,
     HamiltonianSystem,
     FiniteDiff,
+    SeriesStack,
     compose_near_identity,
     load_series,
     poisson_bracket,
@@ -53,6 +54,24 @@ class TestEvaluate:
         thetas, actions = sample_points(s.domain.n, count=3)
         for th, ac in zip(thetas, actions):
             s.evaluate(tuple(th), tuple(ac))  # raises if imag residue > 1e-12
+
+    @given(small_series())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_pointwise(self, s):
+        # one table for a series and two of its derivatives, read at single
+        # points and at a stack of action points; |I| < 1 bounds every term
+        # by its coefficient, so the coefficient norm scales the roundoff
+        rows = [s, s.partial_theta(0), s.partial_action(s.domain.n - 1)]
+        stack = SeriesStack(rows)
+        thetas, actions = sample_points(s.domain.n, count=3)
+        for th in thetas:
+            many = stack.values(th, actions)
+            for i, ac in enumerate(actions):
+                for r, row in enumerate(rows):
+                    ref = row.evaluate(th, ac)
+                    tol = 1e-13 * max(1.0, row.coefficient_norm())
+                    assert abs(stack.values(th, ac)[r] - ref) <= tol
+                    assert abs(many[i, r] - ref) <= tol
 
     def test_grid_matches_pointwise(self):
         s = FourierTaylorSeries.cosine(D2, (1, 1), 0.7, k_max=2, d_max=1)
