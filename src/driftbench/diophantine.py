@@ -66,9 +66,6 @@ class PeriodicVector:
         """T*omega, exactly."""
         return tuple(int(self.period * w) for w in self.omega)
 
-    def sup_norm(self) -> Fraction:
-        return max(abs(w) for w in self.omega)
-
     def as_floats(self) -> np.ndarray:
         return np.array([float(w) for w in self.omega])
 
@@ -376,9 +373,6 @@ class ResonanceFrame:
     @property
     def j(self) -> int:
         return len(self.vectors)
-
-    def extended(self, pv: PeriodicVector) -> "ResonanceFrame":
-        return ResonanceFrame.build(self.vectors + (pv,))
 
 
 def projections(frame: ResonanceFrame) -> tuple[np.ndarray, np.ndarray]:

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, drift_time
-from .restrain import exponents, time_budget
+from .restrain import exponents, tau_fraction, time_budget
 from .series import Gevrey
 from .steepness import MorseParams
 from .systems import System, make_system
@@ -130,7 +130,7 @@ def run_row(
     eps = cfg.eps_ladder[eps_index]
     system = make_system(cfg.system, eps, **dict(cfg.system_kwargs))
     n = system.domain.n
-    exps = exponents(n, _tau_frac(cfg.tau))
+    exps = exponents(n, tau_fraction(cfg.tau))
     budget = time_budget(eps, system.hamiltonian.regularity, exps, cfg.m_multiplier)
     tau_m = min(budget.tau_m, cfg.t_cap)
     if cfg.threshold_mode == "theorem":
@@ -172,11 +172,6 @@ def run_row(
         m=budget.m, certificate=cert_status, censored=censored,
         runtime_s=runtime, config_hash=icfg.digest(),
     )
-
-
-def _tau_frac(tau: float) -> Fraction:
-    f = Fraction(tau)
-    return f if f >= 2 else Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -228,8 +223,9 @@ def run_scaling(
     function of the config and seed.  In sequential mode rows stream out as
     they finish; with workers > 1 results are computed in parallel and
     written in canonical order afterwards.  On resume, rows already in the
-    file are read back, so the records and the fit cover the whole ladder;
-    a file whose ``# config:`` line differs from ``cfg`` is refused.
+    file are read back, so the records and the fit cover the whole ladder,
+    and the file's fit line is replaced; a file whose ``# config:`` line
+    differs from ``cfg`` is refused.
     """
     out_path = Path(out_path)
     pairs = [
@@ -282,10 +278,16 @@ def run_scaling(
     fresh = dict(zip(todo, records))
     records = [fresh[p] if p in fresh else done[key(*p)] for p in pairs]
     system = make_system(cfg.system, cfg.eps_ladder[0], **dict(cfg.system_kwargs))
-    exps = exponents(system.domain.n, _tau_frac(cfg.tau))
+    exps = exponents(system.domain.n, tau_fraction(cfg.tau))
     fit = fit_scaling(records, system.hamiltonian.regularity, exps)
-    with open(out_path, "a") as fh:
+    # the file keeps one fit line, this run's: a resumed file drops the old one
+    with open(out_path, newline="") as fh:
+        lines = [ln for ln in fh if not ln.startswith("# fit")]
+    tmp = out_path.with_name(out_path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.writelines(lines)
         fh.write(f"# {fit.describe()}\n")
+    os.replace(tmp, out_path)
     return records, fit
 
 

@@ -54,8 +54,7 @@ class NormalFormConfig:
     """Iteration and truncation knobs for the averaging transforms.
 
     ``m`` is the iteration count driving the remainder decay; ``rho(i)`` is
-    the 2^i domain-radius schedule; ``radius_ratio`` gives the Gevrey-radius
-    contraction per stage.  All <.-type smallness conditions carry the
+    the 2^i domain-radius schedule.  All <.-type smallness conditions carry the
     ``smallness_multiplier``: their implicit constants are free parameters
     here, so they stay configurable and get recorded in reports.
     """
@@ -73,14 +72,6 @@ class NormalFormConfig:
     @staticmethod
     def rho(i: int) -> float:
         return 2.0 ** i
-
-    @staticmethod
-    def radius_ratio(n: int, alpha: float) -> float:
-        """The per-stage Gevrey radius contraction C = 16^-1 (2n)^((1-alpha)/alpha)."""
-        return (2 * n) ** ((1 - alpha) / alpha) / 16.0
-
-    def gevrey_radius(self, L: float, i: int, n: int, alpha: float) -> float:
-        return self.radius_ratio(n, alpha) ** i * L
 
 
 def _k_dot_omega(k: Sequence[int], omega: Sequence[Fraction]) -> Fraction:
@@ -172,14 +163,6 @@ class AveragingStep:
             raise HomologicalInconsistencyError(
                 f"homological identity violated: relative defect {self.homological_defect}"
             )
-
-    def transform_displacement(
-        self, lie_order: int = 6
-    ) -> tuple[list[FourierTaylorSeries], list[FourierTaylorSeries]]:
-        """(theta, action) components of Phi - Id for this step's generator flow."""
-        td = TransformData([self.generator], lie_order)
-        k, d = self.generator.k_max, self.generator.d_max
-        return td.angle_displacement(k, d), td.action_displacement(k, d)
 
 
 @dataclass(frozen=True)
@@ -475,12 +458,6 @@ class ScaleMap:
 
     center: tuple[float, ...]
     mu: float
-
-    def forward(self, J: np.ndarray) -> np.ndarray:
-        return np.asarray(self.center) + self.mu * np.asarray(J)
-
-    def backward(self, I: np.ndarray) -> np.ndarray:
-        return (np.asarray(I) - np.asarray(self.center)) / self.mu
 
 
 @dataclass

@@ -175,13 +175,14 @@ def check_conditions(p: ConditionParams) -> ConditionReport:
     info = tuple(
         ConditionEntry(f"mu_{j} =. T_{j}^-1 eps^a_{j} (ratio)",
                        p.mus[j - 1] * p.Ts[j - 1], p.eps ** float(a_j))
-        for j, a_j in zip(range(1, p.n + 1), exponents(p.n, _as_frac(p.tau)).a_list)
+        for j, a_j in zip(range(1, p.n + 1), exponents(p.n, tau_fraction(p.tau)).a_list)
     )
     return ConditionReport(tuple(E), info)
 
 
-def _as_frac(x) -> Fraction:
-    f = Fraction(x)
+def tau_fraction(tau: float) -> Fraction:
+    """tau as an exact Fraction, raised to 2 where it is smaller."""
+    f = Fraction(tau)
     return f if f >= 2 else Fraction(2)
 
 
@@ -292,7 +293,7 @@ def try_restrain(
     ham = system.hamiltonian
     n = ham.domain.n
     eps = ham.epsilon
-    exps = exps or exponents(n, _as_frac(morse.tau))
+    exps = exps or exponents(n, tau_fraction(morse.tau))
     gamma, tau = morse.gamma, morse.tau
     tau_m = min(budget.tau_m, float(traj.times[-1]))
     R = ham.domain.R

@@ -605,6 +605,15 @@ def _propagated_loss(
     )
 
 
+# |F|*|G| from which poisson_bracket builds the numpy pair table.  Timed on the
+# bracket calls of normal-form runs (n = 2, 3), the table was the faster path
+# in 50 % of the calls with 64-95 pairs, 71 % with 96-127 and 98 % with 128-191.
+_PAIR_TABLE_MIN = 96
+# F rows per block of the pair table are chosen to keep a block near this many
+# pairs, so the (pairs, n) temporaries stay small.
+_PAIR_BLOCK = 4096
+
+
 def poisson_bracket(
     F: FourierTaylorSeries, G: FourierTaylorSeries,
     k_max: int | None = None, d_max: int | None = None,
@@ -619,6 +628,27 @@ def poisson_bracket(
     n = F.domain.n
     K = k_max if k_max is not None else max(F.k_max, G.k_max)
     D = d_max if d_max is not None else max(F.d_max, G.d_max)
+    if len(F) * len(G) >= _PAIR_TABLE_MIN and _packable(F, G):
+        kept, dropped = _bracket_table(F, G, K, D)
+    else:
+        kept, dropped = _partition(_bracket_loop(F, G), K, D)
+    lf, lg = F.trunc_loss, G.trunc_loss
+    cross = 0.0
+    if lf.kmass or lf.lmass or lg.kmass or lg.lmass:
+        cross = TWO_PI * (
+            lf.kmass * G.l_weighted_mass() + lf.lmass * G.k_weighted_mass()
+            + F.k_weighted_mass() * lg.lmass + F.l_weighted_mass() * lg.kmass
+            + lf.kmass * lg.lmass + lf.lmass * lg.kmass
+        )
+    loss = _propagated_loss(cross, dropped, n, K, D)
+    return FourierTaylorSeries(
+        F.domain, kept, K, D, F.center, trunc_loss=loss, _validate=False,
+    )
+
+
+def _bracket_loop(F: FourierTaylorSeries, G: FourierTaylorSeries) -> dict[MultiIndex, complex]:
+    """Untruncated {F, G}, one dict update per (term of F, term of G, j)."""
+    n = F.domain.n
     acc: dict[MultiIndex, complex] = {}
     for (k1, l1), c1 in F._coeffs.items():
         for (k2, l2), c2 in G._coeffs.items():
@@ -633,17 +663,98 @@ def poisson_bracket(
                 )
                 idx = (k, l)
                 acc[idx] = acc.get(idx, 0j) + base * (2j * math.pi * w)
-    kept, dropped = _partition(acc, K, D)
-    lf, lg = F.trunc_loss, G.trunc_loss
-    cross = TWO_PI * (
-        lf.kmass * G.l_weighted_mass() + lf.lmass * G.k_weighted_mass()
-        + F.k_weighted_mass() * lg.lmass + F.l_weighted_mass() * lg.kmass
-        + lf.kmass * lg.lmass + lf.lmass * lg.kmass
+    return acc
+
+
+def _key_radices(F: FourierTaylorSeries, G: FourierTaylorSeries) -> tuple[int, int, int]:
+    """(kr, radix of a k digit, radix of an l digit) for packing a bracket term:
+    kr and dr are the largest |k|_inf and degree a term of {F, G} can have."""
+    kr, dr = F.k_max + G.k_max, F.d_max + G.d_max
+    return kr, 2 * kr + 1, dr + 1
+
+
+def _packable(F: FourierTaylorSeries, G: FourierTaylorSeries) -> bool:
+    """Whether every index of {F, G} packs into one int64 key."""
+    _, bk, bl = _key_radices(F, G)
+    return (bk * bl) ** F.domain.n < 2**62
+
+
+def _term_table(s: FourierTaylorSeries) -> tuple[np.ndarray, ...]:
+    n = s.domain.n
+    k = np.array([k for (k, _) in s._coeffs], dtype=np.int64).reshape(-1, n)
+    l = np.array([l for (_, l) in s._coeffs], dtype=np.int64).reshape(-1, n)
+    c = np.array(list(s._coeffs.values()), dtype=complex)
+    return k, l, c.real, c.imag
+
+
+def _sequential_sum(x: np.ndarray) -> float:
+    """Left-to-right float sum, as a Python ``+=`` loop adds (np.sum pairs)."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
+def _bracket_table(
+    F: FourierTaylorSeries, G: FourierTaylorSeries, K: int, D: int
+) -> tuple[dict[MultiIndex, complex], TruncationLoss]:
+    """``_partition(_bracket_loop(F, G), K, D)`` from one numpy pair table.
+
+    Each (term of F, term of G, j) contribution gets a packed int64 key for
+    its (k, l); ``np.unique`` + ``np.bincount`` sum the contributions per key.
+    The result is bit-identical to the loop's: contributions stay pair-major
+    and j-minor, ``bincount`` adds them in that order, keys keep their
+    first-occurrence order, and c1*c2*(2*pi*i*w) is written out in real
+    arithmetic, since numpy's complex multiply may fuse multiply-adds.
+    """
+    n = F.domain.n
+    kr, bk, bl = _key_radices(F, G)
+    pl = bl ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    pk = bl**n * bk ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    kf, lf, fr, fi = _term_table(F)
+    kg, lg, gr, gi = _term_table(G)
+    # key(k1 + k2, l1 + l2 - e_j) = fkey + gkey - pl[j]; kr offsets k once.
+    fkey = kf @ pk + lf @ pl
+    gkey = (kg + kr) @ pk + lg @ pl
+    m = len(G)
+    rows = max(1, _PAIR_BLOCK // m)
+    keys, res, ims = [], [], []
+    for a in range(0, len(F), rows):
+        b = min(a + rows, len(F))
+        w = (kf[a:b, None, :] * lg - lf[a:b, None, :] * kg).ravel()
+        idx = np.flatnonzero(w)
+        pair, j = np.divmod(idx, n)
+        i, g = np.divmod(pair, m)
+        i += a
+        br = fr[i] * gr[g] - fi[i] * gi[g]
+        bi = fr[i] * gi[g] + fi[i] * gr[g]
+        tw = TWO_PI * w[idx]
+        keys.append(fkey[i] + gkey[g] - pl[j])
+        res.append(-(bi * tw))
+        ims.append(br * tw)
+    uniq, first, inv = np.unique(
+        np.concatenate(keys), return_index=True, return_inverse=True
     )
-    loss = _propagated_loss(cross, dropped, n, K, D)
-    return FourierTaylorSeries(
-        F.domain, kept, K, D, F.center, trunc_loss=loss, _validate=False,
+    order = np.argsort(first)
+    re = np.bincount(inv, weights=np.concatenate(res), minlength=len(uniq))[order]
+    im = np.bincount(inv, weights=np.concatenate(ims), minlength=len(uniq))[order]
+    key = uniq[order]
+    digits = np.empty((len(key), 2 * n), dtype=np.int64)
+    for col, radix in zip(range(2 * n - 1, -1, -1), [bl] * n + [bk] * n):
+        key, digits[:, col] = np.divmod(key, radix)
+    digits[:, :n] -= kr
+    k, l = digits[:, :n], digits[:, n:]
+    nonzero = (re != 0) | (im != 0)
+    inside = (np.abs(k).max(axis=1) <= K) & (l.sum(axis=1) <= D)
+    keep, drop = nonzero & inside, nonzero & ~inside
+    kept = {
+        (tuple(row[:n]), tuple(row[n:])): complex(x, y)
+        for row, x, y in zip(digits[keep].tolist(), re[keep].tolist(), im[keep].tolist())
+    }
+    mass = np.hypot(re[drop], im[drop])
+    dropped = TruncationLoss(
+        _sequential_sum(mass),
+        _sequential_sum(mass * np.abs(k[drop]).sum(axis=1)),
+        _sequential_sum(mass * l[drop].sum(axis=1)),
     )
+    return kept, dropped
 
 
 def recenter_scale(

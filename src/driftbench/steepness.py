@@ -43,14 +43,6 @@ class MorseParams:
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
 
-    def check_stability_range(self) -> None:
-        """The stability theorems need gamma <= 1 and tau >= 2."""
-        if self.gamma > 1 or self.tau < 2:
-            raise ValueError(
-                f"stability theorems require gamma <= 1 and tau >= 2, "
-                f"got gamma={self.gamma}, tau={self.tau}"
-            )
-
     def threshold(self, L: int) -> float:
         return self.gamma * float(L) ** (-self.tau)
 
@@ -177,12 +169,16 @@ class SubspaceMargin:
     worst_sigma: float
 
 
-def _constant_hessian(h: ActionHamiltonian, points: np.ndarray) -> bool:
-    if points.shape[0] < 2:
-        return True
+def _grid_hessians(h: ActionHamiltonian, points: np.ndarray) -> np.ndarray:
+    """The Hessians at the grid points, stacked; only the one at ``points[0]``
+    when it agrees with the one at ``points[-1]`` (h quadratic)."""
     H0 = h.hess(points[0])
-    H1 = h.hess(points[-1])
-    return bool(np.allclose(H0, H1, rtol=0, atol=1e-13))
+    if points.shape[0] < 2 or np.allclose(H0, h.hess(points[-1]), rtol=0, atol=1e-13):
+        return H0[None]
+    out = np.empty((len(points),) + H0.shape)
+    for i, p in enumerate(points):
+        out[i] = h.hess(p)
+    return out
 
 
 def subspace_margins(
@@ -193,6 +189,7 @@ def subspace_margins(
     margin > gamma * L_min^{-tau} for every entry."""
     pts = action_ball_grid(n, R, res)
     grads = h.grad_many(pts)
+    hessians = _grid_hessians(h, pts)
     out: list[SubspaceMargin] = []
     seen: set[tuple] = set()
     for L in range(1, L_max + 1):
@@ -204,15 +201,11 @@ def subspace_margins(
                 seen.add(key)
                 E, _ = adapted_coordinates(sub)
                 gp = np.linalg.norm(grads @ E, axis=1)
-                if _constant_hessian(h, pts):
-                    block = E.T @ h.hess(pts[0]) @ E
-                    sig = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (block + block.T)))))
-                    sigmas = np.full(len(pts), sig)
-                else:
-                    sigmas = np.empty(len(pts))
-                    for i, p in enumerate(pts):
-                        block = E.T @ h.hess(p) @ E
-                        sigmas[i] = np.min(np.abs(np.linalg.eigvalsh(0.5 * (block + block.T))))
+                blocks = E.T @ hessians @ E
+                sym = 0.5 * (blocks + blocks.swapaxes(1, 2))
+                sigmas = np.min(np.abs(np.linalg.eigvalsh(sym)), axis=1)
+                if len(hessians) < len(pts):
+                    sigmas = np.full(len(pts), sigmas[0])
                 scores = np.maximum(gp, sigmas)
                 i_worst = int(np.argmin(scores))
                 out.append(

@@ -101,6 +101,17 @@ class TestRunScaling:
         assert [r.csv_row()[:-1] for r in again] == [r.csv_row()[:-1] for r in records]
         assert data_section(out) == section
 
+    def test_resume_keeps_one_fit_line(self, tmp_path):
+        cfg = ExperimentConfig(**FAST)
+        out = tmp_path / "s.csv"
+        run_scaling(cfg, out, resume=False)
+        section = data_section(out)
+        run_scaling(cfg, out, resume=True)
+        _, fit = run_scaling(cfg, out, resume=True)
+        fits = [ln for ln in out.read_text().splitlines() if ln.startswith("# fit")]
+        assert fits == [f"# {fit.describe()}"]
+        assert data_section(out) == section
+
     def test_resume_returns_whole_ladder(self, tmp_path):
         # interrupted after 2 of 6 rows: the resumed run reads those 2 back,
         # so its records and its fit cover all 6

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_points, series_to_sympy, small_series, sympy_eval
+from driftbench import series as series_module
 from driftbench.series import (
     CorruptSeriesError,
     Domain,
@@ -13,6 +16,7 @@ from driftbench.series import (
     HamiltonianSystem,
     FiniteDiff,
     SeriesStack,
+    TruncationLoss,
     compose_near_identity,
     load_series,
     poisson_bracket,
@@ -126,7 +130,64 @@ class TestDerivatives:
         assert s.partial_action(0).d_max == s.d_max - 1
 
 
+@st.composite
+def bracket_operands(draw):
+    """Two same-geometry series of up to 48 terms each (so |F|*|G| spans both
+    sides of the pair-table cutoff), optionally off the origin and carrying a
+    truncation loss, plus output bounds: the operands', truncating, or wide
+    enough to keep every term."""
+    n = draw(st.integers(1, 3))
+    center = draw(st.sampled_from([None, (0.3, -1.2, 2.5)[:n]]))
+    mass = st.one_of(st.just(0.0), st.floats(1e-12, 1e-3))
+    ops = []
+    for _ in range(2):
+        s = draw(small_series(n=n, n_terms=24))
+        loss = TruncationLoss(draw(mass), draw(mass), draw(mass))
+        ops.append(FourierTaylorSeries(s.domain, s.coeffs, s.k_max, s.d_max, center,
+                                       trunc_loss=loss))
+    bounds = draw(st.sampled_from([{}, {"k_max": 2, "d_max": 1}, {"k_max": 6, "d_max": 4}]))
+    return ops[0], ops[1], bounds
+
+
+def _bracket_with_cutoff(cutoff, F, G, **bounds):
+    with mock.patch.object(series_module, "_PAIR_TABLE_MIN", cutoff):
+        return poisson_bracket(F, G, **bounds)
+
+
+def _assert_identical(a, b):
+    assert list(a.items()) == list(b.items())
+    assert a.trunc_loss == b.trunc_loss
+    assert (a.k_max, a.d_max) == (b.k_max, b.d_max)
+
+
 class TestPoissonBracket:
+    @given(bracket_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_table_matches_loop(self, operands):
+        # cutoff 1 sends every nonempty pair of operands through the pair
+        # table; an infinite cutoff through the dict loop, the reference
+        F, G, bounds = operands
+        table = _bracket_with_cutoff(1, F, G, **bounds)
+        loop = _bracket_with_cutoff(math.inf, F, G, **bounds)
+        _assert_identical(table, loop)
+
+    @staticmethod
+    def _modes(m, l, k_of):
+        """2m terms c_k (I - center)^l e(k_of(k).theta), k = 1..m, with mirrors."""
+        coeffs = {}
+        for k in range(1, m + 1):
+            c = complex(1.0 / k, 0.5)
+            coeffs[(k_of(k), l)] = c
+            coeffs[(tuple(-x for x in k_of(k)), l)] = c.conjugate()
+        return FourierTaylorSeries(Domain(3, 1.0), coeffs, m, 2, (0.2, 0.0, -0.4))
+
+    @pytest.mark.parametrize("mf, mg, above", [(3, 5, False), (6, 8, True)])
+    def test_public_bracket_either_side_of_cutoff(self, mf, mg, above):
+        F = self._modes(mf, (1, 0, 0), lambda k: (k, 1, 0))
+        G = self._modes(mg, (0, 1, 1), lambda k: (1, k, 0))
+        assert (len(F) * len(G) >= series_module._PAIR_TABLE_MIN) == above
+        _assert_identical(poisson_bracket(F, G), _bracket_with_cutoff(math.inf, F, G))
+
     def test_antisymmetry_self(self):
         f = FourierTaylorSeries.cosine(D2, (1, 0), 1.3, k_max=2, d_max=1)
         assert poisson_bracket(f, f).coefficient_norm() == 0

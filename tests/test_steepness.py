@@ -9,6 +9,7 @@ from driftbench.diophantine import RationalSubspace, ResonanceFrame, period_of
 from driftbench.steepness import (
     MorseParams,
     SteepnessQuery,
+    action_ball_grid,
     adapted_coordinates,
     best_gamma,
     check_morse,
@@ -150,9 +151,21 @@ class TestCheckMorse:
         assert rep.passed == expected
 
     def test_degenerate_steep_toy_fails(self):
-        h = SeriesHamiltonian(degenerate_steep(0.0).hamiltonian.integrable)
+        class CountingHess(SeriesHamiltonian):
+            calls = 0
+
+            def hess(self, I):
+                self.calls += 1
+                return super().hess(I)
+
+        h = CountingHess(degenerate_steep(0.0).hamiltonian.integrable)
         rep = check_morse(h, MorseParams(0.9, 2.0), 2, 2, grid_res=9)
         assert not rep.passed
+        assert [f.subspace.lattice_key() for f in rep.failures] == [
+            ((0, 1),), ((1, 0), (0, 1)), ((1, -1),), ((1, 1),)
+        ]
+        # each grid point's Hessian is read once per check, not once per subspace
+        assert h.calls <= len(action_ball_grid(2, 1.0, 9)) + 2
 
 
 class TestPrevalence:
