@@ -216,7 +216,8 @@ def cmd_drift(args) -> int:
 def cmd_restrain(args) -> int:
     system = _load_system(args)
     exps = exponents(system.domain.n, Fraction(args.tau))
-    budget = time_budget(args.eps, system.hamiltonian.regularity, exps, args.m_multiplier)
+    ham = system.hamiltonian
+    budget = time_budget(ham.epsilon, ham.regularity, exps, args.m_multiplier)
     tau_m = min(budget.tau_m, args.t_cap)
     rng = np.random.default_rng(args.seed)
     n = system.domain.n
@@ -347,7 +348,7 @@ def build_parser() -> _Parser:
     q.add_argument("--cap", type=int, default=None)
     q.set_defaults(func=cmd_approx)
 
-    def add_system_flags(sp, need_eps=True):
+    def add_system_flags(sp):
         sp.add_argument("--system", type=str, choices=sorted(BUILTIN_SYSTEMS),
                         default=None)
         sp.add_argument("--series", type=str, default=None,

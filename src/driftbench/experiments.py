@@ -18,6 +18,7 @@ import csv
 import math
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -220,10 +221,13 @@ def run_scaling(
     """Run the ladder; stream rows to the CSV; return records and the fit.
 
     The CSV data section (everything outside '#' comment lines) is a pure
-    function of the config and seed.  In sequential mode rows stream out as
-    they finish; with workers > 1 results are computed in parallel and
-    written in canonical order afterwards.  On resume, rows already in the
-    file are read back, so the records and the fit cover the whole ladder,
+    function of the config and seed.  Rows are computed by ``run_row`` in this
+    process or, with workers > 1, in a pool of spawned processes (forking a
+    process that may hold BLAS threads is unsafe), and each is written and
+    flushed in canonical order as soon as it and every row before it are
+    done, so an interrupted run keeps its finished rows.  Every line ends in
+    ``"\n"``.  On resume, rows already in the file are read back (with
+    either line ending), so the records and the fit cover the whole ladder,
     and the file's fit line is replaced; a file whose ``# config:`` line
     differs from ``cfg`` is refused.
     """
@@ -249,39 +253,34 @@ def run_scaling(
         return format(cfg.eps_ladder[ei], ".17g"), str(ii)
 
     todo = [(ei, ii) for ei, ii in pairs if key(ei, ii) not in done]
-    records: list[ScalingRecord] = []
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            records = pool.starmap(run_row, [(cfg, ei, ii) for ei, ii in todo])
-    else:
-        records = []
+    jobs = [(cfg, ei, ii) for ei, ii in todo]
     mode = "a" if (resume and out_path.exists()) else "w"
-    with open(out_path, mode, newline="") as fh:
-        writer = csv.writer(fh)
+    with ExitStack() as stack:
+        if workers > 1:
+            from multiprocessing import get_context
+
+            pool = stack.enter_context(get_context("spawn").Pool(workers))
+            rows = pool.imap(_run_job, jobs)
+        else:
+            rows = map(_run_job, jobs)
+        fh = stack.enter_context(open(out_path, mode, newline=""))
+        writer = csv.writer(fh, lineterminator="\n")
         if mode == "w":
             fh.write(f"# driftbench scaling run; local time {time.ctime()}\n")
             fh.write(f"# config: {cfg}\n")
             writer.writerow(ScalingRecord.CSV_FIELDS)
             fh.flush()
-        if workers > 1:
-            for rec in records:
-                writer.writerow(rec.csv_row())
+        for (ei, ii), rec in zip(todo, rows):
+            done[key(ei, ii)] = rec
+            writer.writerow(rec.csv_row())
             fh.flush()
-        else:
-            for ei, ii in todo:
-                rec = run_row(cfg, ei, ii)
-                records.append(rec)
-                writer.writerow(rec.csv_row())
-                fh.flush()
-    fresh = dict(zip(todo, records))
-    records = [fresh[p] if p in fresh else done[key(*p)] for p in pairs]
+    records = [done[key(*p)] for p in pairs]
     system = make_system(cfg.system, cfg.eps_ladder[0], **dict(cfg.system_kwargs))
     exps = exponents(system.domain.n, tau_fraction(cfg.tau))
     fit = fit_scaling(records, system.hamiltonian.regularity, exps)
-    # the file keeps one fit line, this run's: a resumed file drops the old one
-    with open(out_path, newline="") as fh:
+    # the file keeps one fit line, this run's: a resumed file drops the old one;
+    # lines are read with any ending and written back ending in "\n"
+    with open(out_path) as fh:
         lines = [ln for ln in fh if not ln.startswith("# fit")]
     tmp = out_path.with_name(out_path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
@@ -289,6 +288,10 @@ def run_scaling(
         fh.write(f"# {fit.describe()}\n")
     os.replace(tmp, out_path)
     return records, fit
+
+
+def _run_job(job: tuple[ExperimentConfig, int, int]) -> ScalingRecord:
+    return run_row(*job)
 
 
 def data_section(path) -> str:

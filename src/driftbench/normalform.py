@@ -90,11 +90,7 @@ def resonant_split(
             res[(k, l)] = c
         else:
             non[(k, l)] = c
-    mk = lambda d: FourierTaylorSeries(
-        f.domain, d, f.k_max, f.d_max, f.center,
-        trunc_loss=f.trunc_loss, _validate=False,
-    )
-    return mk(res), mk(non)
+    return f._derive(res, trunc_loss=f.trunc_loss), f._derive(non, trunc_loss=f.trunc_loss)
 
 
 def resonant_average(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylorSeries:
@@ -120,9 +116,7 @@ def homological_solve(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylo
                 f"divisor k.omega = {kw} below 1/T = {inv_T} at mode {k}"
             )
         out[(k, l)] = c / (2j * math.pi * float(kw))
-    return FourierTaylorSeries(
-        f.domain, out, f.k_max, f.d_max, f.center, _validate=False
-    )
+    return f._derive(out)
 
 
 def lie_transform(
@@ -507,11 +501,7 @@ def localize_and_scale(
     h_loc = recenter_scale(system.integrable, I_center, mu, new_domain=scaled_domain)
     # drop the constant h(I_center): only the gradient and higher blocks matter
     zero_idx = ((0,) * domain.n, (0,) * domain.n)
-    h_coeffs = dict(h_loc.coeffs)
-    h_coeffs.pop(zero_idx, None)
-    h_loc = FourierTaylorSeries(
-        scaled_domain, h_coeffs, h_loc.k_max, h_loc.d_max, _validate=False
-    )
+    h_loc = h_loc._derive({idx: c for idx, c in h_loc.items() if idx != zero_idx})
     h_scaled = h_loc.scaled(1.0 / mu)
     l_series = _linear_series(
         scaled_domain, omega, h_scaled.k_max, max(h_scaled.d_max, 1), (0.0,) * domain.n
@@ -547,9 +537,7 @@ def _unscale(
     out = {}
     for (k, l), c in s.items():
         out[(k, l)] = c * sigma.mu ** (1 - sum(l))
-    return FourierTaylorSeries(
-        back_domain, out, s.k_max, s.d_max, sigma.center, _validate=False
-    )
+    return s._derive(out, domain=back_domain, center=sigma.center)
 
 
 def local_normal_form(

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -255,6 +254,9 @@ DEFAULT_MULTIPLIERS = {
     "q_safety": 1.25,   # Dirichlet Q inflation
 }
 
+# Dirichlet witness searches per ladder stage; each retry doubles Q
+INDEPENDENCE_RETRIES = 8
+
 
 def _traj_hash(traj: TrajectoryRecord) -> str:
     import hashlib
@@ -272,10 +274,7 @@ def try_restrain(
     budget: TimeBudget,
     morse: MorseParams,
     exps: ExponentSet | None = None,
-    Q_schedule: Sequence[float] | None = None,
     multipliers: dict[str, float] | None = None,
-    nf_config: NormalFormConfig | None = None,
-    independence_retries: int = 8,
 ) -> RestrainResult:
     """Run the inductive ladder construction along a recorded trajectory.
 
@@ -406,15 +405,12 @@ def try_restrain(
         # and satisfies the T-dependent parts of (B_{j+1}).
         point = traj.actions[idx_next]
         a_next = float(exps.a_list[j])
-        Q_target = (
-            Q_schedule[j]
-            if Q_schedule is not None
-            else max(2.0, mult["q_safety"] * eps ** (-a_next * (n - 1)) / mult["c_mu"] ** (n - 1))
+        Q_try = max(
+            2.0, mult["q_safety"] * eps ** (-a_next * (n - 1)) / mult["c_mu"] ** (n - 1)
         )
         extended = None
         dr = None
-        Q_try = Q_target
-        for _ in range(independence_retries):
+        for _ in range(INDEPENDENCE_RETRIES):
             try:
                 cands = dirichlet_candidates(h.grad(point), Q_try)
             except ValueError:
@@ -489,7 +485,7 @@ def try_restrain(
 
         # normalizing transform: budget the normalized-vs-raw discrepancy
         delta = _transform_displacement(
-            system, point, extended, mus + [mu_next], nf_config, budget
+            system, point, extended, mus + [mu_next], budget
         )
         disp_budget += delta
         if disp_budget > mu_next / 10:
@@ -516,7 +512,6 @@ def _transform_displacement(
     center: np.ndarray,
     frame: ResonanceFrame,
     mu_schedule: list[float],
-    nf_config: NormalFormConfig | None,
     budget: TimeBudget,
 ) -> float:
     """Measured action displacement of the normalizing transform Psi_j; falls
@@ -525,7 +520,7 @@ def _transform_displacement(
     mu_j = mu_schedule[-1]
     T_j = float(frame.vectors[-1].period)
     fallback = T_j * mu_j * mu_j
-    cfg = nf_config or NormalFormConfig(m=min(budget.m, 2), lie_order=3)
+    cfg = NormalFormConfig(m=min(budget.m, 2), lie_order=3)
     try:
         nf = local_normal_form(
             system.hamiltonian, tuple(center), frame, mu_schedule, cfg,

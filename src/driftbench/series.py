@@ -133,9 +133,17 @@ def _as_tuple(vec: Sequence[float]) -> tuple[float, ...]:
 class FourierTaylorSeries:
     """Immutable sparse Fourier-Taylor series.
 
-    Coefficients map (k, l) -> complex, absent means zero.  The reality
-    invariant c_{-k,l} = conj(c_{k,l}) is validated on public construction
-    and preserved by all operations.
+    Coefficients map (k, l) -> complex, absent means zero.  The public
+    constructor is for input from outside the program (files, the
+    classmethods, tests): it converts each index and coefficient, drops zero
+    terms, checks every index against the dimension and the bounds, and
+    checks the reality invariant c_{-k,l} = conj(c_{k,l}).  Results of the
+    algebra come from the private ``_derive``, which trusts terms taken from
+    already-checked series: it keeps the ``complex`` conversion, the dropping
+    of zero terms and the term order, and skips the per-term checks.  Every
+    operation preserves the reality invariant; only the angle-substitution
+    factors inside ``compose_near_identity``, such as exp(2*pi*i*k.u), are
+    complex-valued and do not hold it.
     """
 
     __slots__ = ("domain", "center", "k_max", "d_max", "_coeffs", "trunc_loss")
@@ -149,16 +157,11 @@ class FourierTaylorSeries:
         center: Sequence[float] | None = None,
         *,
         trunc_loss: TruncationLoss | None = None,
-        _validate: bool = True,
     ) -> None:
-        self.domain = domain
-        self.center = _as_tuple(center) if center is not None else (0.0,) * domain.n
-        if len(self.center) != domain.n:
-            raise ValueError("center dimension mismatch")
-        if k_max < 0 or d_max < 0:
-            raise ValueError("truncation orders must be nonnegative")
-        self.k_max = int(k_max)
-        self.d_max = int(d_max)
+        self._set_geometry(
+            domain, _as_tuple(center) if center is not None else (0.0,) * domain.n,
+            k_max, d_max, trunc_loss,
+        )
         clean = {}
         for (k, l), c in coeffs.items():
             c = complex(c)
@@ -176,9 +179,46 @@ class FourierTaylorSeries:
                 raise ValueError(f"Taylor exponent {l} exceeds d_max={self.d_max}")
             clean[(k, l)] = c
         self._coeffs = clean
+        self._check_reality()
+
+    def _set_geometry(
+        self, domain: Domain, center: tuple[float, ...], k_max: int, d_max: int,
+        trunc_loss: TruncationLoss | None,
+    ) -> None:
+        if len(center) != domain.n:
+            raise ValueError("center dimension mismatch")
+        if k_max < 0 or d_max < 0:
+            raise ValueError("truncation orders must be nonnegative")
+        self.domain = domain
+        self.center = center
+        self.k_max = int(k_max)
+        self.d_max = int(d_max)
         self.trunc_loss = trunc_loss if trunc_loss is not None else TruncationLoss.zero()
-        if _validate:
-            self._validate_reality()
+
+    def _derive(
+        self, coeffs: Mapping[MultiIndex, complex],
+        k_max: int | None = None, d_max: int | None = None, *,
+        trunc_loss: TruncationLoss | None = None,
+        domain: Domain | None = None, center: tuple[float, ...] | None = None,
+    ) -> "FourierTaylorSeries":
+        """A series whose terms come from already-checked series.
+
+        Domain, center and bounds default to this series'.  Coefficients are
+        converted to ``complex`` and zero terms dropped, in order; indices
+        are taken as they are and neither bounds nor reality are checked.
+        """
+        out = object.__new__(FourierTaylorSeries)
+        out._set_geometry(
+            self.domain if domain is None else domain,
+            self.center if center is None else center,
+            self.k_max if k_max is None else k_max,
+            self.d_max if d_max is None else d_max,
+            trunc_loss,
+        )
+        out._coeffs = {
+            idx: c for idx, c in zip(coeffs, map(complex, coeffs.values())) if c != 0
+        }
+        return out
 
     # -- construction helpers -------------------------------------------------
 
@@ -187,7 +227,7 @@ class FourierTaylorSeries:
         cls, domain: Domain, k_max: int = 0, d_max: int = 0,
         center: Sequence[float] | None = None,
     ) -> "FourierTaylorSeries":
-        return cls(domain, {}, k_max, d_max, center, _validate=False)
+        return cls(domain, {}, k_max, d_max, center)
 
     @classmethod
     def constant(
@@ -195,8 +235,7 @@ class FourierTaylorSeries:
         center: Sequence[float] | None = None,
     ) -> "FourierTaylorSeries":
         zero_idx = ((0,) * domain.n, (0,) * domain.n)
-        return cls(domain, {zero_idx: complex(value)}, k_max, d_max, center,
-                   _validate=False)
+        return cls(domain, {zero_idx: complex(value)}, k_max, d_max, center)
 
     @classmethod
     def monomial(
@@ -209,8 +248,7 @@ class FourierTaylorSeries:
         if d_max is None:
             d_max = sum(l)
         idx = ((0,) * domain.n, l)
-        return cls(domain, {idx: complex(coeff)}, k_max, d_max, center,
-                   _validate=False)
+        return cls(domain, {idx: complex(coeff)}, k_max, d_max, center)
 
     @classmethod
     def action_coordinate(
@@ -234,7 +272,7 @@ class FourierTaylorSeries:
                 continue
             l = tuple(1 if i == j else 0 for i in range(domain.n))
             coeffs[(zero_k, l)] = complex(w)
-        return cls(domain, coeffs, k_max, max(d_max, 1), center, _validate=False)
+        return cls(domain, coeffs, k_max, max(d_max, 1), center)
 
     @classmethod
     def cosine(
@@ -254,7 +292,7 @@ class FourierTaylorSeries:
             coeffs[(neg, zero_l)] = complex(half)
         else:
             coeffs[(k, zero_l)] = complex(amplitude)
-        return cls(domain, coeffs, k_max, d_max, center, _validate=False)
+        return cls(domain, coeffs, k_max, d_max, center)
 
     @classmethod
     def sine(
@@ -276,7 +314,7 @@ class FourierTaylorSeries:
             (k, zero_l): complex(0, -0.5 * amplitude),
             (neg, zero_l): complex(0, 0.5 * amplitude),
         }
-        return cls(domain, coeffs, k_max, d_max, center, _validate=False)
+        return cls(domain, coeffs, k_max, d_max, center)
 
     # -- basic protocol --------------------------------------------------------
 
@@ -319,7 +357,7 @@ class FourierTaylorSeries:
             f"k_max={self.k_max}, d_max={self.d_max}, terms={len(self._coeffs)})"
         )
 
-    def _validate_reality(self, tol: float = 1e-12) -> None:
+    def _check_reality(self, tol: float = 1e-12) -> None:
         scale = max(1.0, max((abs(c) for c in self._coeffs.values()), default=0.0))
         for (k, l), c in self._coeffs.items():
             mirror = self._coeffs.get((tuple(-x for x in k), l), 0j)
@@ -393,19 +431,16 @@ class FourierTaylorSeries:
     # -- arithmetic -------------------------------------------------------------
 
     def __neg__(self) -> "FourierTaylorSeries":
-        return FourierTaylorSeries(
-            self.domain, {idx: -c for idx, c in self._coeffs.items()},
-            self.k_max, self.d_max, self.center,
-            trunc_loss=self.trunc_loss, _validate=False,
+        return self._derive(
+            {idx: -c for idx, c in self._coeffs.items()}, trunc_loss=self.trunc_loss
         )
 
     def scaled(self, factor: float) -> "FourierTaylorSeries":
         if factor == 0:
             return FourierTaylorSeries.zero(self.domain, self.k_max, self.d_max, self.center)
-        return FourierTaylorSeries(
-            self.domain, {idx: factor * c for idx, c in self._coeffs.items()},
-            self.k_max, self.d_max, self.center,
-            trunc_loss=self.trunc_loss.scaled(factor), _validate=False,
+        return self._derive(
+            {idx: factor * c for idx, c in self._coeffs.items()},
+            trunc_loss=self.trunc_loss.scaled(factor),
         )
 
     def __add__(self, other: "FourierTaylorSeries") -> "FourierTaylorSeries":
@@ -413,10 +448,9 @@ class FourierTaylorSeries:
         merged = dict(self._coeffs)
         for idx, c in other._coeffs.items():
             merged[idx] = merged.get(idx, 0j) + c
-        return FourierTaylorSeries(
-            self.domain, merged,
-            max(self.k_max, other.k_max), max(self.d_max, other.d_max), self.center,
-            trunc_loss=self.trunc_loss + other.trunc_loss, _validate=False,
+        return self._derive(
+            merged, max(self.k_max, other.k_max), max(self.d_max, other.d_max),
+            trunc_loss=self.trunc_loss + other.trunc_loss,
         )
 
     def __sub__(self, other: "FourierTaylorSeries") -> "FourierTaylorSeries":
@@ -454,9 +488,7 @@ class FourierTaylorSeries:
             + self.trunc_loss.raw * other.trunc_loss.raw
         )
         loss = _propagated_loss(cross, dropped, n, K, D)
-        return FourierTaylorSeries(
-            self.domain, kept, K, D, self.center, trunc_loss=loss, _validate=False,
-        )
+        return self._derive(kept, K, D, trunc_loss=loss)
 
     # -- calculus ---------------------------------------------------------------
 
@@ -466,15 +498,11 @@ class FourierTaylorSeries:
         for (k, l), c in self._coeffs.items():
             if k[j]:
                 out[(k, l)] = c * (2j * math.pi * k[j])
-        return FourierTaylorSeries(
-            self.domain, out, self.k_max, self.d_max, self.center,
-            trunc_loss=TruncationLoss(
-                TWO_PI * self.trunc_loss.kmass,
-                TWO_PI * self.trunc_loss.kmass * self.domain.n * self.k_max,
-                TWO_PI * self.trunc_loss.kmass * self.d_max,
-            ),
-            _validate=False,
-        )
+        return self._derive(out, trunc_loss=TruncationLoss(
+            TWO_PI * self.trunc_loss.kmass,
+            TWO_PI * self.trunc_loss.kmass * self.domain.n * self.k_max,
+            TWO_PI * self.trunc_loss.kmass * self.d_max,
+        ))
 
     def partial_action(self, j: int) -> "FourierTaylorSeries":
         """d/d I_j: shifts l by -e_j and multiplies by l_j; drops d_max by one."""
@@ -483,15 +511,12 @@ class FourierTaylorSeries:
             if l[j]:
                 nl = tuple(x - 1 if i == j else x for i, x in enumerate(l))
                 out[(k, nl)] = c * l[j]
-        return FourierTaylorSeries(
-            self.domain, out, self.k_max, max(self.d_max - 1, 0), self.center,
-            trunc_loss=TruncationLoss(
-                self.trunc_loss.lmass,
-                self.trunc_loss.lmass * self.domain.n * self.k_max,
-                self.trunc_loss.lmass * max(self.d_max - 1, 0),
-            ),
-            _validate=False,
-        )
+        d_max = max(self.d_max - 1, 0)
+        return self._derive(out, d_max=d_max, trunc_loss=TruncationLoss(
+            self.trunc_loss.lmass,
+            self.trunc_loss.lmass * self.domain.n * self.k_max,
+            self.trunc_loss.lmass * d_max,
+        ))
 
     def derivative_multi(
         self, l_theta: Sequence[int], l_action: Sequence[int]
@@ -518,10 +543,7 @@ class FourierTaylorSeries:
             if ok and term != 0:
                 idx = (k, tuple(nl))
                 out[idx] = out.get(idx, 0j) + term
-        return FourierTaylorSeries(
-            self.domain, out, self.k_max, max(self.d_max - sum(l_action), 0),
-            self.center, _validate=False,
-        )
+        return self._derive(out, d_max=max(self.d_max - sum(l_action), 0))
 
     # -- truncation ---------------------------------------------------------------
 
@@ -530,17 +552,14 @@ class FourierTaylorSeries:
         if k_max > self.k_max or d_max > self.d_max:
             raise ValueError("truncate cannot enlarge the truncation orders")
         kept, dropped = _partition(self._coeffs, k_max, d_max)
-        out = FourierTaylorSeries(
-            self.domain, kept, k_max, d_max, self.center,
-            trunc_loss=self.trunc_loss + dropped, _validate=False,
-        )
+        out = self._derive(kept, k_max, d_max, trunc_loss=self.trunc_loss + dropped)
         return out, dropped
 
     def with_bounds(self, k_max: int, d_max: int) -> "FourierTaylorSeries":
         """Re-declare (larger) truncation bounds without touching coefficients."""
-        return FourierTaylorSeries(
-            self.domain, self._coeffs, max(k_max, self.k_max), max(d_max, self.d_max),
-            self.center, trunc_loss=self.trunc_loss, _validate=False,
+        return self._derive(
+            self._coeffs, max(k_max, self.k_max), max(d_max, self.d_max),
+            trunc_loss=self.trunc_loss,
         )
 
 
@@ -641,9 +660,7 @@ def poisson_bracket(
             + lf.kmass * lg.lmass + lf.lmass * lg.kmass
         )
     loss = _propagated_loss(cross, dropped, n, K, D)
-    return FourierTaylorSeries(
-        F.domain, kept, K, D, F.center, trunc_loss=loss, _validate=False,
-    )
+    return F._derive(kept, K, D, trunc_loss=loss)
 
 
 def _bracket_loop(F: FourierTaylorSeries, G: FourierTaylorSeries) -> dict[MultiIndex, complex]:
@@ -789,10 +806,7 @@ def recenter_scale(
         for exps, w in stack:
             idx = (k, exps)
             acc[idx] = acc.get(idx, 0j) + c * w
-    return FourierTaylorSeries(
-        domain, acc, s.k_max, s.d_max, (0.0,) * n,
-        trunc_loss=s.trunc_loss, _validate=False,
-    )
+    return s._derive(acc, domain=domain, center=(0.0,) * n, trunc_loss=s.trunc_loss)
 
 
 def compose_near_identity(
@@ -847,11 +861,9 @@ def compose_near_identity(
             expk = FourierTaylorSeries.constant(f.domain, 1.0, K, D, f.center)
             if not ku.is_zero:
                 # exp(2*pi*i*k.u) = sum_p x^p / p! with x = 2*pi*i * k.u
-                x = FourierTaylorSeries(
-                    f.domain,
+                x = ku._derive(
                     {idx: cc * (2j * math.pi) for idx, cc in ku._coeffs.items()},
-                    K, D, f.center, trunc_loss=ku.trunc_loss.scaled(TWO_PI),
-                    _validate=False,
+                    trunc_loss=ku.trunc_loss.scaled(TWO_PI),
                 )
                 xp = FourierTaylorSeries.constant(f.domain, 1.0, K, D, f.center)
                 for p in range(1, exp_order + 1):
@@ -860,9 +872,8 @@ def compose_near_identity(
             exp_cache[k] = expk
         term = exp_cache[k]
         # base Fourier factor e^{2 pi i k.theta} at the original k
-        base = FourierTaylorSeries(
-            f.domain, {(k, (0,) * n): c}, max(K, max((abs(x) for x in k), default=0)),
-            D, f.center, _validate=False,
+        base = f._derive(
+            {(k, (0,) * n): c}, max(K, max((abs(x) for x in k), default=0)), D
         )
         piece = base.product(term, k_max=K, d_max=D)
         for j in range(n):
@@ -1000,7 +1011,4 @@ def split_by_modes(
     zero_k = (0,) * n
     avg = {idx: c for idx, c in H._coeffs.items() if idx[0] == zero_k}
     osc = {idx: c for idx, c in H._coeffs.items() if idx[0] != zero_k}
-    mk = lambda d: FourierTaylorSeries(
-        H.domain, d, H.k_max, H.d_max, H.center, _validate=False
-    )
-    return mk(avg), mk(osc)
+    return H._derive(avg), H._derive(osc)

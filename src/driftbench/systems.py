@@ -30,17 +30,12 @@ class ActionHamiltonian(Protocol):
     def hess(self, I: np.ndarray) -> np.ndarray: ...
 
     def grad_many(self, points: np.ndarray) -> np.ndarray:
-        """Gradients at an (m, n) stack of points; default loops."""
+        """Gradients at an (m, n) stack of points, as an (m, n) array."""
         ...
 
 
-class _GradManyMixin:
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.grad(p) for p in np.atleast_2d(points)])
-
-
 @dataclass(frozen=True)
-class QuadraticHamiltonian(_GradManyMixin):
+class QuadraticHamiltonian:
     """h(I) = 1/2 I.A I + b.I + c with constant Hessian A."""
 
     A: np.ndarray
@@ -65,7 +60,7 @@ class QuadraticHamiltonian(_GradManyMixin):
 
 
 @dataclass(frozen=True)
-class LinearHamiltonian(_GradManyMixin):
+class LinearHamiltonian:
     """h(I) = omega.I."""
 
     omega: np.ndarray
@@ -113,7 +108,7 @@ class SeriesHamiltonian:
 
 
 @dataclass(frozen=True)
-class ShiftedHamiltonian(_GradManyMixin):
+class ShiftedHamiltonian:
     """h_xi(I) = h(I) - xi.I, the linear shift used in prevalence sampling."""
 
     base: ActionHamiltonian
@@ -164,7 +159,6 @@ def quasi_convex(
 ) -> System:
     """H = |I|^2/2 + eps*cos(2*pi*mode.theta), the classical easy regime."""
     d = Domain(n, R)
-    coeffs = {}
     h = FourierTaylorSeries.zero(d, k_max=max(abs(m) for m in mode), d_max=2)
     for j in range(n):
         h = h + FourierTaylorSeries.monomial(

@@ -1,12 +1,21 @@
 from driftbench.cli import main, read_config_file
 from driftbench.experiments import data_section
-from driftbench.series import Domain, FourierTaylorSeries, Gevrey, save_series
+from driftbench.series import (
+    Domain, FourierTaylorSeries, Gevrey, load_series, save_series, split_by_modes,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _quasi_convex_series():
+    d = Domain(2, 1.0)
+    return (FourierTaylorSeries.monomial(d, (2, 0), 0.5, k_max=1, d_max=2)
+            + FourierTaylorSeries.monomial(d, (0, 2), 0.5, k_max=1, d_max=2)
+            + FourierTaylorSeries.cosine(d, (1, 1), 1e-4, k_max=1, d_max=2))
 
 
 class TestExponents:
@@ -120,6 +129,17 @@ class TestRestrain:
         else:
             assert "NOT RESTRAINED" in out  # honest failure also acceptable
 
+    def test_series_without_eps_uses_perturbation_norm(self, capsys, tmp_path):
+        # without --eps the time budget reads epsilon = |f|, as every other
+        # --series command does; the run must equal one given that value
+        path = tmp_path / "h.series"
+        save_series(path, _quasi_convex_series(), Gevrey(1.0, 0.5))
+        args = ("restrain", "--series", str(path), "--seed", "3", "--t-cap", "5")
+        code, out, err = run(capsys, *args)
+        assert code in (0, 2) and "Traceback" not in err
+        f_norm = split_by_modes(load_series(path)[0])[1].coefficient_norm()
+        assert run(capsys, *args, "--eps", repr(f_norm)) == (code, out, err)
+
 
 class TestConditions:
     def test_exit_codes(self, capsys):
@@ -194,12 +214,8 @@ class TestErrors:
         assert code == 1
 
     def test_series_input_accepted(self, capsys, tmp_path):
-        d = Domain(2, 1.0)
-        H = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, k_max=1, d_max=2)
-             + FourierTaylorSeries.monomial(d, (0, 2), 0.5, k_max=1, d_max=2)
-             + FourierTaylorSeries.cosine(d, (1, 1), 1e-4, k_max=1, d_max=2))
         path = tmp_path / "h.series"
-        save_series(path, H, Gevrey(1.0, 0.5))
+        save_series(path, _quasi_convex_series(), Gevrey(1.0, 0.5))
         code, out, _ = run(
             capsys, "morse-check", "--series", str(path),
             "--gamma", "0.9", "--tau", "2", "--L-max", "2", "--grid", "9",

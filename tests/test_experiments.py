@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from driftbench import experiments
 from driftbench.experiments import (
     ExperimentConfig,
     FitSummary,
@@ -20,6 +21,14 @@ FAST = dict(
     step=0.01, sample_stride=10, t_cap=10.0,
     threshold_mode="sqrt", threshold_scale=2.0,
 )
+
+
+
+def _job_failing_at_third_pair(job):
+    cfg, ei, ii = job
+    if (ei, ii) == (1, 0):
+        raise RuntimeError("run_row failed at the third pair")
+    return run_row(cfg, ei, ii)
 
 
 class TestRunRow:
@@ -141,6 +150,37 @@ class TestRunScaling:
         run_scaling(cfg, seq, workers=1, resume=False)
         run_scaling(cfg, par, workers=2, resume=False)
         assert data_section(seq) == data_section(par)
+
+    def test_interrupted_parallel_run_keeps_finished_rows(self, tmp_path, monkeypatch):
+        # the workers run the job function the pool is handed, which fails at
+        # the third pair; the rows before it must already be on disk
+        cfg = ExperimentConfig(**FAST)
+        seq, cut = tmp_path / "seq.csv", tmp_path / "cut.csv"
+        run_scaling(cfg, seq, workers=1, resume=False)
+        monkeypatch.setattr(experiments, "_run_job", _job_failing_at_third_pair)
+        with pytest.raises(RuntimeError, match="third pair"):
+            run_scaling(cfg, cut, workers=2, resume=False)
+        monkeypatch.undo()
+        assert len(data_section(cut).splitlines()) == 1 + 2  # header + 2 rows
+        run_scaling(cfg, cut, workers=2, resume=True)
+        assert data_section(cut) == data_section(seq)
+
+    def test_lines_end_in_newline_only(self, tmp_path):
+        cfg = ExperimentConfig(**FAST)
+        out = tmp_path / "s.csv"
+        run_scaling(cfg, out, resume=False)
+        assert b"\r" not in out.read_bytes()
+        # a file written with csv's "\r\n" on the header and data rows and
+        # "\n" on the comment lines still resumes, unchanged but for endings
+        section = data_section(out)
+        mixed = [ln if ln.startswith("#") else ln.replace("\n", "\r\n")
+                 for ln in out.read_text().splitlines(keepends=True)]
+        out.write_bytes("".join(mixed).encode())
+        assert out.read_bytes().count(b"\r\n") == 5
+        records, _ = run_scaling(cfg, out, resume=True)
+        assert len(records) == 4
+        assert data_section(out) == section
+        assert b"\r" not in out.read_bytes()
 
     def test_fit_comment_appended(self, tmp_path):
         cfg = ExperimentConfig(**FAST)

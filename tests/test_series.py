@@ -1,12 +1,22 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_points, series_to_sympy, small_series, sympy_eval
 from driftbench import series as series_module
+from driftbench.diophantine import period_of
+from driftbench.normalform import (
+    ScaleMap,
+    _unscale,
+    homological_solve,
+    localize_and_scale,
+    resonant_split,
+)
 from driftbench.series import (
     CorruptSeriesError,
     Domain,
@@ -341,3 +351,88 @@ class TestAlgebraMisc:
             HamiltonianSystem(
                 FourierTaylorSeries.constant(D2, 1.0), f, 0.1, FiniteDiff(2, 1)
             )
+
+
+def _assert_public_form(s):
+    """``s`` holds what the public constructor establishes: int-tuple keys,
+    nonzero complex values, indices inside the bounds, real, and the same
+    terms in the same order as the public constructor builds from them."""
+    n = s.domain.n
+    for (k, l), c in s.items():
+        assert type(k) is tuple and type(l) is tuple and len(k) == len(l) == n
+        assert all(type(x) is int for x in k + l)
+        assert type(c) is complex and c != 0
+        assert min(l) >= 0
+        assert max(map(abs, k)) <= s.k_max and sum(l) <= s.d_max
+    public = FourierTaylorSeries(s.domain, s.coeffs, s.k_max, s.d_max, s.center,
+                                 trunc_loss=s.trunc_loss)
+    assert list(s.items()) == list(public.items())
+
+
+@st.composite
+def derived_inputs(draw):
+    """Two same-geometry series (at the origin or off it), a periodic vector
+    and a float factor for every operation built by the private constructor."""
+    n = draw(st.integers(1, 3))
+    center = draw(st.sampled_from([None, (0.3, -1.2, 2.5)[:n]]))
+    ops = []
+    for _ in range(2):
+        s = draw(small_series(n=n, n_terms=6))
+        ops.append(FourierTaylorSeries(s.domain, s.coeffs, s.k_max, s.d_max, center))
+    comps = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 6))) for _ in range(n)]
+    if not any(comps):
+        comps[0] = Fraction(1)
+    factor = draw(st.floats(-4.0, 4.0).filter(lambda x: x != 0))
+    return ops[0], ops[1], period_of(comps), factor
+
+
+class TestDerivedSeries:
+    @given(derived_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_keeps_the_public_form(self, inputs):
+        f, g, w, factor = inputs
+        n = f.domain.n
+        small = g.scaled(1e-2)
+        h, osc = split_by_modes(f)
+        loc = localize_and_scale(HamiltonianSystem(h, osc, 1e-3, Gevrey(1.0, 0.5)),
+                                 (0.1,) * n, 0.05, w)
+        results = [
+            -f, f.scaled(factor), f.scaled(np.float64(factor)), f + g, f - g,
+            f - f, f.product(g), f.product(g, k_max=1, d_max=1),
+            f.partial_theta(n - 1), f.partial_action(0),
+            f.derivative_multi((1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)),
+            f.truncate(1, 1)[0], f.with_bounds(5, 4),
+            _bracket_with_cutoff(1, f, g), _bracket_with_cutoff(math.inf, f, g),
+            _bracket_with_cutoff(1, f, g, k_max=2, d_max=1),
+            recenter_scale(f, (0.1,) * n, 0.5),
+            compose_near_identity(f, [small] * n, [small] * n),
+            h, osc, *resonant_split(f, w), homological_solve(f, w),
+            _unscale(f, ScaleMap((0.2,) * n, 0.05), Domain(n, 0.6)),
+            loc.h_tilde, loc.f_scaled, loc.f_tilde,
+        ]
+        for r in results:
+            _assert_public_form(r)
+
+    @given(derived_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_terms_keep_operation_order(self, inputs):
+        # the public constructor on the operation's own accumulation gives
+        # the terms in first-occurrence order, zero sums dropped
+        f, g, _, _ = inputs
+        merged = dict(f.items())
+        for idx, c in g.items():
+            merged[idx] = merged.get(idx, 0j) + c
+        public = FourierTaylorSeries(f.domain, merged, f.k_max, f.d_max, f.center)
+        assert list((f + g).items()) == list(public.items())
+        assert (f - f).is_zero
+        kept, _ = series_module._partition(series_module._bracket_loop(f, g), 2, 1)
+        public = FourierTaylorSeries(f.domain, kept, 2, 1, f.center)
+        for cutoff in (1, math.inf):
+            bracket = _bracket_with_cutoff(cutoff, f, g, k_max=2, d_max=1)
+            assert list(bracket.items()) == list(public.items())
+
+    def test_classmethod_input_still_checked(self):
+        with pytest.raises(ValueError, match="exceeds d_max"):
+            FourierTaylorSeries.monomial(D2, (2, 0), d_max=1)
+        with pytest.raises(ValueError, match="exceeds k_max"):
+            FourierTaylorSeries.cosine(D2, (2, 0), k_max=1)
