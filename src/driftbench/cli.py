@@ -94,7 +94,7 @@ def _load_system(args) -> System:
         s, reg = load_series(args.series)
         h, f = split_by_modes(s)
         reg = reg or Gevrey(1.0, 0.5)
-        eps = getattr(args, "eps", None) or f.coefficient_norm()
+        eps = f.coefficient_norm() if getattr(args, "eps", None) is None else args.eps
         ham = HamiltonianSystem(h, f, eps, reg)
         return System(f"series:{args.series}", ham, SeriesHamiltonian(h))
     name = getattr(args, "system", None)

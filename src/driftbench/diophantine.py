@@ -2,9 +2,9 @@
 
 Everything here is exact: frequencies and periods are rationals, resonance
 modules are integer lattices, and the two Dirichlet inequalities are decided
-in rational arithmetic (input floats are converted exactly, so no rounding
-slack is needed).  Floating point appears only at the output boundary
-(orthonormal bases and projection matrices).
+by integer cross-multiplication (every input is the rational V/D, floats
+included, so no rounding slack is needed).  Floating point appears only at
+the output boundary (orthonormal bases and projection matrices).
 """
 
 from __future__ import annotations
@@ -118,6 +118,12 @@ def dirichlet_candidates(
     T = q/|v| makes the largest component of T*v exactly an integer, and the
     Dirichlet witness is always a floor/ceil rounding of the remaining
     components, so the scan is exhaustive and existence is guaranteed.
+
+    In integers: v = V/D (D the lcm of the denominators), V_n = max|V_i|,
+    Q = P/S.  Shell q rounds by ``divmod(q*V_i, V_n)``; a rounding w with
+    g = gcd(w) has T = q*D/(V_n*g) and |v - omega| = E/(q*D) with
+    E = max|q*V_i - w_i*V_n|, so the tests read E^{n-1}*P <= S*(V_n*g)^{n-1}
+    and g <= q, q*S <= P*g.  Only feasible candidates become Fractions.
     """
     n = len(v)
     if n < 2:
@@ -126,39 +132,38 @@ def dirichlet_candidates(
         raise ValueError("Q must exceed 1")
     vf = _to_fraction_vector(v)
     Qf = Fraction(Q)
-    vnorm = max(abs(x) for x in vf)
-    shells = math.floor(Qf)
+    P, S = Qf.numerator, Qf.denominator
+    D = math.lcm(*(x.denominator for x in vf))
+    V = [x.numerator * (D // x.denominator) for x in vf]
+    Vn = max(abs(x) for x in V)
+    vnorm = Fraction(Vn, D)
+    shells = P // S
     cap = search_cap if search_cap is not None else shells * 2 ** n
     examined = 0
     feasible: dict[tuple[Fraction, tuple[int, ...]], Fraction] = {}
     for q in range(1, shells + 1):
-        t_param = Fraction(q) / vnorm
-        x = [t_param * c for c in vf]
+        qV = [q * x for x in V]
         choices = []
-        for xi in x:
-            fl = math.floor(xi)
-            choices.append((fl,) if xi == fl else (fl, fl + 1))
+        for x in qV:
+            fl, r = divmod(x, Vn)
+            choices.append((fl,) if r == 0 else (fl, fl + 1))
         for w in product(*choices):
             if examined >= cap:
                 break
             examined += 1
-            if all(c == 0 for c in w):
+            if not any(w):
                 continue
             g = math.gcd(*w)
-            w_red = tuple(c // g for c in w)
-            T = t_param / g
-            key = (T, w_red)
-            if key in feasible:
+            # |v|^{-1} <= T <= Q |v|^{-1}  <=>  1 <= q/g <= P/S
+            if g > q or q * S > P * g:
                 continue
-            omega = tuple(Fraction(c) / T for c in w_red)
-            err = max(abs(a - b) for a, b in zip(vf, omega))
-            # |v - omega| <= T^{-1} Q^{-1/(n-1)}  <=>  (err*T)^{n-1} * Q <= 1
-            if (err * T) ** (n - 1) * Qf > 1:
+            # |v - omega| <= T^{-1} Q^{-1/(n-1)}  <=>  (E/(V_n g))^{n-1} P/S <= 1
+            E = max(abs(a - c * Vn) for a, c in zip(qV, w))
+            if E ** (n - 1) * P > S * (Vn * g) ** (n - 1):
                 continue
-            # |v|^{-1} <= T <= Q |v|^{-1}
-            if T * vnorm < 1 or T * vnorm > Qf:
-                continue
-            feasible[key] = err
+            key = (Fraction(q * D, Vn * g), tuple(c // g for c in w))
+            if key not in feasible:
+                feasible[key] = Fraction(E, q * D)
     results = [
         DirichletResult(
             vector=PeriodicVector(tuple(Fraction(c) / T for c in w_red), T),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ class AveragingDivergenceError(RuntimeError):
 
 
 class HomologicalInconsistencyError(RuntimeError):
-    """A divided mode had 0 < |k.omega| < 1/T, violating periodic arithmetic."""
+    """An averaging step's generator fails {chi, l_omega} = f - [f]."""
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,16 @@ class NormalFormConfig:
         return 2.0 ** i
 
 
-def _k_dot_omega(k: Sequence[int], omega: Sequence[Fraction]) -> Fraction:
-    return sum(Fraction(ki) * wi for ki, wi in zip(k, omega))
-
-
 def resonant_split(
     f: FourierTaylorSeries, w: PeriodicVector
 ) -> tuple[FourierTaylorSeries, FourierTaylorSeries]:
     """Split f into its omega-resonant part (modes with k.omega = 0, exactly)
-    and the rest."""
+    and the rest.  k.omega = 0 is decided on the integer k.(T omega)."""
+    Tw = w.integer_vector()
     res = {}
     non = {}
     for (k, l), c in f.items():
-        if _k_dot_omega(k, w.omega) == 0:
+        if sum(map(mul, k, Tw)) == 0:
             res[(k, l)] = c
         else:
             non[(k, l)] = c
@@ -101,21 +99,16 @@ def resonant_average(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylor
 def homological_solve(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylorSeries:
     """Solve {chi, l_omega} = f - [f]_omega mode-wise.
 
-    Every divided mode satisfies |k.omega| >= 1/T exactly (T-periodicity makes
-    k.omega an integer multiple of 1/T), which is asserted: a violation means
-    the periodic-vector arithmetic is corrupt, not that a small divisor occurred.
+    Every divided mode has k.omega = m/T with m = k.(T omega) a nonzero
+    integer, so |k.omega| >= 1/T holds exactly and no small divisor occurs.
     """
+    Tw = w.integer_vector()
     out = {}
-    inv_T = 1 / w.period
     for (k, l), c in f.items():
-        kw = _k_dot_omega(k, w.omega)
-        if kw == 0:
+        m = sum(map(mul, k, Tw))
+        if m == 0:
             continue
-        if abs(kw) < inv_T * (1 - Fraction(1, 10 ** 9)):
-            raise HomologicalInconsistencyError(
-                f"divisor k.omega = {kw} below 1/T = {inv_T} at mode {k}"
-            )
-        out[(k, l)] = c / (2j * math.pi * float(kw))
+        out[(k, l)] = c / (2j * math.pi * float(Fraction(m) / w.period))
     return f._derive(out)
 
 
@@ -347,17 +340,17 @@ def verify_resonant_symmetry(
 ) -> bool:
     """True iff every mode of g annihilates the whole frame (k.omega_i = 0).
 
-    Checked both mode-wise (exact rational dot products) and, equivalently
-    for Fourier data, on a sample grid: the angle gradient of g must lie in
-    Lambda_j, i.e. its Pi_perp projection must vanish.
+    Checked both mode-wise (exact integer dot products k.(T_i omega_i)) and,
+    equivalently for Fourier data, on a sample grid: the angle gradient of g
+    must lie in Lambda_j, i.e. its Pi_perp projection must vanish.
     """
     scale = max(g.coefficient_norm(), 1.0)
+    Tws = [pv.integer_vector() for pv in frame.vectors]
     for (k, _), c in g.items():
         if abs(c) <= 1e-14 * scale:
             continue
-        for pv in frame.vectors:
-            if _k_dot_omega(k, pv.omega) != 0:
-                return False
+        if any(sum(map(mul, k, Tw)) for Tw in Tws):
+            return False
     _, Pperp = projections(frame)
     grid = grid or GridSpec(theta_res=8, action_res=3)
     theta_pts = grid.theta_points(g.domain.n)
@@ -492,7 +485,8 @@ def localize_and_scale(
         raise ValueError("mu must be positive")
     domain = system.domain
     I_center = tuple(float(x) for x in I_center)
-    reach = max(abs(x) for x in I_center) + 3 * rho * mu
+    center = system.integrable.center
+    reach = max(abs(x - c) for x, c in zip(I_center, center)) + 3 * rho * mu
     if reach > domain.R * (1 + 1e-12):
         raise DomainError(
             f"ball B(center, 3*rho*mu) leaves B_R: reach {reach} > R {domain.R}"

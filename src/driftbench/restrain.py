@@ -295,7 +295,7 @@ def try_restrain(
     exps = exps or exponents(n, tau_fraction(morse.tau))
     gamma, tau = morse.gamma, morse.tau
     tau_m = min(budget.tau_m, float(traj.times[-1]))
-    R = ham.domain.R
+    R, center = ham.domain.R, np.asarray(ham.integrable.center)
     log: list[ConditionEntry] = []
 
     e_x = ConditionEntry("(x) mu_0 << gamma", mu0, mult["smallness"] * gamma)
@@ -323,7 +323,7 @@ def try_restrain(
         # projected curve from t_j onward, clipped to the domain ball
         disp = traj.actions[idx_j:] - I_j
         curve = I_j + disp @ Pi.T
-        inside = np.max(np.abs(curve), axis=1) <= R * (1 + 1e-9)
+        inside = np.max(np.abs(curve - center), axis=1) <= R * (1 + 1e-9)
         cut = int(np.argmin(inside)) if not np.all(inside) else len(curve)
         in_budget = np.searchsorted(traj.times[idx_j:], tau_m, side="right")
         cut = min(cut, int(in_budget))
@@ -347,7 +347,7 @@ def try_restrain(
             try:
                 q = SteepnessQuery(
                     ctimes, curve, c_j, frame, R=R * (1 + 1e-9),
-                    grid_tol=max(0.25, 2 * c_j),
+                    grid_tol=max(0.25, 2 * c_j), center=center,
                 )
             except ValueError as exc:
                 return RestrainResult(

@@ -330,14 +330,15 @@ def sample_prevalence(
 
 @dataclass(frozen=True)
 class SteepnessQuery:
-    """A sampled continuous path in an affine subspace lambda_j inside B_R."""
+    """A sampled continuous path in an affine subspace lambda_j inside B_R(center)."""
 
     times: np.ndarray
-    points: np.ndarray          # (m, n) samples of Gamma_j(t)
+    points: np.ndarray          # (m, n) samples of Gamma_j(t), absolute actions
     c: float                    # target curve length (sup-norm displacement)
     frame: ResonanceFrame
     R: float
     grid_tol: float = 0.25      # max sup-norm gap between consecutive samples
+    center: np.ndarray | float = 0.0    # center of the action ball
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.points):
@@ -348,7 +349,7 @@ class SteepnessQuery:
             raise ValueError("length threshold c must lie in (0, 1)")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must strictly increase")
-        if np.max(np.abs(self.points)) > self.R * (1 + 1e-9):
+        if np.max(np.abs(self.points - self.center)) > self.R * (1 + 1e-9):
             raise ValueError("curve leaves the action ball")
         Pi, Pperp = projections(self.frame)
         disp = self.points - self.points[0]

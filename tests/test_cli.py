@@ -140,6 +140,17 @@ class TestRestrain:
         f_norm = split_by_modes(load_series(path)[0])[1].coefficient_norm()
         assert run(capsys, *args, "--eps", repr(f_norm)) == (code, out, err)
 
+    def test_series_with_zero_eps_rejected(self, capsys, tmp_path):
+        # an explicit --eps 0 is an error, as with --system; it is not
+        # replaced by |f|
+        path = tmp_path / "h.series"
+        save_series(path, _quasi_convex_series(), Gevrey(1.0, 0.5))
+        for source in (("--series", str(path)), ("--system", "quasiconvex")):
+            code, out, err = run(capsys, "restrain", *source, "--eps", "0",
+                                 "--seed", "3", "--t-cap", "5")
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestConditions:
     def test_exit_codes(self, capsys):

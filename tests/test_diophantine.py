@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftbench.diophantine import (
+    DirichletResult,
     DirichletSearchError,
     PeriodicVector,
     RationalSubspace,
@@ -24,6 +26,78 @@ from driftbench.diophantine import (
     resonance_module,
     subspace_in_GL,
 )
+
+
+def _candidates_by_fraction(v, Q, search_cap=None):
+    """Reference scan: dirichlet_candidates with every test in Fraction arithmetic."""
+    n = len(v)
+    vf = tuple(F(x) for x in v)
+    Qf = F(Q)
+    vnorm = max(abs(x) for x in vf)
+    shells = math.floor(Qf)
+    cap = search_cap if search_cap is not None else shells * 2 ** n
+    examined = 0
+    feasible = {}
+    for q in range(1, shells + 1):
+        t_param = F(q) / vnorm
+        x = [t_param * c for c in vf]
+        choices = []
+        for xi in x:
+            fl = math.floor(xi)
+            choices.append((fl,) if xi == fl else (fl, fl + 1))
+        for w in product(*choices):
+            if examined >= cap:
+                break
+            examined += 1
+            if all(c == 0 for c in w):
+                continue
+            g = math.gcd(*w)
+            w_red = tuple(c // g for c in w)
+            T = t_param / g
+            key = (T, w_red)
+            if key in feasible:
+                continue
+            omega = tuple(F(c) / T for c in w_red)
+            err = max(abs(a - b) for a, b in zip(vf, omega))
+            if (err * T) ** (n - 1) * Qf > 1:
+                continue
+            if T * vnorm < 1 or T * vnorm > Qf:
+                continue
+            feasible[key] = err
+    return [
+        DirichletResult(
+            vector=PeriodicVector(tuple(F(c) / T for c in w_red), T),
+            error=err,
+            error_bound=float(1 / T) * float(Qf) ** (-1.0 / (n - 1)),
+            period_lower=float(1 / vnorm),
+            period_upper=float(Qf / vnorm),
+            candidates_examined=examined,
+        )
+        for (T, w_red), err in sorted(feasible.items())
+    ]
+
+
+# a component: a float of either sign, zero, an exact integer (the one-choice
+# rounding in every shell) or a Fraction, as the CLI may pass
+_component = st.one_of(
+    st.floats(-1, 1, allow_nan=False),
+    st.just(0.0),
+    st.integers(-2, 2).map(float),
+    st.fractions(min_value=-2, max_value=2, max_denominator=40),
+)
+
+
+@st.composite
+def _dirichlet_input(draw):
+    n = draw(st.integers(2, 4))
+    v = draw(st.lists(_component, min_size=n, max_size=n))
+    if all(x == 0 for x in v):
+        v[draw(st.integers(0, n - 1))] = draw(st.floats(0.05, 1))
+    # the reference costs ~50 us per candidate, Q * 2^n candidates in all
+    Q = draw(st.floats(1.0, {2: 700.0, 3: 200.0, 4: 60.0}[n], exclude_min=True))
+    # a small cap stops the scan inside a shell (2^n candidates per shell)
+    cap = draw(st.one_of(st.none(), st.integers(1, 6 * 2 ** n)))
+    return v, Q, cap
 
 
 class TestPeriodOf:
@@ -120,6 +194,28 @@ class TestDirichlet:
         err = max(abs(a - b) for a, b in zip(vf, r.vector.omega))
         assert (err * T) ** (n - 1) * F(Q) <= 1
         assert 1 <= T * vnorm <= F(Q)
+
+
+    # fixed cases: Q just above 1 (one shell), Q ~ 700, negative and zero
+    # components, exact integers, Fraction input, a cap inside the third
+    # shell, and omega = (1, 0) at T = 1, whose error 1/2 equals its bound
+    @given(_dirichlet_input())
+    @example(((1.0, 0.5), 2.0, None))
+    @example(((0.737, -0.191), 1.0000001, None))
+    @example(((-0.41421356, 1.0, 0.0), 700.0, None))
+    @example(((2.0, -1.0, 0.3), 40.0, None))
+    @example(((F(1, 3), F(-2, 7), 0.125), 90.5, None))
+    @example(((0.3, -0.7, 0.11, 0.0), 30.0, 2 * 16 + 5))
+    @settings(max_examples=80, deadline=None)
+    def test_integer_scan_matches_fraction_scan(self, case):
+        # failures must match too: a subnormal |v| overflows float(1/|v|)
+        def outcome(scan):
+            try:
+                return scan(*case)
+            except OverflowError as exc:
+                return type(exc)
+
+        assert outcome(dirichlet_candidates) == outcome(_candidates_by_fraction)
 
 
 class TestResonanceModule:

@@ -18,6 +18,7 @@ from driftbench.normalform import (
     localize_and_scale,
     periodic_averaging,
     resonant_average,
+    resonant_split,
     verify_resonant_symmetry,
 )
 from driftbench.series import (
@@ -117,6 +118,62 @@ class TestHomologicalSolve:
         for out in (resonant_average(f2, w), homological_solve(f2, w)):
             for (k, _), c in out.items():
                 assert sum(F(x) * o for x, o in zip(k, w2.omega)) == 0
+
+
+def _k_dot_omega(k, w):
+    return sum(F(ki) * wi for ki, wi in zip(k, w.omega))
+
+
+@st.composite
+def _fractional_period_vector(draw, n):
+    # numerators sharing a factor make T = lcm(denominators)/gcd a fraction
+    dens = st.sampled_from([1, 3, 5])
+    comps = [F(draw(st.integers(-6, 6)), draw(dens)) for _ in range(n)]
+    if not any(comps):
+        comps[0] = F(2, 3)
+    return period_of(comps)
+
+
+class TestIntegerKDotOmega:
+    """k.omega decided on k.(T omega) against the Fraction sum it replaces."""
+
+    # (omega, a resonant mode k with k.(T omega) = 0)
+    FRAMES = [
+        (period_of((F(1, 3), F(2, 5))), (6, -5)),
+        (period_of((F(2, 3), F(4, 3))), (2, -1)),
+        (period_of((F(4, 5), F(-2, 5), F(6, 5))), (1, 2, 0)),
+        (period_of((F(2, 3), 0, F(-4, 9))), (2, 5, 3)),
+    ]
+
+    def _check(self, f, w):
+        res, non = resonant_split(f, w)
+        want_res = [(idx, c) for idx, c in f.items() if _k_dot_omega(idx[0], w) == 0]
+        want_non = [(idx, c) for idx, c in f.items() if _k_dot_omega(idx[0], w) != 0]
+        assert list(res.items()) == want_res
+        assert list(non.items()) == want_non
+        want_chi = [
+            (idx, c / (2j * math.pi * float(_k_dot_omega(idx[0], w))))
+            for idx, c in want_non
+        ]
+        assert list(homological_solve(f, w).items()) == want_chi
+        return len(want_res), len(want_non)
+
+    def test_fixed_frames_with_fractional_periods(self):
+        assert [w.period for w, _ in self.FRAMES] == [15, F(3, 2), F(5, 2), F(9, 2)]
+        for w, k_res in self.FRAMES:
+            d = Domain(w.n, 1.0)
+            f = FourierTaylorSeries.cosine(d, k_res, 0.25, k_max=6)
+            for k in [(3, -1, 2), (2, 1, -1), (1, 1, 1)]:
+                f = f + FourierTaylorSeries.sine(d, k[: w.n], 0.5, k_max=6)
+            n_res, n_non = self._check(f, w)
+            assert n_res >= 2 and n_non >= 2
+
+    @given(data=st.data(), n=st.integers(2, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_dot_product(self, data, n):
+        f = data.draw(small_series(n=n, k_max=3, d_max=2, n_terms=6))
+        w = data.draw(_fractional_period_vector(n))
+        self._check(f, w)
 
 
 class TestLieTransform:
@@ -404,6 +461,18 @@ class TestLocalization:
         with pytest.raises(DomainError):
             localize_and_scale(sysq.hamiltonian, (0.9, 0.0), 0.2,
                                period_of((1, 0)), rho=2.0)
+
+    def test_ball_measured_from_series_center(self):
+        # the ball of radius R sits around the series center (3.0, -1.5)
+        d = Domain(2, 1.0)
+        h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 1, 2, (3.0, -1.5))
+             + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 1, 2, (3.0, -1.5)))
+        f = FourierTaylorSeries.cosine(d, (1, 1), 1e-8, 1, 2, (3.0, -1.5))
+        system = HamiltonianSystem(h, f, 1e-8, Gevrey(1.0, 0.5))
+        loc = localize_and_scale(system, (3.3, -1.5), 0.01, period_of((F(3, 10), 0)))
+        assert loc.gradient_mismatch == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(DomainError):
+            localize_and_scale(system, (0.3, 0.0), 0.01, period_of((F(3, 10), 0)))
 
     def test_missing_vector(self):
         sysq = quasi_convex(1e-8)

@@ -18,9 +18,15 @@ from driftbench.restrain import (
     time_budget,
     try_restrain,
 )
-from driftbench.series import FiniteDiff, Gevrey
+from driftbench.series import (
+    Domain,
+    FiniteDiff,
+    FourierTaylorSeries,
+    Gevrey,
+    HamiltonianSystem,
+)
 from driftbench.steepness import MorseParams
-from driftbench.systems import quasi_convex
+from driftbench.systems import SeriesHamiltonian, System, quasi_convex
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -176,6 +182,48 @@ class TestTryRestrain:
         assert not res.restrained
         assert res.failure.stage == 0
         assert res.failure.condition
+
+
+def _quasi_convex_at(center, eps):
+    """|I - center|^2/2 + eps*cos(2*pi*(theta_1 + theta_2)) on the unit ball
+    around center."""
+    d = Domain(2, 1.0)
+    h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 1, 2, center)
+         + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 1, 2, center))
+    f = FourierTaylorSeries.cosine(d, (1, 1), eps, 1, 2, center)
+    return System("quasi-convex", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)),
+                  SeriesHamiltonian(h))
+
+
+class TestOffOriginBall:
+    def test_centered_system_restrains_like_origin_one(self):
+        # the projected-curve clip and the local normal forms measure the
+        # ball from the series center, so the same system moved to
+        # (3.0, -1.5) gives the same verdicts
+        eps = 1e-6
+        exps = exponents(2, F(2))
+        budget = time_budget(eps, Gevrey(1.0, 0.5), exps, 1.0)
+        cfg = IntegratorConfig(step=0.05, sample_stride=20)
+        mult = {"c_mu": 1.2, "smallness": 3.0, "length": 4.0}
+        verdicts = []
+        starts = [((0.637, 0.27), (-0.459, -0.483)), ((0.135, 0.721), (0.025, -0.19))]
+        for theta0, I0 in starts:
+            for center in [(0.0, 0.0), (3.0, -1.5)]:
+                system = _quasi_convex_at(center, eps)
+                traj = integrate(system, (theta0, np.add(I0, center)), budget.tau_m, cfg)
+                assert not traj.escaped
+                res = try_restrain(system, traj, 0.05, budget, MorseParams(0.9, 2.0),
+                                   exps=exps, multipliers=mult)
+                if res.restrained:
+                    verdicts.append(res.certificate.frame.vectors)
+                else:
+                    assert res.failure.condition != "domain"
+                    verdicts.append(res.failure.condition)
+        assert "witness search" in verdicts[0] and verdicts[0] == verdicts[1]
+        # the frames agree up to the rounding of actions near (3.0, -1.5)
+        assert len(verdicts[2]) == len(verdicts[3]) == 2
+        for a, b in zip(verdicts[2], verdicts[3]):
+            assert np.allclose(a.as_floats(), b.as_floats(), rtol=0, atol=1e-12)
 
 
 class TestCertificateSoundness:

@@ -394,8 +394,9 @@ class TestDerivedSeries:
         n = f.domain.n
         small = g.scaled(1e-2)
         h, osc = split_by_modes(f)
+        # the point sits 0.1 off the series center, inside its ball
         loc = localize_and_scale(HamiltonianSystem(h, osc, 1e-3, Gevrey(1.0, 0.5)),
-                                 (0.1,) * n, 0.05, w)
+                                 tuple(c + 0.1 for c in f.center), 0.05, w)
         results = [
             -f, f.scaled(factor), f.scaled(np.float64(factor)), f + g, f - g,
             f - f, f.product(g), f.product(g, k_max=1, d_max=1),

@@ -246,6 +246,20 @@ class TestSteepnessEscape:
         assert np.all(disp[: r.index] < q.c)
         assert r.grad_sup > r.grad_threshold
 
+    def test_ball_measured_from_center(self):
+        # a curve near (3.0, -1.5) lies inside the unit ball around that
+        # center, and outside the unit ball around the origin
+        frame = ResonanceFrame.build([], n=2)
+        ts = np.linspace(0.0, 1.0, 11)
+        center = np.array([3.0, -1.5])
+        pts = center + np.stack([0.4 * ts, -0.2 * ts], axis=1)
+        q = SteepnessQuery(ts, pts, 0.2, frame, R=1.0, center=center)
+        assert np.array_equal(q.points, pts)
+        with pytest.raises(ValueError, match="leaves the action ball"):
+            SteepnessQuery(ts, pts, 0.2, frame, R=1.0)
+        with pytest.raises(ValueError, match="leaves the action ball"):
+            SteepnessQuery(ts, pts + 1.0, 0.2, frame, R=1.0, center=center)
+
     def test_off_subspace_curve_rejected(self):
         frame = ResonanceFrame.build([period_of((1, 0))])   # Lambda = e_2 axis
         ts = np.linspace(0.0, 1.0, 11)
