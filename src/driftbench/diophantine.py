@@ -137,6 +137,11 @@ def dirichlet_candidates(
     V = [x.numerator * (D // x.denominator) for x in vf]
     Vn = max(abs(x) for x in V)
     vnorm = Fraction(Vn, D)
+    try:
+        period_lower, period_upper = float(1 / vnorm), float(Qf / vnorm)
+    except OverflowError:
+        raise ValueError(f"|v| = {float(vnorm):.3g} is too small: the period "
+                         "bound Q/|v| does not fit in a float") from None
     shells = P // S
     cap = search_cap if search_cap is not None else shells * 2 ** n
     examined = 0
@@ -169,8 +174,8 @@ def dirichlet_candidates(
             vector=PeriodicVector(tuple(Fraction(c) / T for c in w_red), T),
             error=err,
             error_bound=float(1 / T) * float(Qf) ** (-1.0 / (n - 1)),
-            period_lower=float(1 / vnorm),
-            period_upper=float(Qf / vnorm),
+            period_lower=period_lower,
+            period_upper=period_upper,
             candidates_examined=examined,
         )
         for (T, w_red), err in sorted(feasible.items())

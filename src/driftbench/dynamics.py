@@ -4,7 +4,9 @@ Two schemes: a symmetric second-order splitting when the Hamiltonian
 separates cleanly by modes (the angle-average part drifts the angles, the
 purely angle-dependent part kicks the actions), and an implicit midpoint
 fallback for non-separable truncations.  Both are symplectic; energy along
-the trajectory is monitored, never corrected.
+the trajectory is monitored, never corrected.  The splitting runs in leapfrog
+form: only the kick moves the actions, so one gradient read of the average
+part per step serves two half-drifts, bit-identical to drift-kick-drift.
 
 The midpoint iterates on z = (theta, I) and reads its vector field, as the
 energy monitor reads H, from one ``SeriesStack`` term table per numpy pass.
@@ -121,6 +123,8 @@ class TrajectoryRecord:
 class _SplitFlow:
     """Strang splitting for H = A(I) + B(theta): drift-kick-drift.
 
+    Leapfrog form: grad A, read before a block and after each kick, serves a
+    step's closing half-drift and the next one's opening (nsteps + 1 reads).
     The stepping runs on plain Python floats: n and the mode counts are tiny
     here, where per-step numpy overhead would dominate the actual arithmetic.
     """
@@ -129,13 +133,13 @@ class _SplitFlow:
         n = A.domain.n
         self.n = n
         self.center = list(A.center)
-        # drift data: for each j, monomials (coef, exponents) of dA/dI_j
-        self.gradA = []
-        for j in range(n):
-            dj = A.partial_action(j)
-            self.gradA.append(
-                [(c.real, l) for (_, l), c in dj.items()]
-            )
+        # drift data: for each j, the monomials of dA/dI_j as
+        # (coef, ((i, e), ...)) with only the nonzero exponents, in index order
+        self.gradA = [
+            [(c.real, tuple((i, e) for i, e in enumerate(l) if e))
+             for (_, l), c in A.partial_action(j).items()]
+            for j in range(n)
+        ]
         # kick data: one representative per +-k mode pair, c = a + i b
         pairs = []
         seen = set()
@@ -152,11 +156,10 @@ class _SplitFlow:
         out = []
         for monos in self.gradA:
             total = 0.0
-            for coef, exps in monos:
+            for coef, factors in monos:
                 term = coef
-                for d, e in zip(diff, exps):
-                    if e:
-                        term *= d ** e
+                for i, e in factors:
+                    term *= diff[i] ** e
                 total += term
             out.append(total)
         return out
@@ -167,8 +170,8 @@ class _SplitFlow:
         n = self.n
         half = 0.5 * dt
         modes = self.kick_modes
+        g = self._grad_A(action)
         for _ in range(nsteps):
-            g = self._grad_A(action)
             for j in range(n):
                 theta[j] = (theta[j] + half * g[j]) % 1.0
             for k, a, b in modes:
@@ -221,16 +224,17 @@ class _MidpointFlow:
         return z[:n], z[n:]
 
 
-def _choose_scheme(H: FourierTaylorSeries, cfg: IntegratorConfig) -> str:
+def _choose_scheme(
+    H: FourierTaylorSeries, cfg: IntegratorConfig
+) -> tuple[str, FourierTaylorSeries, FourierTaylorSeries]:
+    """The scheme for H under cfg, with H's (average, oscillating) split."""
     avg, osc = split_by_modes(H)
     separable = osc.action_independent()
-    if cfg.scheme == "split":
-        if not separable:
-            raise ValueError("split scheme requires an angle-only oscillating part")
-        return "split"
-    if cfg.scheme == "midpoint":
-        return "midpoint"
-    return "split" if separable else "midpoint"
+    if cfg.scheme == "split" and not separable:
+        raise ValueError("split scheme requires an angle-only oscillating part")
+    if cfg.scheme == "auto":
+        return ("split" if separable else "midpoint"), avg, osc
+    return cfg.scheme, avg, osc
 
 
 def integrate(
@@ -253,9 +257,8 @@ def integrate(
     if hasattr(system, "hamiltonian"):  # accept a systems.System bundle
         system = system.hamiltonian
     H = system.total()
-    scheme = _choose_scheme(H, cfg)
+    scheme, avg, osc = _choose_scheme(H, cfg)
     if scheme == "split":
-        avg, osc = split_by_modes(H)
         stepper = _SplitFlow(avg, osc)
     else:
         stepper = _MidpointFlow(H, cfg.midpoint_tol, cfg.midpoint_max_iter)

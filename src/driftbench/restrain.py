@@ -36,8 +36,8 @@ from .diophantine import (
     rational_rank,
 )
 from .dynamics import TimeBudget, TrajectoryRecord
-from .normalform import NormalFormConfig, local_normal_form
-from .series import Regularity
+from .normalform import AveragingDivergenceError, NormalFormConfig, local_normal_form
+from .series import DomainError, Regularity
 from .steepness import MorseParams, SteepnessQuery, steepness_escape
 from .systems import System
 
@@ -515,8 +515,9 @@ def _transform_displacement(
     budget: TimeBudget,
 ) -> float:
     """Measured action displacement of the normalizing transform Psi_j; falls
-    back to the first-order bound T*mu*mu when the normal form is unavailable
-    (domain too tight or smallness violated)."""
+    back to the first-order bound T*mu*mu when the normal form is unavailable:
+    the averaging diverges (``AveragingDivergenceError``) or the localized
+    domain is too tight (``DomainError``).  Any other error propagates."""
     mu_j = mu_schedule[-1]
     T_j = float(frame.vectors[-1].period)
     fallback = T_j * mu_j * mu_j
@@ -526,7 +527,7 @@ def _transform_displacement(
             system.hamiltonian, tuple(center), frame, mu_schedule, cfg,
             theta_grid=6, action_grid=5,
         )
-    except Exception:
+    except (AveragingDivergenceError, DomainError):
         return fallback
     return float(nf.certificates.get("displacement_sup", fallback))
 

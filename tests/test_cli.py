@@ -40,6 +40,11 @@ class TestApprox:
         _, out, _ = run(capsys, "approx", "--v", "1,0.41421356", "--Q", "10")
         assert "error_margin" in out and "period_upper_margin" in out
 
+    def test_subnormal_vector_is_error(self, capsys):
+        code, out, err = run(capsys, "approx", "--v", "0,1e-320", "--Q", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: |v| = 1e-320 is too small")
+
 
 class TestMorseCheck:
     def test_pass_exit_zero(self, capsys, tmp_path):

@@ -34,6 +34,10 @@ def _candidates_by_fraction(v, Q, search_cap=None):
     vf = tuple(F(x) for x in v)
     Qf = F(Q)
     vnorm = max(abs(x) for x in vf)
+    try:
+        float(Qf / vnorm)
+    except OverflowError:
+        raise ValueError("the period bound Q/|v| does not fit in a float") from None
     shells = math.floor(Qf)
     cap = search_cap if search_cap is not None else shells * 2 ** n
     examined = 0
@@ -173,6 +177,13 @@ class TestDirichlet:
         with pytest.raises(DirichletSearchError):
             dirichlet_approx((0.737, 0.191), 50.0, search_cap=1)
 
+    def test_subnormal_norm_rejected(self):
+        # Q/|v| = 2e320 has no float; the scan refuses before it starts
+        with pytest.raises(ValueError, match=r"\|v\| = 1e-320 is too small"):
+            dirichlet_candidates((0.0, 1e-320), 2.0)
+        with pytest.raises(ValueError, match=r"Q/\|v\| does not fit"):
+            dirichlet_approx((1e-308, -1e-308), 2.0)
+
     def test_dimension_and_Q_validation(self):
         with pytest.raises(ValueError):
             dirichlet_approx((1.0,), 5.0)
@@ -198,7 +209,8 @@ class TestDirichlet:
 
     # fixed cases: Q just above 1 (one shell), Q ~ 700, negative and zero
     # components, exact integers, Fraction input, a cap inside the third
-    # shell, and omega = (1, 0) at T = 1, whose error 1/2 equals its bound
+    # shell, omega = (1, 0) at T = 1, whose error 1/2 equals its bound, and
+    # a subnormal |v|
     @given(_dirichlet_input())
     @example(((1.0, 0.5), 2.0, None))
     @example(((0.737, -0.191), 1.0000001, None))
@@ -206,13 +218,14 @@ class TestDirichlet:
     @example(((2.0, -1.0, 0.3), 40.0, None))
     @example(((F(1, 3), F(-2, 7), 0.125), 90.5, None))
     @example(((0.3, -0.7, 0.11, 0.0), 30.0, 2 * 16 + 5))
+    @example(((0.0, 2.2e-311), 2.0, None))
     @settings(max_examples=80, deadline=None)
     def test_integer_scan_matches_fraction_scan(self, case):
-        # failures must match too: a subnormal |v| overflows float(1/|v|)
+        # failures must match too: a subnormal |v| puts Q/|v| beyond a float
         def outcome(scan):
             try:
                 return scan(*case)
-            except OverflowError as exc:
+            except ValueError as exc:
                 return type(exc)
 
         assert outcome(dirichlet_candidates) == outcome(_candidates_by_fraction)

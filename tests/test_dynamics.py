@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftbench import dynamics
 from driftbench.diophantine import ResonanceFrame, period_of
 from driftbench.dynamics import (
     SENTINEL,
@@ -16,13 +19,14 @@ from driftbench.dynamics import (
     transverse_drift,
 )
 from driftbench.series import (
+    TWO_PI,
     Domain,
     FiniteDiff,
     FourierTaylorSeries,
     Gevrey,
     HamiltonianSystem,
 )
-from driftbench.systems import linear_diophantine, pendulum, quasi_convex
+from driftbench.systems import degenerate_steep, linear_diophantine, pendulum, quasi_convex
 
 
 def synthetic_record(times, actions):
@@ -226,6 +230,121 @@ def test_midpoint_matches_reference_loop(n, seed, center):
     assert np.max(np.abs(traj.actions - ref_ac)) <= 1e-12
     dth = (traj.thetas - ref_th + 0.5) % 1.0 - 0.5
     assert np.max(np.abs(dth)) <= 1e-12
+
+
+class _TwoGradientSplit:
+    """Reference drift-kick-drift stepper: dA/dI is read before and after
+    every kick, and each monomial loops over all of its exponents."""
+
+    def __init__(self, A, B):
+        self.n = n = A.domain.n
+        self.center = list(A.center)
+        self.gradA = [
+            [(c.real, l) for (_, l), c in A.partial_action(j).items()] for j in range(n)
+        ]
+        self.kick_modes = []
+        seen = set()
+        for (k, _), c in B.items():
+            if k not in seen:
+                seen.update((k, tuple(-x for x in k)))
+                self.kick_modes.append((k, c.real, c.imag))
+
+    def _grad_A(self, action):
+        diff = [a - c for a, c in zip(action, self.center)]
+        out = []
+        for monos in self.gradA:
+            total = 0.0
+            for coef, exps in monos:
+                term = coef
+                for d, e in zip(diff, exps):
+                    if e:
+                        term *= d ** e
+                total += term
+            out.append(total)
+        return out
+
+    def run_block(self, theta, action, dt, nsteps):
+        n = self.n
+        half = 0.5 * dt
+        for _ in range(nsteps):
+            g = self._grad_A(action)
+            for j in range(n):
+                theta[j] = (theta[j] + half * g[j]) % 1.0
+            for k, a, b in self.kick_modes:
+                phi = 0.0
+                for j in range(n):
+                    phi += k[j] * theta[j]
+                phi *= TWO_PI
+                w = 2.0 * (-a * math.sin(phi) - b * math.cos(phi)) * TWO_PI * dt
+                for j in range(n):
+                    if k[j]:
+                        action[j] -= w * k[j]
+            g = self._grad_A(action)
+            for j in range(n):
+                theta[j] = (theta[j] + half * g[j]) % 1.0
+        return theta, action
+
+
+@st.composite
+def _split_case(draw):
+    """H = A(I) + B(theta) with monomials of A up to degree 4, complex
+    coefficients on several +-k pairs of B, a start, a signed step and
+    blocks of mixed lengths."""
+    n = draw(st.integers(1, 3))
+    center = draw(st.sampled_from([(0.0,) * n, (0.3, -1.2, 2.5)[:n]]))
+    d = Domain(n, 1.0)
+    zero = (0,) * n
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda l: sum(l) <= 4)
+    coef = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    a_terms = draw(st.dictionaries(exps, coef, min_size=1, max_size=6))
+    A = FourierTaylorSeries(d, {(zero, l): c for l, c in a_terms.items()}, 2, 4, center)
+    # one representative per +-k pair: first nonzero entry positive
+    ks = st.tuples(*[st.integers(-2, 2)] * n).filter(
+        lambda k: any(k) and next(x for x in k if x) > 0)
+    amp = st.complex_numbers(max_magnitude=0.1, allow_nan=False,
+                             allow_infinity=False).filter(lambda c: c != 0)
+    b_terms = draw(st.dictionaries(ks, amp, min_size=1, max_size=4))
+    B_coeffs = {}
+    for k, c in b_terms.items():
+        B_coeffs[(k, zero)] = c
+        B_coeffs[(tuple(-x for x in k), zero)] = c.conjugate()
+    B = FourierTaylorSeries(d, B_coeffs, 2, 4, center)
+    theta = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    offset = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    action = [c + o for c, o in zip(center, offset)]
+    dt = draw(st.floats(1e-3, 0.05)) * draw(st.sampled_from([1.0, -1.0]))
+    blocks = draw(st.lists(st.sampled_from([1, 2, 7, 40]), min_size=1, max_size=5))
+    return A, B, theta, action, dt, blocks
+
+
+@given(_split_case())
+@settings(max_examples=60, deadline=None)
+def test_split_block_matches_two_gradient_reference(case):
+    A, B, theta, action, dt, blocks = case
+    flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
+    th, ac = list(theta), list(action)
+    ref_th, ref_ac = list(theta), list(action)
+    for nsteps in blocks:
+        th, ac = flow.run_block(th, ac, dt, nsteps)
+        ref_th, ref_ac = ref.run_block(ref_th, ref_ac, dt, nsteps)
+        assert th == ref_th and ac == ref_ac
+
+
+@pytest.mark.parametrize("system, start", [
+    (quasi_convex(1e-2), ((0.1, 0.7), (0.2, -0.1))),
+    (pendulum(1e-2), ((0.25,), (0.05,))),
+    (degenerate_steep(1e-2), ((0.4, 0.9), (0.1, 0.3))),
+], ids=["quasi_convex", "pendulum", "degenerate_steep"])
+@pytest.mark.parametrize("t_max", [30.0, -30.0])
+def test_integrate_matches_two_gradient_reference(system, start, t_max, monkeypatch):
+    cfg = IntegratorConfig(step=0.01, sample_stride=7)
+    rec = integrate(system, start, t_max, cfg)
+    monkeypatch.setattr(dynamics, "_SplitFlow", _TwoGradientSplit)
+    ref = integrate(system, start, t_max, cfg)
+    assert rec.metadata["scheme"] == "split"
+    for field in ("times", "thetas", "actions", "energy"):
+        assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
+    assert rec.metadata == ref.metadata
 
 
 class TestEscapeTime:

@@ -7,22 +7,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _digest(seed: int, ops: int = 24) -> str:
+def _digest(workload: str, seed: int, ops: int) -> str:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "op_digest.py"),
-         "--workload", "normal_form_certify", "--seed", str(seed), "--ops", str(ops)],
+         "--workload", workload, "--seed", str(seed), "--ops", str(ops)],
         capture_output=True, text=True, check=True,
     )
     prefix, _, value = proc.stdout.strip().rpartition(" sha256=")
-    assert prefix == f"normal_form_certify seed={seed} ops={ops}"
+    assert prefix == f"{workload} seed={seed} ops={ops}"
     assert len(value) == 64
     return value
 
 
-def test_digest_repeats_and_depends_on_seed():
-    first = _digest(1)
-    assert _digest(1) == first
-    assert _digest(2) != first
+# normal_form_certify: 24 symbolic ops; drift_series_eval: the first 8 ops,
+# one grid-65 Morse check, mids, one split-stepped row and one c11 run
+@pytest.mark.parametrize("workload, ops", [
+    ("normal_form_certify", 24),
+    ("drift_series_eval", 8),
+])
+def test_digest_repeats_and_depends_on_seed(workload, ops):
+    first = _digest(workload, 1, ops)
+    assert _digest(workload, 1, ops) == first
+    assert _digest(workload, 2, ops) != first

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftbench import restrain
 from driftbench.diophantine import ResonanceFrame, period_of
 from driftbench.dynamics import SENTINEL, IntegratorConfig, TimeBudget, drift_time, integrate
+from driftbench.normalform import AveragingDivergenceError
 from driftbench.restrain import (
     ConditionParams,
     RestrainFrame,
@@ -20,6 +22,7 @@ from driftbench.restrain import (
 )
 from driftbench.series import (
     Domain,
+    DomainError,
     FiniteDiff,
     FourierTaylorSeries,
     Gevrey,
@@ -193,6 +196,38 @@ def _quasi_convex_at(center, eps):
     f = FourierTaylorSeries.cosine(d, (1, 1), eps, 1, 2, center)
     return System("quasi-convex", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)),
                   SeriesHamiltonian(h))
+
+
+class TestTransformFallback:
+    """restrain falls back to the first-order displacement T*mu*mu only when
+    the local normal form diverges or its domain is too tight."""
+
+    @pytest.mark.parametrize("error", [
+        AveragingDivergenceError([1e-5, 2e-5]),
+        DomainError("localized ball too tight"),
+    ], ids=["divergence", "domain"])
+    def test_named_failures_use_first_order_bound(self, monkeypatch, error):
+        # the measured displacement certifies; T_1*mu_1^2 = 0.0175 exceeds
+        # mu_1 = 0.016 and fails (C_1) at the next stage
+        cert = _certified_setup()[-1].certificate
+        T1, mu1 = float(cert.frame.vectors[0].period), cert.mus[0]
+        assert cert.displacement_budget < mu1 < T1 * mu1 * mu1
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(restrain, "local_normal_form", fail)
+        failure = _certified_setup()[-1].failure
+        assert failure.stage == 1 and failure.condition.startswith("(C_1)")
+        assert f"(+budget {T1 * mu1 * mu1})" in failure.detail
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(restrain, "local_normal_form", broken)
+        with pytest.raises(TypeError, match="unexpected argument"):
+            _certified_setup()
 
 
 class TestOffOriginBall:
