@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,13 +22,18 @@ def _digest(workload: str, seed: int, ops: int) -> str:
     return value
 
 
-# normal_form_certify: 24 symbolic ops; drift_series_eval: the first 8 ops,
-# one grid-65 Morse check, mids, one split-stepped row and one c11 run
-@pytest.mark.parametrize("workload, ops", [
-    ("normal_form_certify", 24),
-    ("drift_series_eval", 8),
-])
-def test_digest_repeats_and_depends_on_seed(workload, ops):
+def _assert_repeats_and_depends_on_seed(workload: str, ops: int) -> None:
     first = _digest(workload, 1, ops)
     assert _digest(workload, 1, ops) == first
     assert _digest(workload, 2, ops) != first
+
+
+def test_digest_repeats_and_depends_on_seed():
+    # 24 symbolic ops of normal_form_certify
+    _assert_repeats_and_depends_on_seed("normal_form_certify", 24)
+
+
+def test_trajectory_digest_repeats_and_depends_on_seed():
+    # the first 8 ops of drift_series_eval: one grid-65 Morse check, mids,
+    # one split-stepped row and one c11 run
+    _assert_repeats_and_depends_on_seed("drift_series_eval", 8)
