@@ -122,8 +122,9 @@ def dirichlet_candidates(
     In integers: v = V/D (D the lcm of the denominators), V_n = max|V_i|,
     Q = P/S.  Shell q rounds by ``divmod(q*V_i, V_n)``; a rounding w with
     g = gcd(w) has T = q*D/(V_n*g) and |v - omega| = E/(q*D) with
-    E = max|q*V_i - w_i*V_n|, so the tests read E^{n-1}*P <= S*(V_n*g)^{n-1}
-    and g <= q, q*S <= P*g.  Only feasible candidates become Fractions.
+    E = max|q*V_i - w_i*V_n|, so the test reads E^{n-1}*P <= S*(V_n*g)^{n-1}.
+    The period range holds for every rounding (see the scan), so it is never
+    tested.  Only feasible candidates become Fractions.
     """
     n = len(v)
     if n < 2:
@@ -156,12 +157,10 @@ def dirichlet_candidates(
             if examined >= cap:
                 break
             examined += 1
-            if not any(w):
-                continue
+            # |v|^{-1} <= T <= Q |v|^{-1}  <=>  1 <= q/g <= P/S, always: the
+            # largest component rounds exactly to w_i = +-q, so w != 0, g
+            # divides q, and q <= P // S
             g = math.gcd(*w)
-            # |v|^{-1} <= T <= Q |v|^{-1}  <=>  1 <= q/g <= P/S
-            if g > q or q * S > P * g:
-                continue
             # |v - omega| <= T^{-1} Q^{-1/(n-1)}  <=>  (E/(V_n g))^{n-1} P/S <= 1
             E = max(abs(a - c * Vn) for a, c in zip(qV, w))
             if E ** (n - 1) * P > S * (Vn * g) ** (n - 1):

@@ -6,7 +6,9 @@ purely angle-dependent part kicks the actions), and an implicit midpoint
 fallback for non-separable truncations.  Both are symplectic; energy along
 the trajectory is monitored, never corrected.  The splitting runs in leapfrog
 form: only the kick moves the actions, so one gradient read of the average
-part per step serves two half-drifts, bit-identical to drift-kick-drift.
+part per step serves two half-drifts, bit-identical to drift-kick-drift.  Its
+step is one straight-line Python function generated for each split, with the
+series' floats passed in through the function's globals.
 
 The midpoint iterates on z = (theta, I) and reads its vector field, as the
 energy monitor reads H, from one ``SeriesStack`` term table per numpy pass.
@@ -17,6 +19,7 @@ with a one-step bracket and no interpolation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -76,12 +79,16 @@ class IntegratorConfig:
     midpoint_max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        for name in ("step", "energy_tol", "midpoint_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.scheme not in ("auto", "split", "midpoint"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        if self.midpoint_max_iter < 1:
+            raise ValueError("midpoint_max_iter must be >= 1")
 
     def digest(self) -> str:
         key = (
@@ -120,73 +127,65 @@ class TrajectoryRecord:
         return min(idx, len(self.times) - 1)
 
 
+@functools.lru_cache(maxsize=32)
+def _compile_split(source: str):
+    """The code object of a generated split step, shared by every split
+    with the same structure."""
+    return compile(source, "<split step>", "exec")
+
+
 class _SplitFlow:
     """Strang splitting for H = A(I) + B(theta): drift-kick-drift.
 
     Leapfrog form: grad A, read before a block and after each kick, serves a
     step's closing half-drift and the next one's opening (nsteps + 1 reads).
-    The stepping runs on plain Python floats: n and the mode counts are tiny
-    here, where per-step numpy overhead would dominate the actual arithmetic.
+    ``run_block`` is generated as straight-line Python for this split: its
+    source holds only the structure (mode vectors, exponents, indices), and
+    every float (the monomial coefficients of dA/dI_j, the center, the kick
+    amplitudes a and b) enters through the function's globals, so one
+    compiled code object serves all splits of the same shape.  It performs
+    the float operations of the two-read drift-kick-drift loop in the same
+    order, so trajectories are bit-identical to it.
     """
 
     def __init__(self, A: FourierTaylorSeries, B: FourierTaylorSeries) -> None:
         n = A.domain.n
-        self.n = n
-        self.center = list(A.center)
-        # drift data: for each j, the monomials of dA/dI_j as
-        # (coef, ((i, e), ...)) with only the nonzero exponents, in index order
-        self.gradA = [
-            [(c.real, tuple((i, e) for i, e in enumerate(l) if e))
-             for (_, l), c in A.partial_action(j).items()]
-            for j in range(n)
-        ]
-        # kick data: one representative per +-k mode pair, c = a + i b
-        pairs = []
-        seen = set()
-        for (k, _), c in B.items():
+        env = {"sin": math.sin, "cos": math.cos, "TWO_PI": TWO_PI}
+        env.update((f"c{i}", c) for i, c in enumerate(A.center))
+        # dA/dI_j: one statement per monomial, factors in index order
+        grad, used = [], set()
+        for j in range(n):
+            grad.append(f"g{j} = 0.0")
+            for m, ((_, l), c) in enumerate(A.partial_action(j).items()):
+                env[f"C{j}_{m}"] = c.real
+                used.update(i for i, e in enumerate(l) if e)
+                grad.append(f"g{j} += C{j}_{m}" + "".join(
+                    f" * d{i} ** {e}" for i, e in enumerate(l) if e))
+        grad[:0] = [f"d{i} = x{i} - c{i}" for i in sorted(used)]
+        # kicks: one representative per +-k mode pair, c = a + i b
+        kick, seen = [], set()
+        for m, ((k, _), c) in enumerate(B.items()):
             if k in seen:
                 continue
-            seen.add(k)
-            seen.add(tuple(-x for x in k))
-            pairs.append((k, c.real, c.imag))
-        self.kick_modes = pairs
-
-    def _grad_A(self, action: list[float]) -> list[float]:
-        diff = [a - c for a, c in zip(action, self.center)]
-        out = []
-        for monos in self.gradA:
-            total = 0.0
-            for coef, factors in monos:
-                term = coef
-                for i, e in factors:
-                    term *= diff[i] ** e
-                total += term
-            out.append(total)
-        return out
-
-    def run_block(
-        self, theta: list[float], action: list[float], dt: float, nsteps: int
-    ) -> tuple[list[float], list[float]]:
-        n = self.n
-        half = 0.5 * dt
-        modes = self.kick_modes
-        g = self._grad_A(action)
-        for _ in range(nsteps):
-            for j in range(n):
-                theta[j] = (theta[j] + half * g[j]) % 1.0
-            for k, a, b in modes:
-                phi = 0.0
-                for j in range(n):
-                    phi += k[j] * theta[j]
-                phi *= TWO_PI
-                w = 2.0 * (-a * math.sin(phi) - b * math.cos(phi)) * TWO_PI * dt
-                for j in range(n):
-                    if k[j]:
-                        action[j] -= w * k[j]
-            g = self._grad_A(action)
-            for j in range(n):
-                theta[j] = (theta[j] + half * g[j]) % 1.0
-        return theta, action
+            seen.update((k, tuple(-x for x in k)))
+            env[f"a{m}"], env[f"b{m}"] = c.real, c.imag
+            kick.append("phi = (0.0" + "".join(
+                f" + {kj} * t{j}" for j, kj in enumerate(k)) + ") * TWO_PI")
+            kick.append(f"w = 2.0 * (-a{m} * sin(phi) - b{m} * cos(phi)) * TWO_PI * dt")
+            kick.extend(f"x{j} -= w * {kj}" for j, kj in enumerate(k) if kj)
+        drift = [f"t{j} = (t{j} + half * g{j}) % 1.0" for j in range(n)]
+        ts = "".join(f"t{j}, " for j in range(n))
+        xs = "".join(f"x{j}, " for j in range(n))
+        body = (
+            [f"{ts}= theta", f"{xs}= action", "half = 0.5 * dt"] + grad
+            + ["for _ in range(nsteps):"]
+            + ["    " + line for line in drift + kick + grad + drift]
+            + [f"return [{ts}], [{xs}]"]
+        )
+        source = "def run_block(theta, action, dt, nsteps):\n" + "".join(
+            f"    {line}\n" for line in body)
+        exec(_compile_split(source), env)
+        self.run_block = env["run_block"]
 
 
 class _MidpointFlow:
@@ -202,8 +201,8 @@ class _MidpointFlow:
         self.max_iter = max_iter
 
     def run_block(
-        self, theta: np.ndarray, action: np.ndarray, dt: float, nsteps: int, t0: float
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, theta: list[float], action: list[float], dt: float, nsteps: int, t0: float
+    ) -> tuple[list[float], list[float]]:
         n, field, half = self.n, self.field, 0.5 * dt
         z = np.concatenate((theta, action))
         for i in range(nsteps):
@@ -221,7 +220,7 @@ class _MidpointFlow:
                     f"tol {self.tol:.3g} after {self.max_iter} iterations"
                 )
             z = 2 * zm - z
-        return z[:n], z[n:]
+        return z[:n].tolist(), z[n:].tolist()
 
 
 def _choose_scheme(
@@ -253,6 +252,8 @@ def integrate(
     ``stop_when(t, I)`` is evaluated at sample points for caller-defined
     early exits.
     """
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     cfg = cfg or IntegratorConfig()
     if hasattr(system, "hamiltonian"):  # accept a systems.System bundle
         system = system.hamiltonian
@@ -264,35 +265,31 @@ def integrate(
         stepper = _MidpointFlow(H, cfg.midpoint_tol, cfg.midpoint_max_iter)
     energy = SeriesStack([H])
     domain, center = system.domain, H.center
-    direction = 1.0 if t_max >= 0 else -1.0
-    dt = direction * cfg.step
+    dt = (1.0 if t_max >= 0 else -1.0) * cfg.step
     n_steps = int(round(abs(t_max) / cfg.step))
     theta = np.asarray(start[0], dtype=float) % 1.0
-    action = np.asarray(start[1], dtype=float).copy()
-    times = [0.0]
-    thetas = [theta % 1.0]
-    actions = [action.copy()]
+    action = np.asarray(start[1], dtype=float)
+    th, ac = theta.tolist(), action.tolist()
+    times, thetas, actions = [0.0], [th], [ac]
     energies = [float(energy.values(theta, action)[0])]
     escaped = False
     k = 0
-    th_list, ac_list = list(map(float, theta)), list(map(float, action))
     while k < n_steps:
         block = min(cfg.sample_stride, n_steps - k)
         if scheme == "split":
-            th_list, ac_list = stepper.run_block(th_list, ac_list, dt, block)
-            theta = np.array(th_list)
-            action = np.array(ac_list)
+            th, ac = stepper.run_block(th, ac, dt, block)
         else:
-            theta, action = stepper.run_block(theta, action, dt, block, k * dt)
+            th, ac = stepper.run_block(th, ac, dt, block, k * dt)
         k += block
         t = k * dt
-        if not np.all(np.isfinite(action)) or not np.all(np.isfinite(theta)):
+        if not all(map(math.isfinite, th + ac)):
             raise FloatingPointError(f"non-finite state at t={t}")
         times.append(t)
-        thetas.append(theta % 1.0)
-        actions.append(action.copy())
-        energies.append(float(energy.values(theta, action)[0]))
-        if not domain.contains_action(action, center):
+        thetas.append(th)  # both steppers return new lists
+        actions.append(ac)
+        action = np.array(ac)
+        energies.append(float(energy.values(np.array(th), action)[0]))
+        if not domain.contains_action(ac, center):
             escaped = True
             break
         if stop_when is not None and stop_when(t, action):
@@ -304,7 +301,7 @@ def integrate(
         "step": cfg.step,
     }
     rec = TrajectoryRecord(
-        np.array(times), np.array(thetas), np.array(actions), np.array(energies),
+        np.array(times), np.array(thetas) % 1.0, np.array(actions), np.array(energies),
         escaped, meta,
     )
     dev = rec.energy_deviation()

@@ -1,3 +1,5 @@
+import pytest
+
 from driftbench.cli import main, read_config_file
 from driftbench.experiments import data_section
 from driftbench.series import (
@@ -86,6 +88,19 @@ class TestDrift:
             "--seed", "1", "--threshold", "0.9", "--t-cap", "2", "--out", str(path))
         header = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][0]
         assert header == "t,theta_1,theta_2,I_1,I_2,H,config_hash"
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--step", "inf", "step"), ("--step", "nan", "step"),
+        ("--t-cap", "inf", "t_max"), ("--t-cap", "nan", "t_max"),
+    ])
+    def test_non_finite_step_or_cap_is_error(self, capsys, flag, value, name):
+        opts = {"--step": "0.01", "--t-cap": "100", flag: value}
+        code, out, err = run(
+            capsys, "drift", "--system", "pendulum", "--eps", "0.01",
+            "--threshold", "0.5", *[x for kv in opts.items() for x in kv],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and name in err
 
 
 class TestNormalform:

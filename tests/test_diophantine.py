@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftbench.diophantine import (
@@ -229,6 +229,22 @@ class TestDirichlet:
                 return type(exc)
 
         assert outcome(dirichlet_candidates) == outcome(_candidates_by_fraction)
+
+
+    @given(_dirichlet_input())
+    @settings(max_examples=60, deadline=None)
+    def test_every_candidate_in_period_range_with_primitive_period_vector(self, case):
+        v, Q, cap = case
+        vnorm = max(abs(F(x)) for x in v)
+        assume(vnorm >= F(1, 2 ** 60))  # a subnormal |v| is rejected
+        cands = dirichlet_candidates(v, Q, cap)
+        for c in cands:
+            T = c.vector.period
+            assert 1 <= T * vnorm <= F(Q)
+            assert c.period_lower <= float(T) <= c.period_upper
+            Tw = [T * w for w in c.vector.omega]
+            assert all(x.denominator == 1 for x in Tw)
+            assert math.gcd(*(int(x) for x in Tw)) == 1
 
 
 class TestResonanceModule:

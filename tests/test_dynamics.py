@@ -266,6 +266,7 @@ class _TwoGradientSplit:
     def run_block(self, theta, action, dt, nsteps):
         n = self.n
         half = 0.5 * dt
+        theta, action = list(theta), list(action)
         for _ in range(nsteps):
             g = self._grad_A(action)
             for j in range(n):
@@ -288,8 +289,8 @@ class _TwoGradientSplit:
 @st.composite
 def _split_case(draw):
     """H = A(I) + B(theta) with monomials of A up to degree 4, complex
-    coefficients on several +-k pairs of B, a start, a signed step and
-    blocks of mixed lengths."""
+    coefficients on up to four +-k pairs of B (possibly none), a start, a
+    signed step and blocks of mixed lengths."""
     n = draw(st.integers(1, 3))
     center = draw(st.sampled_from([(0.0,) * n, (0.3, -1.2, 2.5)[:n]]))
     d = Domain(n, 1.0)
@@ -297,13 +298,16 @@ def _split_case(draw):
     exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda l: sum(l) <= 4)
     coef = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
     a_terms = draw(st.dictionaries(exps, coef, min_size=1, max_size=6))
+    # some actions may be absent from A, so that dA/dI_j vanishes identically
+    free = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    a_terms = {tuple(0 if f else e for e, f in zip(l, free)): c for l, c in a_terms.items()}
     A = FourierTaylorSeries(d, {(zero, l): c for l, c in a_terms.items()}, 2, 4, center)
     # one representative per +-k pair: first nonzero entry positive
     ks = st.tuples(*[st.integers(-2, 2)] * n).filter(
         lambda k: any(k) and next(x for x in k if x) > 0)
     amp = st.complex_numbers(max_magnitude=0.1, allow_nan=False,
                              allow_infinity=False).filter(lambda c: c != 0)
-    b_terms = draw(st.dictionaries(ks, amp, min_size=1, max_size=4))
+    b_terms = draw(st.dictionaries(ks, amp, min_size=0, max_size=4))
     B_coeffs = {}
     for k, c in b_terms.items():
         B_coeffs[(k, zero)] = c
@@ -330,11 +334,26 @@ def test_split_block_matches_two_gradient_reference(case):
         assert th == ref_th and ac == ref_ac
 
 
+def _off_center_system():
+    """A twist and two kicked modes, expanded around I = (3.0, -1.5)."""
+    d, c = Domain(2, 0.5), (3.0, -1.5)
+    h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 2, 3, c)
+         + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 2, 3, c)
+         + FourierTaylorSeries.monomial(d, (1, 2), 0.2, 2, 3, c))
+    f = (FourierTaylorSeries.cosine(d, (1, -2), 1e-2, 2, 3, c)
+         + FourierTaylorSeries.sine(d, (0, 1), 5e-3, 2, 3, c))
+    return HamiltonianSystem(h, f, 1e-2, Gevrey(1.0, 0.5))
+
+
 @pytest.mark.parametrize("system, start", [
     (quasi_convex(1e-2), ((0.1, 0.7), (0.2, -0.1))),
     (pendulum(1e-2), ((0.25,), (0.05,))),
     (degenerate_steep(1e-2), ((0.4, 0.9), (0.1, 0.3))),
-], ids=["quasi_convex", "pendulum", "degenerate_steep"])
+    (linear_diophantine(1e-2), ((0.3, 0.6), (0.1, -0.2))),
+    (quasi_convex(0.0), ((0.1, 0.7), (0.2, -0.1))),
+    (_off_center_system(), ((0.2, 0.8), (3.1, -1.4))),
+], ids=["quasi_convex", "pendulum", "degenerate_steep", "linear_diophantine",
+        "unkicked", "off_center"])
 @pytest.mark.parametrize("t_max", [30.0, -30.0])
 def test_integrate_matches_two_gradient_reference(system, start, t_max, monkeypatch):
     cfg = IntegratorConfig(step=0.01, sample_stride=7)
@@ -345,6 +364,41 @@ def test_integrate_matches_two_gradient_reference(system, start, t_max, monkeypa
     for field in ("times", "thetas", "actions", "energy"):
         assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
     assert rec.metadata == ref.metadata
+
+
+def test_split_with_ten_thousand_monomials_matches_reference():
+    # one statement per monomial: a single expression this long would
+    # exhaust the compiler's recursion limit
+    rng = np.random.default_rng(5)
+    d, deg = Domain(1, 1.0), 10_000
+    A = FourierTaylorSeries(
+        d, {((0,), (e,)): float(rng.uniform(-1, 1)) for e in range(1, deg + 1)}, 1, deg)
+    assert len(A.partial_action(0)) == deg
+    B = FourierTaylorSeries.cosine(d, (1,), 1e-2, 1, deg)
+    flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
+    start = ([0.1], [0.3])
+    assert flow.run_block(*start, 1e-3, 3) == ref.run_block(*start, 1e-3, 3)
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("step", math.inf), ("step", math.nan), ("step", 0.0),
+        ("energy_tol", math.nan), ("energy_tol", math.inf), ("energy_tol", 0.0),
+        ("midpoint_tol", math.nan), ("midpoint_tol", math.inf), ("midpoint_tol", -1e-13),
+        ("midpoint_max_iter", 0),
+    ])
+    def test_invalid_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**{field: value})
+
+    def test_digest_unchanged_for_accepted_configs(self):
+        assert IntegratorConfig().digest() == "d482319cc3c1a43e"
+        assert IntegratorConfig(step=0.05, sample_stride=40).digest() == "af83a780cbddec5d"
+
+    @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_max_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            integrate(pendulum(1e-2), ((0.1,), (0.0,)), t_max)
 
 
 class TestEscapeTime:
