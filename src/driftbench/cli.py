@@ -32,6 +32,7 @@ from .series import (
     Gevrey,
     HamiltonianSystem,
     load_series,
+    recenter_scale,
     save_series,
     split_by_modes,
 )
@@ -133,16 +134,26 @@ def cmd_approx(args) -> int:
 def cmd_morse_check(args) -> int:
     system = _load_system(args)
     params = MorseParams(args.gamma, args.tau)
+    h, center = system.h_action, (0.0,) * system.domain.n
+    if args.series:
+        # the check samples the ball around the origin: move the series'
+        # center there, and its worst points back
+        series = system.hamiltonian.integrable
+        center = series.center
+        h = SeriesHamiltonian(recenter_scale(series, center, 1.0))
     report = check_morse(
-        system.h_action, params, args.L_max, system.domain.n,
-        R=system.domain.R, grid_res=args.grid,
+        h, params, args.L_max, system.domain.n, R=system.domain.R, grid_res=args.grid,
     )
+
+    def at(m) -> tuple[float, ...]:
+        return tuple(x + c for x, c in zip(m.worst_point, center))
+
     print(f"morse-check: {'PASS' if report.passed else 'FAIL'} "
           f"(gamma={args.gamma}, tau={args.tau}, L<= {args.L_max}, grid={args.grid})")
     print("subspaces tested per dimension:", dict(sorted(report.subspace_counts.items())))
     for fail in report.failures:
         print(f"  FAIL subspace normals={fail.subspace.normals} "
-              f"lattice={fail.subspace.lattice_key()} at point {fail.worst_point}: "
+              f"lattice={fail.subspace.lattice_key()} at point {at(fail)}: "
               f"grad={fail.worst_grad:.4g} sigma={fail.worst_sigma:.4g} "
               f"thr={params.threshold(fail.L_min):.4g}")
     if args.out:
@@ -156,7 +167,7 @@ def cmd_morse_check(args) -> int:
                     ";".join(",".join(map(str, u)) for u in m.subspace.normals),
                     m.L_min, format(m.margin, ".17g"),
                     format(m.worst_grad, ".17g"), format(m.worst_sigma, ".17g"),
-                    ",".join(format(x, ".17g") for x in m.worst_point),
+                    ",".join(format(x, ".17g") for x in at(m)),
                 ])
         print(f"margins written to {args.out}")
     return 0 if report.passed else 2

@@ -69,31 +69,30 @@ class TimeBudget:
         return cls(m, tau_m_value(m, regularity), regularity)
 
 
+# energy_ok: max |H(t) - H(0)| <= ENERGY_TOL * max(1, |H(0)|)
+ENERGY_TOL = 1e-6
+# the midpoint's fixed-point iteration stops once an update is below MIDPOINT_TOL
+MIDPOINT_TOL = 1e-13
+MIDPOINT_MAX_ITER = 50
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     step: float = 1e-2
-    scheme: str = "auto"            # auto | split | midpoint
-    energy_tol: float = 1e-6
     sample_stride: int = 1
-    midpoint_tol: float = 1e-13
-    midpoint_max_iter: int = 50
 
     def __post_init__(self) -> None:
-        for name in ("step", "energy_tol", "midpoint_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.scheme not in ("auto", "split", "midpoint"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        if self.midpoint_max_iter < 1:
-            raise ValueError("midpoint_max_iter must be >= 1")
 
     def digest(self) -> str:
+        # the key spells out the fixed scheme and tolerances, so that config
+        # hashes in existing CSVs and certificates stay valid
         key = (
-            f"{self.step:.17g}|{self.scheme}|{self.energy_tol:.3g}|"
-            f"{self.sample_stride}|{self.midpoint_tol:.3g}|{self.midpoint_max_iter}"
+            f"{self.step:.17g}|auto|{ENERGY_TOL:.3g}|"
+            f"{self.sample_stride}|{MIDPOINT_TOL:.3g}|{MIDPOINT_MAX_ITER}"
         )
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
@@ -191,14 +190,12 @@ class _SplitFlow:
 class _MidpointFlow:
     """Implicit midpoint by fixed-point iteration; symplectic for any H."""
 
-    def __init__(self, H: FourierTaylorSeries, tol: float, max_iter: int) -> None:
+    def __init__(self, H: FourierTaylorSeries) -> None:
         self.n = n = H.domain.n
         self.field = SeriesStack(  # dz/dt = (dH/dI, -dH/dtheta)
             [H.partial_action(j) for j in range(n)]
             + [-H.partial_theta(j) for j in range(n)]
         )
-        self.tol = tol
-        self.max_iter = max_iter
 
     def run_block(
         self, theta: list[float], action: list[float], dt: float, nsteps: int, t0: float
@@ -207,33 +204,29 @@ class _MidpointFlow:
         z = np.concatenate((theta, action))
         for i in range(nsteps):
             zm = z
-            for _ in range(self.max_iter):
+            for _ in range(MIDPOINT_MAX_ITER):
                 zn = z + half * field.values(zm[:n], zm[n:])
                 delta = abs(zn - zm).max()
                 zm = zn
-                if delta < self.tol:
+                if delta < MIDPOINT_TOL:
                     break
             else:
                 raise RuntimeError(
                     f"implicit midpoint did not converge in the step from "
                     f"t={t0 + i * dt:.17g}: last update {delta:.3g} >= "
-                    f"tol {self.tol:.3g} after {self.max_iter} iterations"
+                    f"tol {MIDPOINT_TOL:.3g} after {MIDPOINT_MAX_ITER} iterations"
                 )
             z = 2 * zm - z
         return z[:n].tolist(), z[n:].tolist()
 
 
 def _choose_scheme(
-    H: FourierTaylorSeries, cfg: IntegratorConfig
+    H: FourierTaylorSeries,
 ) -> tuple[str, FourierTaylorSeries, FourierTaylorSeries]:
-    """The scheme for H under cfg, with H's (average, oscillating) split."""
+    """The scheme for H, with H's (average, oscillating) split: split exactly
+    when the oscillating part is action-independent."""
     avg, osc = split_by_modes(H)
-    separable = osc.action_independent()
-    if cfg.scheme == "split" and not separable:
-        raise ValueError("split scheme requires an angle-only oscillating part")
-    if cfg.scheme == "auto":
-        return ("split" if separable else "midpoint"), avg, osc
-    return cfg.scheme, avg, osc
+    return ("split" if osc.action_independent() else "midpoint"), avg, osc
 
 
 def integrate(
@@ -258,11 +251,11 @@ def integrate(
     if hasattr(system, "hamiltonian"):  # accept a systems.System bundle
         system = system.hamiltonian
     H = system.total()
-    scheme, avg, osc = _choose_scheme(H, cfg)
+    scheme, avg, osc = _choose_scheme(H)
     if scheme == "split":
         stepper = _SplitFlow(avg, osc)
     else:
-        stepper = _MidpointFlow(H, cfg.midpoint_tol, cfg.midpoint_max_iter)
+        stepper = _MidpointFlow(H)
     energy = SeriesStack([H])
     domain, center = system.domain, H.center
     dt = (1.0 if t_max >= 0 else -1.0) * cfg.step
@@ -307,7 +300,7 @@ def integrate(
     dev = rec.energy_deviation()
     scale = max(1.0, abs(energies[0]))
     meta["energy_deviation"] = dev
-    meta["energy_ok"] = bool(dev <= cfg.energy_tol * scale)
+    meta["energy_ok"] = bool(dev <= ENERGY_TOL * scale)
     return rec
 
 

@@ -55,14 +55,12 @@ class NormalFormConfig:
     """Iteration and truncation knobs for the averaging transforms.
 
     ``m`` is the iteration count driving the remainder decay; ``rho(i)`` is
-    the 2^i domain-radius schedule.  All <.-type smallness conditions carry the
-    ``smallness_multiplier``: their implicit constants are free parameters
-    here, so they stay configurable and get recorded in reports.
+    the 2^i domain-radius schedule.  The <.-type smallness margins are
+    reported against 1, i.e. with the implicit constants taken as 1.
     """
 
     m: int
     lie_order: int = 6
-    smallness_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -155,7 +153,7 @@ class AveragingStep:
 @dataclass(frozen=True)
 class SmallnessReport:
     """Measured margins for the T*mu-type smallness conditions (reported, not
-    enforced; the implicit constants are the configured multipliers)."""
+    enforced; the implicit constants are taken as 1)."""
 
     entries: tuple[tuple[str, float, float], ...]  # (name, lhs, rhs)
 
@@ -205,10 +203,9 @@ def periodic_averaging(
     f = H - l_w
     mu = f.coefficient_norm()
     T = float(w.period)
-    c = cfg.smallness_multiplier
     smallness = SmallnessReport((
-        ("T*mu << 1", T * mu, c),
-        ("m*T*mu << 1", cfg.m * T * mu, c),
+        ("T*mu << 1", T * mu, 1.0),
+        ("m*T*mu << 1", cfg.m * T * mu, 1.0),
     ))
     cur = H
     steps: list[AveragingStep] = []
@@ -306,14 +303,9 @@ class TransformData:
                         break
                     disp = disp + term
                 # later generators act on the already-displaced coordinate
-                total = self.pullback_tail(disp, g_idx + 1) + total
+                later = TransformData(self.generators[g_idx + 1:], self.lie_order)
+                total = later.pullback(disp) + total
             out.append(total)
-        return out
-
-    def pullback_tail(self, s: FourierTaylorSeries, start: int) -> FourierTaylorSeries:
-        out = s
-        for chi in self.generators[start:]:
-            out = lie_transform(out, chi, self.lie_order)
         return out
 
 
@@ -332,12 +324,11 @@ class NormalFormResult:
     approximate: bool = False
 
 
-def verify_resonant_symmetry(
-    g: FourierTaylorSeries,
-    frame: ResonanceFrame,
-    grid: GridSpec | None = None,
-    tol: float = 1e-10,
-) -> bool:
+_SYMMETRY_GRID = GridSpec(theta_res=8, action_res=3)
+_SYMMETRY_TOL = 1e-10
+
+
+def verify_resonant_symmetry(g: FourierTaylorSeries, frame: ResonanceFrame) -> bool:
     """True iff every mode of g annihilates the whole frame (k.omega_i = 0).
 
     Checked both mode-wise (exact integer dot products k.(T_i omega_i)) and,
@@ -352,16 +343,15 @@ def verify_resonant_symmetry(
         if any(sum(map(mul, k, Tw)) for Tw in Tws):
             return False
     _, Pperp = projections(frame)
-    grid = grid or GridSpec(theta_res=8, action_res=3)
-    theta_pts = grid.theta_points(g.domain.n)
-    action_pts = grid.action_points(g.domain) + np.asarray(g.center)
+    theta_pts = _SYMMETRY_GRID.theta_points(g.domain.n)
+    action_pts = _SYMMETRY_GRID.action_points(g.domain) + np.asarray(g.center)
     grads = [
         g.partial_theta(j).evaluate_grid(theta_pts, action_pts)
         for j in range(g.domain.n)
     ]
     stacked = np.stack(grads, axis=0)      # (n, P, Q)
     proj = np.einsum("ij,jpq->ipq", Pperp, stacked)
-    return bool(np.max(np.abs(proj)) <= tol * scale)
+    return bool(np.max(np.abs(proj)) <= _SYMMETRY_TOL * scale)
 
 
 def composed_normal_form(
@@ -417,17 +407,13 @@ def _composed_rec(
     l_prev = _linear_series(H.domain, w_prev, H.k_max, H.d_max, H.center)
     gap = float(max(abs(a - b) for a, b in zip(w.omega, w_prev.omega)))
     mu_prev = (H - l_w).coefficient_norm()
-    margins[f"A{stage}:|w-w_prev|/mu_prev"] = (
-        gap / (cfg.smallness_multiplier * mu_prev) if mu_prev else math.inf
-    )
+    margins[f"A{stage}:|w-w_prev|/mu_prev"] = gap / mu_prev if mu_prev else math.inf
     f_tilde = (l_w - l_prev) + outcome.g
     g_inner, rem_inner, steps_inner, gens_inner, inner_margins = _composed_rec(
         l_prev + f_tilde, freqs[:-1], cfg
     )
     margins.update(inner_margins)
-    carried = outcome.remainder
-    for chi in gens_inner:
-        carried = lie_transform(carried, chi, cfg.lie_order)
+    carried = TransformData(gens_inner, cfg.lie_order).pullback(outcome.remainder)
     g_total = (l_prev - l_w) + g_inner
     remainder = rem_inner + carried
     return (
@@ -623,18 +609,17 @@ def _b_condition_margins(
     loc: LocalizedHamiltonian,
 ) -> dict[str, float]:
     out: dict[str, float] = {}
-    c = cfg.smallness_multiplier
     for i, (pv, mu_i) in enumerate(zip(frame.vectors, mu_schedule), start=1):
         T = float(pv.period)
-        out[f"B{i}:T*mu"] = T * mu_i / c
-        out[f"B{i}:m*T*mu"] = cfg.m * T * mu_i / c
-        out[f"B{i}:mu"] = mu_i / c
+        out[f"B{i}:T*mu"] = T * mu_i
+        out[f"B{i}:m*T*mu"] = cfg.m * T * mu_i
+        out[f"B{i}:mu"] = mu_i
         if i >= 2:
             prev = frame.vectors[i - 2]
             gap = float(
                 max(abs(a - b) for a, b in zip(pv.omega, prev.omega))
             )
-            out[f"B{i}:|w_i - w_(i-1)|/mu_(i-1)"] = gap / (c * mu_schedule[i - 2])
-            out[f"B{i}:mu_i/mu_(i-1)"] = mu_i / (c * mu_schedule[i - 2])
+            out[f"B{i}:|w_i - w_(i-1)|/mu_(i-1)"] = gap / mu_schedule[i - 2]
+            out[f"B{i}:mu_i/mu_(i-1)"] = mu_i / mu_schedule[i - 2]
     out["B_j:gradient_mismatch/mu_j"] = loc.gradient_mismatch / mu_schedule[-1]
     return out

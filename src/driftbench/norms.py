@@ -257,13 +257,12 @@ def check_composition_bound(
     C: float,
     deriv_order_cap: int = DEFAULT_DERIV_CAP,
     grid: GridSpec | None = None,
-    exp_order: int = 4,
 ) -> CompositionBoundReport:
     """Realize f o Phi by series substitution and compare norms at radii C*L vs L."""
     if not 0 < C <= 1:
         raise ValueError("radius ratio C must lie in (0, 1]")
     grid = grid if grid is not None else GridSpec()
-    composed = compose_near_identity(f, theta_disp, action_disp, exp_order=exp_order)
+    composed = compose_near_identity(f, theta_disp, action_disp)
     shrunk = GevreyParams(params.alpha, C * params.L)
     left_cert = gevrey_norm(composed, shrunk, deriv_order_cap, grid)
     right_cert = gevrey_norm(f, params, deriv_order_cap, grid)

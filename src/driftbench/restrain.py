@@ -143,6 +143,12 @@ class ConditionParams:
     Ls: tuple[int, ...]           # L_1..L_n
     multiplier: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("tau", "gamma", "eps", "mu0", "mus", "Ts", "multiplier"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+
 
 def check_conditions(p: ConditionParams) -> ConditionReport:
     """Evaluate the eleven smallness conditions with signed log margins."""
@@ -285,9 +291,17 @@ def try_restrain(
     condition margins are verified.  No escape before the budget pins the
     remaining times at tau_m.  Any violated condition aborts with a trace.
     """
+    if not (math.isfinite(mu0) and mu0 > 0):
+        raise ValueError(f"mu0 must be finite and positive, got {mu0}")
     mult = dict(DEFAULT_MULTIPLIERS)
-    if multipliers:
-        mult.update(multipliers)
+    for key, value in (multipliers or {}).items():
+        if key not in DEFAULT_MULTIPLIERS:
+            raise ValueError(
+                f"unknown multiplier {key!r}; expected one of {sorted(DEFAULT_MULTIPLIERS)}"
+            )
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"multiplier {key} must be finite and positive, got {value}")
+        mult[key] = value
     h = system.h_action
     ham = system.hamiltonian
     n = ham.domain.n

@@ -809,18 +809,20 @@ def recenter_scale(
     return s._derive(acc, domain=domain, center=(0.0,) * n, trunc_loss=s.trunc_loss)
 
 
+EXP_ORDER = 4
+
+
 def compose_near_identity(
     f: FourierTaylorSeries,
     theta_disp: Sequence[FourierTaylorSeries] | None,
     action_disp: Sequence[FourierTaylorSeries] | None,
-    exp_order: int = 4,
     k_max: int | None = None,
     d_max: int | None = None,
 ) -> FourierTaylorSeries:
     """f composed with Phi(theta, I) = (theta + u(theta,I), I + v(theta,I)).
 
     The angle substitution expands exp(2*pi*i*k.u) as a truncated exponential
-    up to ``exp_order``; the action substitution is a binomial expansion.
+    up to order ``EXP_ORDER``; the action substitution is a binomial expansion.
     Truncation losses of the power series products are propagated into the
     result.  Displacements must share f's geometry.
     """
@@ -866,7 +868,7 @@ def compose_near_identity(
                     trunc_loss=ku.trunc_loss.scaled(TWO_PI),
                 )
                 xp = FourierTaylorSeries.constant(f.domain, 1.0, K, D, f.center)
-                for p in range(1, exp_order + 1):
+                for p in range(1, EXP_ORDER + 1):
                     xp = xp.product(x, k_max=K, d_max=D)
                     expk = expk + xp.scaled(1.0 / math.factorial(p))
             exp_cache[k] = expk

@@ -257,14 +257,10 @@ def check_morse(
     return MorseReport(params, L_max, grid_res, counts, tuple(margins), failures)
 
 
-def best_gamma(
-    margins: Sequence[SubspaceMargin],
-    tau: float,
-    ladder: Sequence[float] = DEFAULT_GAMMA_LADDER,
-) -> float | None:
+def best_gamma(margins: Sequence[SubspaceMargin], tau: float) -> float | None:
     """Largest ladder gamma for which every margin beats gamma * L^{-tau}."""
     bound = min((m.margin * m.L_min ** tau for m in margins), default=math.inf)
-    for g in ladder:
+    for g in DEFAULT_GAMMA_LADDER:
         if g < bound:
             return g
     return None
@@ -294,7 +290,6 @@ def sample_prevalence(
     R: float = 1.0,
     L_max: int = 2,
     grid_res: int = 17,
-    ladder: Sequence[float] = DEFAULT_GAMMA_LADDER,
     seed: int = 0,
 ) -> PrevalenceReport:
     """Draw xi uniformly from a box and search the gamma ladder for h - xi.I.
@@ -313,7 +308,7 @@ def sample_prevalence(
         xi = rng.uniform(-xi_box, xi_box, size=n)
         shifted = ShiftedHamiltonian(h, xi)
         margins = subspace_margins(shifted, n, R, L_max, grid_res)
-        g = best_gamma(margins, tau, ladder)
+        g = best_gamma(margins, tau)
         gammas.append(g)
         if g is not None:
             hist[g] = hist.get(g, 0) + 1
@@ -374,7 +369,6 @@ class EscapeResult:
     grad_threshold: float
     containment_ok: bool | None     # displacement < c at all earlier samples
     length_margin: float            # multiplier*gamma*L^-tau - c (precondition)
-    counterexample_candidate: bool  # not found although h passed the Morse check
 
 
 def steepness_escape(
@@ -384,13 +378,12 @@ def steepness_escape(
     tau: float,
     grad_multiplier: float = 1.0,
     length_multiplier: float = 1.0,
-    morse_passed: bool | None = None,
 ) -> EscapeResult:
     """Scan the curve for the first time the projected gradient exceeds the
     configured multiple of c^2, verifying the containment clause on the way.
 
     Not finding one contradicts the steepness escape property whenever h
-    passed the Morse check, so that case is flagged for inspection.
+    passed the Morse check.
     """
     L = q.frame.l_index
     length_cap = length_multiplier * gamma * float(L) ** (-tau)
@@ -409,12 +402,8 @@ def steepness_escape(
         if g > thr:
             contained = bool(np.all(disp[:i] < q.c)) if i > 0 else True
             return EscapeResult(
-                True, float(q.times[i]), i, g, thr, contained,
-                length_cap - q.c, False,
+                True, float(q.times[i]), i, g, thr, contained, length_cap - q.c,
             )
         if disp[i] >= q.c:
             break
-    return EscapeResult(
-        False, None, None, None, thr, None, length_cap - q.c,
-        bool(morse_passed),
-    )
+    return EscapeResult(False, None, None, None, thr, None, length_cap - q.c)

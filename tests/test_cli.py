@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from driftbench.cli import main, read_config_file
@@ -67,6 +69,30 @@ class TestMorseCheck:
             "--gamma", "0.9", "--tau", "2", "--L-max", "2", "--grid", "9",
         )
         assert code == 2 and "FAIL" in out
+
+    def test_series_off_center_checks_ball_around_its_center(self, capsys, tmp_path):
+        # the degenerate toy 1/2 (I1-c1)^2 + (I1-c1)(I2-c2)^2 fails on the
+        # same lattices whatever its center c; the worst points move with c
+        def toy(c):
+            d = Domain(2, 1.0)
+            return (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 1, 3, c)
+                    + FourierTaylorSeries.monomial(d, (1, 2), 1.0, 1, 3, c)
+                    + FourierTaylorSeries.cosine(d, (1, 1), 1e-4, 1, 3, c))
+
+        fails = {}
+        for c in ((0.0, 0.0), (3.0, -1.5)):
+            path = tmp_path / f"toy{c}.series"
+            save_series(path, toy(c), Gevrey(1.0, 0.5))
+            code, out, _ = run(capsys, "morse-check", "--series", str(path), "--gamma",
+                               "0.9", "--tau", "2", "--L-max", "2", "--grid", "9")
+            assert code == 2 and "morse-check: FAIL" in out
+            fails[c] = [
+                (lattice, tuple(float(x) - ci for x, ci in zip(point.split(","), c)), rest)
+                for lattice, point, rest in re.findall(
+                    r"lattice=(.*) at point \((.*)\): (.*)", out)
+            ]
+        assert len(fails[(0.0, 0.0)]) == 4
+        assert fails[(3.0, -1.5)] == fails[(0.0, 0.0)]
 
 
 class TestDrift:
@@ -149,6 +175,22 @@ class TestRestrain:
         else:
             assert "NOT RESTRAINED" in out  # honest failure also acceptable
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--multipliers", "c_mu=1.2,smalness=3,length=4", "'smalness'"),
+        ("--multipliers", "c_mu=nan", "c_mu"),
+        ("--multipliers", "c_mu=-1.2", "c_mu"),
+        ("--multipliers", "smallness=inf", "smallness"),
+        ("--multipliers", "length=-4", "length"),
+        ("--mu0", "nan", "mu0"),
+    ])
+    def test_invalid_multiplier_or_mu0_is_error(self, capsys, flag, value, name):
+        code, out, err = run(
+            capsys, "restrain", "--system", "quasiconvex", "--eps", "1e-6",
+            "--seed", "12", "--t-cap", "8", flag, value,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and name in err
+
     def test_series_without_eps_uses_perturbation_norm(self, capsys, tmp_path):
         # without --eps the time budget reads epsilon = |f|, as every other
         # --series command does; the run must equal one given that value
@@ -181,6 +223,15 @@ class TestConditions:
         )
         assert code == 2   # condition (i) fails at these parameters
         assert "overall: FAIL" in out
+
+    def test_nan_input_is_error(self, capsys):
+        code, out, err = run(
+            capsys, "conditions", "--n", "2", "--tau", "2", "--gamma", "0.9",
+            "--eps", "1e-12", "--m", "1", "--mu0", "1e-2",
+            "--mus", "5e-5,nan", "--Ts", "2,3", "--Ls", "2,3",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: mus must be finite")
 
 
 class TestScaling:
