@@ -9,10 +9,9 @@ only: the fraction is recorded, never asserted.
 import argparse
 import csv
 
-import numpy as np
-
+from driftbench.series import Domain, FourierTaylorSeries
 from driftbench.steepness import sample_prevalence
-from driftbench.systems import QuadraticHamiltonian, SeriesHamiltonian, degenerate_steep
+from driftbench.systems import SeriesHamiltonian, degenerate_steep, quasi_convex
 
 
 def main() -> None:
@@ -24,11 +23,14 @@ def main() -> None:
     ap.add_argument("--out", default="prevalence.csv")
     args = ap.parse_args()
 
+    d = Domain(2, 1.0)
     cases = {
-        "identity-quadratic": QuadraticHamiltonian(np.eye(2)),
-        "degenerate-quadratic": QuadraticHamiltonian(np.diag([1.0, 0.0])),
-        "zero": QuadraticHamiltonian(np.zeros((2, 2))),
-        "degenerate-steep-toy": SeriesHamiltonian(degenerate_steep(0.0).hamiltonian.integrable),
+        "identity-quadratic": quasi_convex(0.0).h_action,           # |I|^2/2
+        "degenerate-quadratic": SeriesHamiltonian(                  # I_1^2/2
+            FourierTaylorSeries.monomial(d, (2, 0), 0.5)
+        ),
+        "zero": SeriesHamiltonian(FourierTaylorSeries.zero(d)),
+        "degenerate-steep-toy": degenerate_steep(0.0).h_action,
     }
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

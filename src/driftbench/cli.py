@@ -97,7 +97,7 @@ def _load_system(args) -> System:
         reg = reg or Gevrey(1.0, 0.5)
         eps = f.coefficient_norm() if getattr(args, "eps", None) is None else args.eps
         ham = HamiltonianSystem(h, f, eps, reg)
-        return System(f"series:{args.series}", ham, SeriesHamiltonian(h))
+        return System(f"series:{args.series}", ham)
     name = getattr(args, "system", None)
     if not name:
         raise CliError("need --system NAME or --series FILE")
@@ -134,13 +134,11 @@ def cmd_approx(args) -> int:
 def cmd_morse_check(args) -> int:
     system = _load_system(args)
     params = MorseParams(args.gamma, args.tau)
-    h, center = system.h_action, (0.0,) * system.domain.n
-    if args.series:
-        # the check samples the ball around the origin: move the series'
-        # center there, and its worst points back
-        series = system.hamiltonian.integrable
-        center = series.center
-        h = SeriesHamiltonian(recenter_scale(series, center, 1.0))
+    # the check samples the ball around the origin: move the center of h
+    # there, and its worst points back
+    integrable = system.hamiltonian.integrable
+    center = integrable.center
+    h = SeriesHamiltonian(recenter_scale(integrable, center, 1.0))
     report = check_morse(
         h, params, args.L_max, system.domain.n, R=system.domain.R, grid_res=args.grid,
     )
@@ -193,14 +191,22 @@ def cmd_normalform(args) -> int:
     return 0 if result.symmetry_checked else 2
 
 
+def _draw_start(system: System, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded start point: theta0 uniform on the torus, I0 uniform in the cube
+    of half-width R/2 around the center of h."""
+    n = system.domain.n
+    rng = np.random.default_rng(seed)
+    theta0 = rng.uniform(0, 1, n)
+    half = system.domain.R / 2
+    I0 = rng.uniform(-half, half, n) + np.asarray(system.hamiltonian.integrable.center)
+    return theta0, I0
+
+
 def cmd_drift(args) -> int:
     system = _load_system(args)
     n = system.domain.n
-    rng = np.random.default_rng(args.seed)
-    theta0 = rng.uniform(0, 1, n)
-    I0 = rng.uniform(-system.domain.R / 2, system.domain.R / 2, n)
     cfg = IntegratorConfig(step=args.step, sample_stride=args.stride)
-    res = drift_time(system, (theta0, I0), args.threshold, args.t_cap, cfg)
+    res = drift_time(system, _draw_start(system, args.seed), args.threshold, args.t_cap, cfg)
     label = "sentinel (no crossing)" if not res.crossed else f"{res.time:.6g}"
     print(f"drift time at threshold {args.threshold}: {label}")
     if args.out:
@@ -230,12 +236,8 @@ def cmd_restrain(args) -> int:
     ham = system.hamiltonian
     budget = time_budget(ham.epsilon, ham.regularity, exps, args.m_multiplier)
     tau_m = min(budget.tau_m, args.t_cap)
-    rng = np.random.default_rng(args.seed)
-    n = system.domain.n
-    theta0 = rng.uniform(0, 1, n)
-    I0 = rng.uniform(-system.domain.R / 2, system.domain.R / 2, n)
     cfg = IntegratorConfig(step=args.step, sample_stride=args.stride)
-    traj = integrate(system, (theta0, I0), tau_m, cfg)
+    traj = integrate(system, _draw_start(system, args.seed), tau_m, cfg)
     res = try_restrain(
         system, traj, args.mu0, budget, MorseParams(args.gamma, args.tau),
         exps=exps, multipliers=_parse_multipliers(args.multipliers),

@@ -33,6 +33,7 @@ from .series import (
     DomainError,
     FourierTaylorSeries,
     HamiltonianSystem,
+    SeriesStack,
     poisson_bracket,
     recenter_scale,
 )
@@ -491,12 +492,9 @@ def localize_and_scale(
         system.perturbation, I_center, mu, new_domain=scaled_domain
     ).scaled(1.0 / mu)
     f_tilde = h_tilde + f_scaled
-    grad = np.array([
-        system.integrable.partial_action(j)._evaluate_unchecked(
-            (0.0,) * domain.n, I_center
-        )
-        for j in range(domain.n)
-    ])
+    grad = SeriesStack(
+        [system.integrable.partial_action(j) for j in range(domain.n)]
+    ).values(np.zeros(domain.n), np.asarray(I_center))
     mismatch = float(np.max(np.abs(grad - omega.as_floats())))
     return LocalizedHamiltonian(
         omega=omega,

@@ -375,7 +375,8 @@ class FourierTaylorSeries:
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, theta: Sequence[float], action: Sequence[float]) -> float:
-        """Evaluate at a single phase-space point; returns a real value."""
+        """Evaluate at a single phase-space point; returns a real value.  The
+        pointwise reference that the batched ``SeriesStack`` reads match."""
         theta = _as_tuple(theta)
         action = _as_tuple(action)
         if len(theta) != self.domain.n or len(action) != self.domain.n:
@@ -385,9 +386,6 @@ class FourierTaylorSeries:
                 f"action {action} outside ball of radius {self.domain.R} "
                 f"around {self.center}"
             )
-        return self._evaluate_unchecked(theta, action)
-
-    def _evaluate_unchecked(self, theta: Sequence[float], action: Sequence[float]) -> float:
         total = 0j
         diff = [a - c for a, c in zip(action, self.center)]
         for (k, l), c in self._coeffs.items():

@@ -9,6 +9,8 @@ the smallest L where it appears; reports record that L.
 
 Continuum quantifiers (points of B_R, all L) are sampled: points on a grid
 over the Euclidean ball, L up to a cap.  Reports carry both resolutions.
+Every check reads h through ``SeriesHamiltonian``, the gradient and Hessian
+of its angle-independent series.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .diophantine import (
     enumerate_GL,
     projections,
 )
-from .systems import ActionHamiltonian
+from .series import FourierTaylorSeries
+from .systems import SeriesHamiltonian
 
 DEFAULT_GAMMA_LADDER = tuple(0.5 ** i for i in range(21))
 
@@ -38,10 +41,10 @@ class MorseParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma:
-            raise ValueError("gamma must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     def threshold(self, L: int) -> float:
         return self.gamma * float(L) ** (-self.tau)
@@ -126,7 +129,7 @@ class BranchResult:
 
 
 def check_morse_at(
-    h: ActionHamiltonian,
+    h: SeriesHamiltonian,
     s: RationalSubspace,
     point: Sequence[float],
     params: MorseParams,
@@ -169,7 +172,7 @@ class SubspaceMargin:
     worst_sigma: float
 
 
-def _grid_hessians(h: ActionHamiltonian, points: np.ndarray) -> np.ndarray:
+def _grid_hessians(h: SeriesHamiltonian, points: np.ndarray) -> np.ndarray:
     """The Hessians at the grid points, stacked; only the one at ``points[0]``
     when it agrees with the one at ``points[-1]`` (h quadratic)."""
     H0 = h.hess(points[0])
@@ -182,7 +185,7 @@ def _grid_hessians(h: ActionHamiltonian, points: np.ndarray) -> np.ndarray:
 
 
 def subspace_margins(
-    h: ActionHamiltonian, n: int, R: float, L_max: int, res: int
+    h: SeriesHamiltonian, n: int, R: float, L_max: int, res: int
 ) -> list[SubspaceMargin]:
     """Margins for every subspace of every G^L(n, k), L <= L_max, each at its
     minimal L.  The Morse condition at parameters (gamma, tau) then reads
@@ -236,7 +239,7 @@ class MorseReport:
 
 
 def check_morse(
-    h: ActionHamiltonian,
+    h: SeriesHamiltonian,
     params: MorseParams,
     L_max: int,
     n: int,
@@ -282,7 +285,7 @@ class PrevalenceReport:
 
 
 def sample_prevalence(
-    h: ActionHamiltonian,
+    h: SeriesHamiltonian,
     tau: float,
     num_samples: int,
     xi_box: float,
@@ -292,21 +295,24 @@ def sample_prevalence(
     grid_res: int = 17,
     seed: int = 0,
 ) -> PrevalenceReport:
-    """Draw xi uniformly from a box and search the gamma ladder for h - xi.I.
+    """Draw xi uniformly from a box and search the gamma ladder for h - xi.I,
+    built as the series h - xi.(I - center): the constant xi.center does not
+    change its gradient or Hessian.
 
     Requires tau > 2(n^2 + 1), matching the hypothesis under which the shift
     family is known to be almost-surely Morse.
     """
     if tau <= 2 * (n ** 2 + 1):
         raise ValueError(f"prevalence sampling needs tau > 2(n^2+1) = {2 * (n**2 + 1)}")
-    from .systems import ShiftedHamiltonian
-
+    series = h.series
     rng = np.random.default_rng(seed)
     gammas: list[float | None] = []
     hist: dict[float, int] = {}
     for _ in range(num_samples):
         xi = rng.uniform(-xi_box, xi_box, size=n)
-        shifted = ShiftedHamiltonian(h, xi)
+        shifted = SeriesHamiltonian(series - FourierTaylorSeries.linear(
+            series.domain, xi, series.k_max, series.d_max, series.center,
+        ))
         margins = subspace_margins(shifted, n, R, L_max, grid_res)
         g = best_gamma(margins, tau)
         gammas.append(g)
@@ -373,7 +379,7 @@ class EscapeResult:
 
 def steepness_escape(
     q: SteepnessQuery,
-    h: ActionHamiltonian,
+    h: SeriesHamiltonian,
     gamma: float,
     tau: float,
     grad_multiplier: float = 1.0,

@@ -1,17 +1,19 @@
-"""Builtin Hamiltonian families and action-space adapters.
+"""Builtin Hamiltonian families and the action-space reader of h.
 
-The steepness and restrain machinery only ever sees the integrable part
-through the small ``ActionHamiltonian`` interface (value/gradient/Hessian at
-an action point, with optional vectorized gradients for grid scans).  The
-builtin families span the regimes the experiments target: quasi-convex,
-linear with a Diophantine frequency, and a degenerate non-steep toy.
+Each system holds one representation of its integrable part h: the
+angle-independent series ``hamiltonian.integrable`` that the dynamics and
+the normal forms read.  The steepness and restrain machinery reads the same
+series through ``SeriesHamiltonian`` (gradient and Hessian at an action
+point, gradients over a stack of points).  The builtin families span the
+regimes the experiments target: quasi-convex, linear with a Diophantine
+frequency, and a degenerate non-steep toy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,66 +24,9 @@ from .series import (
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-class ActionHamiltonian(Protocol):
-    """Evaluable integrable Hamiltonian h(I) with gradient and Hessian."""
-
-    def value(self, I: np.ndarray) -> float: ...
-    def grad(self, I: np.ndarray) -> np.ndarray: ...
-    def hess(self, I: np.ndarray) -> np.ndarray: ...
-
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        """Gradients at an (m, n) stack of points, as an (m, n) array."""
-        ...
-
-
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """h(I) = 1/2 I.A I + b.I + c with constant Hessian A."""
-
-    A: np.ndarray
-    b: np.ndarray | None = None
-    c: float = 0.0
-
-    def _b(self) -> np.ndarray:
-        return self.b if self.b is not None else np.zeros(self.A.shape[0])
-
-    def value(self, I: np.ndarray) -> float:
-        I = np.asarray(I, dtype=float)
-        return float(0.5 * I @ self.A @ I + self._b() @ I + self.c)
-
-    def grad(self, I: np.ndarray) -> np.ndarray:
-        return self.A @ np.asarray(I, dtype=float) + self._b()
-
-    def hess(self, I: np.ndarray) -> np.ndarray:
-        return np.array(self.A, dtype=float)
-
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(points) @ self.A.T + self._b()
-
-
-@dataclass(frozen=True)
-class LinearHamiltonian:
-    """h(I) = omega.I."""
-
-    omega: np.ndarray
-
-    def value(self, I: np.ndarray) -> float:
-        return float(np.asarray(self.omega) @ np.asarray(I, dtype=float))
-
-    def grad(self, I: np.ndarray) -> np.ndarray:
-        return np.array(self.omega, dtype=float)
-
-    def hess(self, I: np.ndarray) -> np.ndarray:
-        n = len(self.omega)
-        return np.zeros((n, n))
-
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return np.broadcast_to(np.asarray(self.omega, dtype=float), pts.shape).copy()
-
-
 class SeriesHamiltonian:
-    """Adapter for an angle-independent series; each read is one term table."""
+    """An angle-independent series h read at action points; each read is one
+    term table of its derivatives."""
 
     def __init__(self, series: FourierTaylorSeries) -> None:
         if not series.angle_independent():
@@ -89,12 +34,8 @@ class SeriesHamiltonian:
         self.series = series
         n = series.domain.n
         grad = [series.partial_action(j) for j in range(n)]
-        self._value_table = SeriesStack([series])
         self._grad_table = SeriesStack(grad)
         self._hess_table = SeriesStack([g.partial_action(j) for g in grad for j in range(n)])
-
-    def value(self, I: np.ndarray) -> float:
-        return float(self._value_table.values(None, np.asarray(I, dtype=float))[0])
 
     def grad(self, I: np.ndarray) -> np.ndarray:
         return self._grad_table.values(None, np.asarray(I, dtype=float))
@@ -104,40 +45,25 @@ class SeriesHamiltonian:
         return self._hess_table.values(None, np.asarray(I, dtype=float)).reshape(n, n)
 
     def grad_many(self, points: np.ndarray) -> np.ndarray:
+        """Gradients at an (m, n) stack of points, as an (m, n) array."""
         return self._grad_table.values(None, np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 @dataclass(frozen=True)
-class ShiftedHamiltonian:
-    """h_xi(I) = h(I) - xi.I, the linear shift used in prevalence sampling."""
-
-    base: ActionHamiltonian
-    xi: np.ndarray
-
-    def value(self, I: np.ndarray) -> float:
-        return self.base.value(I) - float(np.asarray(self.xi) @ np.asarray(I, dtype=float))
-
-    def grad(self, I: np.ndarray) -> np.ndarray:
-        return self.base.grad(I) - np.asarray(self.xi, dtype=float)
-
-    def hess(self, I: np.ndarray) -> np.ndarray:
-        return self.base.hess(I)
-
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        return self.base.grad_many(points) - np.asarray(self.xi, dtype=float)
-
-
-@dataclass(frozen=True)
 class System:
-    """A named Hamiltonian bundle: series form plus action-space adapter."""
+    """A named Hamiltonian H = h + f; h is read at action points through
+    ``h_action``."""
 
     name: str
     hamiltonian: HamiltonianSystem
-    h_action: ActionHamiltonian
 
     @property
     def domain(self) -> Domain:
         return self.hamiltonian.domain
+
+    @property
+    def h_action(self) -> SeriesHamiltonian:
+        return SeriesHamiltonian(self.hamiltonian.integrable)
 
 
 def _default_gevrey() -> Gevrey:
@@ -150,7 +76,7 @@ def pendulum(eps: float, R: float = 2.0, regularity: Regularity | None = None) -
     h = FourierTaylorSeries.monomial(d, (2,), 0.5, k_max=1, d_max=2)
     f = FourierTaylorSeries.cosine(d, (1,), eps, k_max=1, d_max=2)
     ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("pendulum", ham, QuadraticHamiltonian(np.eye(1)))
+    return System("pendulum", ham)
 
 
 def quasi_convex(
@@ -167,7 +93,7 @@ def quasi_convex(
         )
     f = FourierTaylorSeries.cosine(d, mode, eps, k_max=h.k_max, d_max=2)
     ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("quasi-convex", ham, QuadraticHamiltonian(np.eye(n)))
+    return System("quasi-convex", ham)
 
 
 def linear_diophantine(
@@ -181,7 +107,7 @@ def linear_diophantine(
     h = FourierTaylorSeries.linear(d, w, k_max=max(abs(m) for m in mode), d_max=1)
     f = FourierTaylorSeries.cosine(d, mode, eps, k_max=h.k_max, d_max=1)
     ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("linear-diophantine", ham, LinearHamiltonian(w))
+    return System("linear-diophantine", ham)
 
 
 def degenerate_steep(
@@ -195,7 +121,7 @@ def degenerate_steep(
     )
     f = FourierTaylorSeries.cosine(d, (0, 1), eps, k_max=1, d_max=3)
     ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("degenerate-steep", ham, SeriesHamiltonian(h))
+    return System("degenerate-steep", ham)
 
 
 BUILTIN_SYSTEMS: dict[str, Callable[..., System]] = {

@@ -13,6 +13,7 @@ import sympy as sp
 from hypothesis import strategies as st
 
 from driftbench.series import Domain, FourierTaylorSeries
+from driftbench.systems import SeriesHamiltonian
 
 
 def series_to_sympy(s: FourierTaylorSeries):
@@ -83,6 +84,22 @@ def small_series(
         else:
             coeffs[(k, l)] = coeffs[(k, l)].real + 0j
     return FourierTaylorSeries(domain, coeffs, k_max, d_max)
+
+
+def action_h(A=None, omega=None) -> SeriesHamiltonian:
+    """h(I) = 1/2 I.A I for a symmetric A, or omega.I, as a series: 1/2 A_ii
+    on I_i^2 and A_ij on I_i I_j for i < j, so the Hessian is exactly A.  The
+    domain is the unit ball."""
+    if omega is not None:
+        return SeriesHamiltonian(FourierTaylorSeries.linear(Domain(len(omega), 1.0), omega))
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    coeffs = {}
+    for i in range(n):
+        for j in range(i, n):
+            l = tuple((p == i) + (p == j) for p in range(n))
+            coeffs[((0,) * n, l)] = 0.5 * A[i, i] if i == j else A[i, j]
+    return SeriesHamiltonian(FourierTaylorSeries(Domain(n, 1.0), coeffs, 0, 2))
 
 
 def sample_points(n: int, count: int = 5, seed: int = 0):

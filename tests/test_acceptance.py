@@ -16,6 +16,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
+from conftest import action_h
 from driftbench.diophantine import (
     PeriodicVector,
     ResonanceFrame,
@@ -44,7 +45,7 @@ from driftbench.normalform import (
 from driftbench.restrain import exponents, try_restrain
 from driftbench.series import Domain, FourierTaylorSeries, Gevrey, poisson_bracket
 from driftbench.steepness import MorseParams, best_gamma, check_morse, subspace_margins
-from driftbench.systems import GOLDEN, LinearHamiltonian, QuadraticHamiltonian, pendulum, quasi_convex
+from driftbench.systems import GOLDEN, pendulum, quasi_convex
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -354,9 +355,9 @@ def test_criterion_09_integrator_health():
 
 
 def test_criterion_10_morse_checker_verdicts():
-    identity = QuadraticHamiltonian(np.eye(2))
-    degenerate = QuadraticHamiltonian(np.diag([1.0, 0.0]))
-    golden = LinearHamiltonian(np.array([1.0, GOLDEN]))
+    identity = action_h(np.eye(2))
+    degenerate = action_h(np.diag([1.0, 0.0]))
+    golden = action_h(omega=[1.0, GOLDEN])
     margins = subspace_margins(golden, 2, 1.0, 5, 33)
     measured_gamma = best_gamma(margins, 2.0)
     assert measured_gamma is not None

@@ -15,11 +15,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _quasi_convex_series():
-    d = Domain(2, 1.0)
-    return (FourierTaylorSeries.monomial(d, (2, 0), 0.5, k_max=1, d_max=2)
-            + FourierTaylorSeries.monomial(d, (0, 2), 0.5, k_max=1, d_max=2)
-            + FourierTaylorSeries.cosine(d, (1, 1), 1e-4, k_max=1, d_max=2))
+def _quasi_convex_series(center=None, R=1.0):
+    d = Domain(2, R)
+    return (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 1, 2, center)
+            + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 1, 2, center)
+            + FourierTaylorSeries.cosine(d, (1, 1), 1e-4, 1, 2, center))
+
+
+def _off_center_series_file(tmp_path):
+    """|I - c|^2/2 + 1e-4 cos(2 pi (theta_1 + theta_2)) at c = (3, -1.5),
+    R = 0.5, far from the origin."""
+    path = tmp_path / "off.series"
+    save_series(path, _quasi_convex_series((3.0, -1.5), 0.5), Gevrey(1.0, 0.5))
+    return path
 
 
 class TestExponents:
@@ -94,6 +102,18 @@ class TestMorseCheck:
         assert len(fails[(0.0, 0.0)]) == 4
         assert fails[(3.0, -1.5)] == fails[(0.0, 0.0)]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau", "nan"), ("--tau", "inf"), ("--gamma", "nan"), ("--gamma", "inf"),
+    ])
+    def test_non_finite_gamma_or_tau_is_error(self, capsys, flag, value):
+        opts = {"--gamma": "0.9", "--tau": "2", flag: value}
+        code, out, err = run(
+            capsys, "morse-check", "--system", "degenerate", "--eps", "1e-4",
+            "--L-max", "2", "--grid", "9", *[x for kv in opts.items() for x in kv],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and flag[2:] in err
+
 
 class TestDrift:
     def test_deterministic_csv(self, capsys, tmp_path):
@@ -114,6 +134,18 @@ class TestDrift:
             "--seed", "1", "--threshold", "0.9", "--t-cap", "2", "--out", str(path))
         header = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][0]
         assert header == "t,theta_1,theta_2,I_1,I_2,H,config_hash"
+
+    def test_series_off_center_starts_inside_its_ball(self, capsys, tmp_path):
+        # I0 is drawn in [-R/2, R/2]^n around the center of h, so the
+        # trajectory starts inside the ball and is integrated
+        traj = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, "drift", "--series", str(_off_center_series_file(tmp_path)),
+                         "--seed", "1", "--t-cap", "5", "--out", str(traj))
+        assert code == 0
+        rows = [ln.split(",") for ln in traj.read_text().splitlines()[2:]]
+        assert len(rows) > 2
+        I0 = (float(rows[0][3]), float(rows[0][4]))
+        assert abs(I0[0] - 3.0) <= 0.25 and abs(I0[1] + 1.5) <= 0.25
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--step", "inf", "step"), ("--step", "nan", "step"),
@@ -201,6 +233,16 @@ class TestRestrain:
         assert code in (0, 2) and "Traceback" not in err
         f_norm = split_by_modes(load_series(path)[0])[1].coefficient_norm()
         assert run(capsys, *args, "--eps", repr(f_norm)) == (code, out, err)
+
+    def test_series_off_center_starts_inside_its_ball(self, capsys, tmp_path):
+        # the start is drawn around the center of h: the monitor gets past
+        # the domain check and runs its witness search
+        code, out, err = run(
+            capsys, "restrain", "--series", str(_off_center_series_file(tmp_path)),
+            "--seed", "1", "--t-cap", "5", "--mu0", "0.01",
+        )
+        assert code in (0, 2) and "Traceback" not in err
+        assert "left B_R" not in out
 
     def test_series_with_zero_eps_rejected(self, capsys, tmp_path):
         # an explicit --eps 0 is an error, as with --system; it is not

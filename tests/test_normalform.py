@@ -403,7 +403,7 @@ class TestConjugatedDynamics:
         traj = integrate(sys, ((0.2, 0.6), (0.3, 0.1)), 50.0,
                          IntegratorConfig(step=5e-3, sample_stride=20))
         conj = np.array([
-            [c._evaluate_unchecked(tuple(th), tuple(ac)) for c in inv_coords]
+            [c.evaluate(tuple(th), tuple(ac)) for c in inv_coords]
             for th, ac in zip(traj.thetas, traj.actions)
         ])
         raw_osc = float(np.max(np.abs(traj.actions - traj.actions[0])))

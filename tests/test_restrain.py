@@ -29,7 +29,7 @@ from driftbench.series import (
     HamiltonianSystem,
 )
 from driftbench.steepness import MorseParams
-from driftbench.systems import SeriesHamiltonian, System, quasi_convex
+from driftbench.systems import System, quasi_convex
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -194,8 +194,7 @@ def _quasi_convex_at(center, eps):
     h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 1, 2, center)
          + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 1, 2, center))
     f = FourierTaylorSeries.cosine(d, (1, 1), eps, 1, 2, center)
-    return System("quasi-convex", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)),
-                  SeriesHamiltonian(h))
+    return System("quasi-convex", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)))
 
 
 class TestTransformFallback:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import action_h
 from driftbench.diophantine import RationalSubspace, ResonanceFrame, period_of
 from driftbench.steepness import (
     MorseParams,
@@ -18,17 +19,23 @@ from driftbench.steepness import (
     steepness_escape,
     subspace_margins,
 )
-from driftbench.systems import (
-    GOLDEN,
-    LinearHamiltonian,
-    QuadraticHamiltonian,
-    SeriesHamiltonian,
-    degenerate_steep,
-)
+from driftbench.systems import GOLDEN, SeriesHamiltonian, degenerate_steep
 
-IDENTITY = QuadraticHamiltonian(np.eye(2))
-DEGENERATE = QuadraticHamiltonian(np.diag([1.0, 0.0]))
-LINEAR_GOLDEN = LinearHamiltonian(np.array([1.0, GOLDEN]))
+IDENTITY = action_h(np.eye(2))
+DEGENERATE = action_h(np.diag([1.0, 0.0]))
+LINEAR_GOLDEN = action_h(omega=[1.0, GOLDEN])
+
+
+class TestMorseParams:
+    @pytest.mark.parametrize("gamma, tau", [
+        (0.9, math.nan), (0.9, math.inf), (0.9, -1.0),
+        (math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0),
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, gamma, tau):
+        # a NaN tau would make every threshold gamma * L^-tau with L >= 2 NaN,
+        # and those subspaces could never fail
+        with pytest.raises(ValueError):
+            MorseParams(gamma, tau)
 
 
 class TestAdaptedCoordinates:
@@ -89,8 +96,8 @@ class TestCheckMorseAt:
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(2, 2))
         A = A + A.T
-        h = QuadraticHamiltonian(A)
-        h2 = QuadraticHamiltonian(factor * A)
+        h = action_h(A)
+        h2 = action_h(factor * A)
         s = RationalSubspace(((1, 1),), 2)
         pt = rng.uniform(-0.5, 0.5, 2)
         r1 = check_morse_at(h, s, pt, MorseParams(0.25, 2.0), 2)
@@ -114,7 +121,7 @@ class TestCheckMorse:
         assert ((0, 1),) in keys   # Lambda = span{e_2}
 
     def test_n1_edge_case(self):
-        h = QuadraticHamiltonian(np.eye(1))
+        h = action_h(np.eye(1))
         rep = check_morse(h, MorseParams(0.9, 2.0), 2, 1, grid_res=17)
         assert rep.passed
         assert rep.subspace_counts == {1: 1}
@@ -139,7 +146,7 @@ class TestCheckMorse:
         rng = np.random.default_rng(seed)
         B = rng.normal(size=(2, 2))
         Q = B @ B.T + 0.05 * np.eye(2)
-        h = QuadraticHamiltonian(Q)
+        h = action_h(Q)
         params = MorseParams(0.3, 2.0)
         rep = check_morse(h, params, 3, 2, grid_res=9)
         expected = True
@@ -175,7 +182,7 @@ class TestPrevalence:
         assert all(g is not None for g in rep.gammas)
 
     def test_zero_hamiltonian_recorded_not_asserted(self):
-        h = QuadraticHamiltonian(np.zeros((2, 2)))
+        h = action_h(np.zeros((2, 2)))
         rep = sample_prevalence(h, 11.0, 8, 1.0, 2, L_max=2, grid_res=9, seed=2)
         assert rep.fraction is not None  # recorded; value depends on draws
 
@@ -232,7 +239,7 @@ class TestSteepnessEscape:
 
     def test_not_found_flagged_as_counterexample(self):
         # gradient identically zero: no escape can occur
-        h = QuadraticHamiltonian(np.zeros((2, 2)))
+        h = action_h(np.zeros((2, 2)))
         q = self._radial_query()
         r = steepness_escape(q, h, 0.9, 2.0)
         assert not r.found
