@@ -191,22 +191,12 @@ def cmd_normalform(args) -> int:
     return 0 if result.symmetry_checked else 2
 
 
-def _draw_start(system: System, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded start point: theta0 uniform on the torus, I0 uniform in the cube
-    of half-width R/2 around the center of h."""
-    n = system.domain.n
-    rng = np.random.default_rng(seed)
-    theta0 = rng.uniform(0, 1, n)
-    half = system.domain.R / 2
-    I0 = rng.uniform(-half, half, n) + np.asarray(system.hamiltonian.integrable.center)
-    return theta0, I0
-
-
 def cmd_drift(args) -> int:
     system = _load_system(args)
     n = system.domain.n
     cfg = IntegratorConfig(step=args.step, sample_stride=args.stride)
-    res = drift_time(system, _draw_start(system, args.seed), args.threshold, args.t_cap, cfg)
+    start = experiments.initial_condition(system, np.random.default_rng(args.seed))
+    res = drift_time(system, start, args.threshold, args.t_cap, cfg)
     label = "sentinel (no crossing)" if not res.crossed else f"{res.time:.6g}"
     print(f"drift time at threshold {args.threshold}: {label}")
     if args.out:
@@ -237,7 +227,8 @@ def cmd_restrain(args) -> int:
     budget = time_budget(ham.epsilon, ham.regularity, exps, args.m_multiplier)
     tau_m = min(budget.tau_m, args.t_cap)
     cfg = IntegratorConfig(step=args.step, sample_stride=args.stride)
-    traj = integrate(system, _draw_start(system, args.seed), tau_m, cfg)
+    start = experiments.initial_condition(system, np.random.default_rng(args.seed))
+    traj = integrate(system, start, tau_m, cfg)
     res = try_restrain(
         system, traj, args.mu0, budget, MorseParams(args.gamma, args.tau),
         exps=exps, multipliers=_parse_multipliers(args.multipliers),

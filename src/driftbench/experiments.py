@@ -114,14 +114,14 @@ class ScalingRecord:
 
 
 def initial_condition(
-    cfg: ExperimentConfig, system: System, eps_index: int, ic_index: int
+    system: System, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic initial condition: theta uniform on the torus, action
-    uniform in the half-radius ball."""
-    rng = np.random.default_rng([cfg.seed, eps_index, ic_index])
+    """Seeded start point: theta uniform on the torus, then the action uniform
+    in the cube of half-width R/2 around the center of h."""
     n = system.domain.n
     theta = rng.uniform(0.0, 1.0, size=n)
-    action = rng.uniform(-system.domain.R / 2, system.domain.R / 2, size=n)
+    half = system.domain.R / 2
+    action = rng.uniform(-half, half, size=n) + np.asarray(system.hamiltonian.integrable.center)
     return theta, action
 
 
@@ -139,7 +139,9 @@ def run_row(
     else:
         threshold = cfg.threshold_scale * math.sqrt(eps)
     threshold = min(threshold, system.domain.R)  # stay measurable in B_R
-    theta0, I0 = initial_condition(cfg, system, eps_index, ic_index)
+    theta0, I0 = initial_condition(
+        system, np.random.default_rng([cfg.seed, eps_index, ic_index])
+    )
     icfg = cfg.integrator()
     t0 = time.monotonic()
     deadline = t0 + cfg.wall_cap_s

@@ -37,6 +37,7 @@ from .series import (
     poisson_bracket,
     recenter_scale,
 )
+from .systems import SeriesHamiltonian
 
 
 class AveragingDivergenceError(RuntimeError):
@@ -346,11 +347,9 @@ def verify_resonant_symmetry(g: FourierTaylorSeries, frame: ResonanceFrame) -> b
     _, Pperp = projections(frame)
     theta_pts = _SYMMETRY_GRID.theta_points(g.domain.n)
     action_pts = _SYMMETRY_GRID.action_points(g.domain) + np.asarray(g.center)
-    grads = [
-        g.partial_theta(j).evaluate_grid(theta_pts, action_pts)
-        for j in range(g.domain.n)
-    ]
-    stacked = np.stack(grads, axis=0)      # (n, P, Q)
+    stacked = SeriesStack(
+        [g.partial_theta(j) for j in range(g.domain.n)]
+    ).grid_values(theta_pts, action_pts)      # (n, P, Q)
     proj = np.einsum("ij,jpq->ipq", Pperp, stacked)
     return bool(np.max(np.abs(proj)) <= _SYMMETRY_TOL * scale)
 
@@ -492,9 +491,7 @@ def localize_and_scale(
         system.perturbation, I_center, mu, new_domain=scaled_domain
     ).scaled(1.0 / mu)
     f_tilde = h_tilde + f_scaled
-    grad = SeriesStack(
-        [system.integrable.partial_action(j) for j in range(domain.n)]
-    ).values(np.zeros(domain.n), np.asarray(I_center))
+    grad = SeriesHamiltonian(system.integrable).grad(I_center)
     mismatch = float(np.max(np.abs(grad - omega.as_floats())))
     return LocalizedHamiltonian(
         omega=omega,
@@ -561,10 +558,9 @@ def local_normal_form(
     )
     theta_pts = grid.theta_points(system.domain.n)
     action_pts = grid.action_points(back_domain)
-    dtheta_sup = 0.0
-    for jj in range(system.domain.n):
-        vals = rem_back.partial_theta(jj).evaluate_grid(theta_pts, action_pts)
-        dtheta_sup = max(dtheta_sup, float(np.max(np.abs(vals))))
+    dtheta_sup = float(np.max(np.abs(SeriesStack(
+        [rem_back.partial_theta(jj) for jj in range(system.domain.n)]
+    ).grid_values(theta_pts, action_pts))))
     tau_m = tau_m_value(cfg.m, system.regularity)
     target = mu_j / tau_m
 
@@ -575,8 +571,7 @@ def local_normal_form(
                          action_radius=2 * cfg.rho(1))
         th = sgrid.theta_points(system.domain.n)
         ac = sgrid.action_points(disp[0].domain)
-        for d in disp:
-            disp_sup = max(disp_sup, float(np.max(np.abs(d.evaluate_grid(th, ac)))))
+        disp_sup = float(np.max(np.abs(SeriesStack(disp).grid_values(th, ac))))
     disp_sup *= mu_j  # scaled back through sigma
 
     mismatch_margins = _b_condition_margins(system, frame, mu_schedule, cfg, loc)

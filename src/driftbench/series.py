@@ -20,6 +20,7 @@ bound the error they inherit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -404,27 +405,10 @@ class FourierTaylorSeries:
             )
         return total.real
 
-    def evaluate_grid(
-        self, theta_points: np.ndarray, action_points: np.ndarray
-    ) -> np.ndarray:
-        """Evaluate on the tensor grid theta_points x action_points.
-
-        ``theta_points`` has shape (P, n), ``action_points`` shape (Q, n);
-        the result has shape (P, Q).  Used by grid-sup norm computations.
-        """
-        theta_points = np.atleast_2d(np.asarray(theta_points, dtype=float))
-        action_points = np.atleast_2d(np.asarray(action_points, dtype=float))
-        if not self._coeffs:
-            return np.zeros((theta_points.shape[0], action_points.shape[0]))
-        K = np.array([k for (k, _) in self._coeffs], dtype=float)
-        L = np.array([l for (_, l) in self._coeffs], dtype=int)
-        C = np.array(list(self._coeffs.values()), dtype=complex)
-        E = np.exp(2j * math.pi * (K @ theta_points.T))  # (M, P)
-        diff = action_points - np.asarray(self.center)    # (Q, n)
-        with np.errstate(invalid="ignore"):
-            B = np.prod(diff[None, :, :] ** L[:, None, :], axis=2)  # (M, Q)
-        vals = (C[:, None] * E).T @ B  # (P, Q) via BLAS
-        return vals.real
+    def evaluate_grid(self, theta_points: np.ndarray, action_points: np.ndarray) -> np.ndarray:
+        """Values on the tensor grid theta_points (P, n) x action_points (Q, n),
+        shape (P, Q); see ``SeriesStack.grid_values``."""
+        return SeriesStack([self]).grid_values(theta_points, action_points)[0]
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -562,13 +546,14 @@ class FourierTaylorSeries:
 
 
 class SeriesStack:
-    """Same-geometry series packed into one term table for point reads.
+    """Same-geometry series packed into one term table: the one numpy reader
+    of series values.
 
-    ``values`` reads every row in one numpy pass, without the domain and
-    reality checks of ``evaluate``.
+    ``values`` reads every row at points, ``grid_values`` on tensor grids,
+    both without the domain and reality checks of ``evaluate``.
     """
 
-    __slots__ = ("K", "L", "C", "S", "center", "angle_free")
+    __slots__ = ("K", "L", "C", "S", "bounds", "center", "angle_free")
 
     def __init__(self, rows: Sequence[FourierTaylorSeries]) -> None:
         for s in rows[1:]:
@@ -581,6 +566,7 @@ class SeriesStack:
         # term-to-row selection, transposed: (term vector) @ S sums each row
         self.S = np.zeros((len(terms), len(rows)))
         self.S[np.arange(len(terms)), [t[0] for t in terms]] = 1.0
+        self.bounds = [0, *itertools.accumulate(len(s) for s in rows)]  # row r: [b_r, b_r+1)
         self.center = np.asarray(rows[0].center)
         self.angle_free = not self.K.any()
 
@@ -592,6 +578,24 @@ class SeriesStack:
         if self.angle_free:
             return (self.C.real * mono) @ self.S
         return (self.C * np.exp(2j * math.pi * (self.K @ theta)) * mono).real @ self.S
+
+    def grid_values(self, theta_points: np.ndarray, action_points: np.ndarray) -> np.ndarray:
+        """Every row on the tensor grid theta_points (P, n) x action_points
+        (Q, n), shape (rows, P, Q).  Each row is read from its own slice of
+        the term table, summed over its terms in one complex matrix product."""
+        theta_points = np.atleast_2d(np.asarray(theta_points, dtype=float))
+        action_points = np.atleast_2d(np.asarray(action_points, dtype=float))
+        diff = action_points - self.center    # (Q, n)
+        out = np.zeros((len(self.bounds) - 1, len(theta_points), len(action_points)))
+        for r, (start, end) in enumerate(itertools.pairwise(self.bounds)):
+            if start == end:
+                continue
+            K, L, C = self.K[start:end], self.L[start:end], self.C[start:end]
+            E = np.exp(2j * math.pi * (K @ theta_points.T))  # (M, P)
+            with np.errstate(invalid="ignore"):
+                B = np.prod(diff[None, :, :] ** L[:, None, :], axis=2)  # (M, Q)
+            out[r] = ((C[:, None] * E).T @ B).real
+        return out
 
 
 def _partition(
@@ -942,32 +946,53 @@ def save_series(
         fh.write("\n".join(lines) + "\n")
 
 
+_HEADER_FIELDS = {
+    "n": int, "R": float, "center": lambda rest: tuple(float(x) for x in rest.split()),
+    "k_max": int, "d_max": int, "regularity": parse_regularity,
+}
+
+
 def load_series(path) -> tuple[FourierTaylorSeries, Regularity | None]:
+    """Read the format of ``save_series``.  A malformed file (a bad or missing header
+    field, a term count that disagrees with the lines after it, a malformed or
+    repeated (k, l) line) raises ``ValueError`` naming the line."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if lines[0] != FORMAT_VERSION:
-        raise ValueError(f"unrecognized series file header {lines[0]!r}")
-    header = {}
-    i = 1
-    while not lines[i].startswith("coeffs "):
-        key, _, rest = lines[i].partition(" ")
-        header[key] = rest
-        i += 1
-    n = int(header["n"])
-    domain = Domain(n, float(header["R"]))
-    center = tuple(float(x) for x in header["center"].split())
-    k_max = int(header["k_max"])
-    d_max = int(header["d_max"])
-    reg = parse_regularity(header["regularity"])
-    count = int(lines[i].split()[1])
-    coeffs: dict[MultiIndex, complex] = {}
-    for line in lines[i + 1 : i + 1 + count]:
-        parts = line.split()
-        k = tuple(int(x) for x in parts[:n])
-        l = tuple(int(x) for x in parts[n : 2 * n])
-        re, im = float(parts[2 * n]), float(parts[2 * n + 1])
-        coeffs[(k, l)] = complex(re, im)
-    return FourierTaylorSeries(domain, coeffs, k_max, d_max, center), reg
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    no = 1
+    try:
+        if not lines or lines[0][1] != FORMAT_VERSION:
+            raise ValueError(f"expected the header {FORMAT_VERSION!r}")
+        header = {}
+        for i, (no, line) in enumerate(lines[1:], 1):
+            key, _, rest = line.partition(" ")
+            if key == "coeffs":
+                break
+            if key not in _HEADER_FIELDS:
+                raise ValueError(f"unknown header field {key!r}")
+            header[key] = _HEADER_FIELDS[key](rest)
+        else:
+            raise ValueError("no 'coeffs N' line follows the header")
+        if missing := [key for key in _HEADER_FIELDS if key not in header]:
+            raise ValueError(f"header lacks {', '.join(missing)}")
+        n, count, body = header["n"], int(rest), lines[i + 1:]
+        if len(body) != count:
+            if len(body) > count >= 0:
+                no = body[count][0]
+            raise ValueError(f"'coeffs {count}' but {len(body)} coefficient lines follow")
+        coeffs: dict[MultiIndex, complex] = {}
+        for no, line in body:
+            parts = line.split()
+            if len(parts) != 2 * n + 2:
+                raise ValueError(f"expected {2 * n + 2} fields, got {len(parts)}")
+            idx = (tuple(int(x) for x in parts[:n]), tuple(int(x) for x in parts[n:2 * n]))
+            if idx in coeffs:
+                raise ValueError(f"(k, l) = {idx} repeats an earlier line")
+            coeffs[idx] = complex(float(parts[2 * n]), float(parts[2 * n + 1]))
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"series file {path}, line {no}: {exc}") from None
+    series = FourierTaylorSeries(Domain(n, header["R"]), coeffs, header["k_max"],
+                                 header["d_max"], header["center"])
+    return series, header["regularity"]
 
 
 # -- Hamiltonian bundle ------------------------------------------------------------

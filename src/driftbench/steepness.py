@@ -10,7 +10,8 @@ the smallest L where it appears; reports record that L.
 Continuum quantifiers (points of B_R, all L) are sampled: points on a grid
 over the Euclidean ball, L up to a cap.  Reports carry both resolutions.
 Every check reads h through ``SeriesHamiltonian``, the gradient and Hessian
-of its angle-independent series.
+of its angle-independent series; the grid check reads both at every grid
+point, in one stacked read each, so no shape of h is assumed.
 """
 
 from __future__ import annotations
@@ -172,18 +173,6 @@ class SubspaceMargin:
     worst_sigma: float
 
 
-def _grid_hessians(h: SeriesHamiltonian, points: np.ndarray) -> np.ndarray:
-    """The Hessians at the grid points, stacked; only the one at ``points[0]``
-    when it agrees with the one at ``points[-1]`` (h quadratic)."""
-    H0 = h.hess(points[0])
-    if points.shape[0] < 2 or np.allclose(H0, h.hess(points[-1]), rtol=0, atol=1e-13):
-        return H0[None]
-    out = np.empty((len(points),) + H0.shape)
-    for i, p in enumerate(points):
-        out[i] = h.hess(p)
-    return out
-
-
 def subspace_margins(
     h: SeriesHamiltonian, n: int, R: float, L_max: int, res: int
 ) -> list[SubspaceMargin]:
@@ -191,8 +180,8 @@ def subspace_margins(
     minimal L.  The Morse condition at parameters (gamma, tau) then reads
     margin > gamma * L_min^{-tau} for every entry."""
     pts = action_ball_grid(n, R, res)
-    grads = h.grad_many(pts)
-    hessians = _grid_hessians(h, pts)
+    grads = h.grad(pts)
+    hessians = h.hess(pts)
     out: list[SubspaceMargin] = []
     seen: set[tuple] = set()
     for L in range(1, L_max + 1):
@@ -207,8 +196,6 @@ def subspace_margins(
                 blocks = E.T @ hessians @ E
                 sym = 0.5 * (blocks + blocks.swapaxes(1, 2))
                 sigmas = np.min(np.abs(np.linalg.eigvalsh(sym)), axis=1)
-                if len(hessians) < len(pts):
-                    sigmas = np.full(len(pts), sigmas[0])
                 scores = np.maximum(gp, sigmas)
                 i_worst = int(np.argmin(scores))
                 out.append(

@@ -26,7 +26,8 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 class SeriesHamiltonian:
     """An angle-independent series h read at action points; each read is one
-    term table of its derivatives."""
+    ``SeriesStack`` term table of its derivatives.  ``grad`` and ``hess`` take
+    one point (n,) or a stack of points (m, n)."""
 
     def __init__(self, series: FourierTaylorSeries) -> None:
         if not series.angle_independent():
@@ -38,15 +39,13 @@ class SeriesHamiltonian:
         self._hess_table = SeriesStack([g.partial_action(j) for g in grad for j in range(n)])
 
     def grad(self, I: np.ndarray) -> np.ndarray:
+        """The gradient, shape I.shape."""
         return self._grad_table.values(None, np.asarray(I, dtype=float))
 
     def hess(self, I: np.ndarray) -> np.ndarray:
-        n = self.series.domain.n
-        return self._hess_table.values(None, np.asarray(I, dtype=float)).reshape(n, n)
-
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        """Gradients at an (m, n) stack of points, as an (m, n) array."""
-        return self._grad_table.values(None, np.atleast_2d(np.asarray(points, dtype=float)))
+        """The Hessian, shape I.shape[:-1] + (n, n)."""
+        I = np.asarray(I, dtype=float)
+        return self._hess_table.values(None, I).reshape(I.shape + I.shape[-1:])
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,19 @@ class TestMorseCheck:
         )
         assert code == 2 and "FAIL" in out
 
+    def test_series_quartic_fails_exit_two(self, capsys, tmp_path):
+        # I_1^4 + 0.05 I_1^2 + 0.5 I_2^2 has equal Hessians at the two ends
+        # of the grid and a degenerate direction on the line I_1 = 0
+        d = Domain(2, 1.0)
+        path = tmp_path / "quartic.series"
+        save_series(path, FourierTaylorSeries.monomial(d, (4, 0), 1.0)
+                    + FourierTaylorSeries.monomial(d, (2, 0), 0.05)
+                    + FourierTaylorSeries.monomial(d, (0, 2), 0.5), Gevrey(1.0, 0.5))
+        code, out, _ = run(capsys, "morse-check", "--series", str(path),
+                           "--gamma", "0.9", "--tau", "2")
+        assert code == 2
+        assert out.count("  FAIL subspace") == 2
+
     def test_series_off_center_checks_ball_around_its_center(self, capsys, tmp_path):
         # the degenerate toy 1/2 (I1-c1)^2 + (I1-c1)(I2-c2)^2 fails on the
         # same lattices whatever its center c; the worst points move with c
@@ -336,6 +349,18 @@ class TestErrors:
             "--gamma", "0.9", "--tau", "2",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ("morse-check", "--gamma", "0.9", "--tau", "2"),
+        ("drift", "--t-cap", "1"),
+    ])
+    @pytest.mark.parametrize("text", ["", "ft-series 1\nn 2\n"], ids=["empty", "no-coeffs"])
+    def test_malformed_series_file_is_error(self, capsys, tmp_path, command, text):
+        path = tmp_path / "bad.series"
+        path.write_text(text)
+        code, out, err = run(capsys, command[0], "--series", str(path), *command[1:])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: series file {path}, line ")
 
     def test_series_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "h.series"

@@ -87,6 +87,26 @@ class TestEvaluate:
                     assert abs(stack.values(th, ac)[r] - ref) <= tol
                     assert abs(many[i, r] - ref) <= tol
 
+    @given(small_series())
+    @settings(max_examples=40, deadline=None)
+    def test_grid_rows_equal_single_series_grids(self, s):
+        # each row of a stacked grid read is bit-equal to the series' own
+        # grid read and to the complex matrix product it is defined by
+        rows = [s, s.partial_theta(0), s.scaled(0.0),
+                s.partial_action(s.domain.n - 1)]
+        thetas, actions = sample_points(s.domain.n, count=3)
+        grid = SeriesStack(rows).grid_values(thetas, actions)
+        assert grid.shape == (len(rows), len(thetas), len(actions))
+        for r, row in enumerate(rows):
+            assert np.array_equal(grid[r], row.evaluate_grid(thetas, actions))
+            if not row.is_zero:
+                K = np.array([k for (k, _), _ in row.items()], dtype=float)
+                L = np.array([l for (_, l), _ in row.items()], dtype=int)
+                C = np.array([c for _, c in row.items()], dtype=complex)
+                E = np.exp(2j * np.pi * (K @ thetas.T))
+                B = np.prod((actions - np.asarray(row.center))[None] ** L[:, None, :], axis=2)
+                assert np.array_equal(grid[r], ((C[:, None] * E).T @ B).real)
+
     def test_grid_matches_pointwise(self):
         s = FourierTaylorSeries.cosine(D2, (1, 1), 0.7, k_max=2, d_max=1)
         s = s + FourierTaylorSeries.action_coordinate(D2, 1, k_max=2, d_max=1)
@@ -311,6 +331,29 @@ class TestFileFormat:
         save_series(tmp_path / "s.txt", s, FiniteDiff(5, 2))
         _, reg = load_series(tmp_path / "s.txt")
         assert reg == FiniteDiff(5, 2)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda ls: ls[:-1], 8),                            # 3 of 4 declared terms
+        (lambda ls: ls + ["2 0  0 0  0.5 0"], 13),          # a term past the count
+        (lambda ls: ls[:-1] + [ls[-2]], 12),                # a repeated (k, l)
+        (lambda ls: [], 1),                                  # empty file
+        (lambda ls: ls[:7], 7),                              # no coeffs line
+        (lambda ls: [x for x in ls if x != "n 2"], 7),       # missing header field
+        (lambda ls: ls[:2] + ["R one"] + ls[3:], 3),         # unparsable field
+        (lambda ls: ls[:-1] + ["0 0  2 0  1"], 12),          # too few fields
+    ], ids=["short", "long", "repeat", "empty", "no-coeffs", "no-n", "bad-R", "fields"])
+    def test_malformed_file_names_the_line(self, tmp_path, edit, line):
+        # ft-series 1 / n 2 / R / center / k_max / d_max / regularity /
+        # coeffs 4 / the four terms on lines 9-12
+        s = (FourierTaylorSeries.monomial(D2, (0, 2), 0.5, k_max=1, d_max=2)
+             + FourierTaylorSeries.monomial(D2, (2, 0), 0.5, k_max=1, d_max=2)
+             + FourierTaylorSeries.cosine(D2, (1, 0), 0.1, k_max=1, d_max=2))
+        path = tmp_path / "s.txt"
+        save_series(path, s, Gevrey(1.0, 0.5))
+        lines = edit(path.read_text().splitlines())
+        path.write_text("".join(x + "\n" for x in lines))
+        with pytest.raises(ValueError, match=f"line {line}: "):
+            load_series(path)
 
 
 class TestAlgebraMisc:

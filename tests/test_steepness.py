@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import action_h
 from driftbench.diophantine import RationalSubspace, ResonanceFrame, period_of
+from driftbench.series import Domain, FourierTaylorSeries
 from driftbench.steepness import (
     MorseParams,
     SteepnessQuery,
@@ -171,8 +172,29 @@ class TestCheckMorse:
         assert [f.subspace.lattice_key() for f in rep.failures] == [
             ((0, 1),), ((1, 0), (0, 1)), ((1, -1),), ((1, 1),)
         ]
-        # each grid point's Hessian is read once per check, not once per subspace
-        assert h.calls <= len(action_ball_grid(2, 1.0, 9)) + 2
+        # the Hessians of all grid points are one stacked read per check
+        assert h.calls == 1
+
+    def test_quartic_fails_between_equal_end_hessians(self):
+        # h'' = 12 I^2 is 12 at both ends of the grid and 0 at I = 0: the
+        # check must read the Hessian in between, as check_morse_at does
+        quartic = SeriesHamiltonian(FourierTaylorSeries.monomial(Domain(1, 1.0), (4,), 1.0))
+        params = MorseParams(0.9, 2.0)
+        rep = check_morse(quartic, params, 3, 1)
+        assert not rep.passed and rep.margins[0].margin == 0.0
+        sub = rep.margins[0].subspace
+        assert check_morse_at(quartic, sub, [0.0], params, 1).branch == "fail"
+        # I_1^4 + 0.05 I_1^2 + 0.5 I_2^2: sigma = 0.1 on the line I_1 = 0
+        d = Domain(2, 1.0)
+        h = SeriesHamiltonian(
+            FourierTaylorSeries.monomial(d, (4, 0), 1.0)
+            + FourierTaylorSeries.monomial(d, (2, 0), 0.05)
+            + FourierTaylorSeries.monomial(d, (0, 2), 0.5)
+        )
+        rep = check_morse(h, params, 3, 2)
+        assert [f.subspace.lattice_key() for f in rep.failures] == [
+            ((1, 0),), ((1, 0), (0, 1))
+        ]
 
 
 class TestPrevalence:
