@@ -3,8 +3,11 @@
 Everything here is exact: frequencies and periods are rationals, resonance
 modules are integer lattices, and the two Dirichlet inequalities are decided
 by integer cross-multiplication (every input is the rational V/D, floats
-included, so no rounding slack is needed).  Floating point appears only at
-the output boundary (orthonormal bases and projection matrices).
+included, so no rounding slack is needed).  The exact linear algebra is one
+RREF over Q (ranks and rational kernels) and one HNF over Z (integer
+kernels, resonance modules and subspace lattice keys).  Floating point
+appears only at the output boundary (orthonormal bases and projection
+matrices).
 """
 
 from __future__ import annotations
@@ -201,31 +204,50 @@ def dirichlet_approx(
     return results[0]
 
 
-# -- exact integer linear algebra ----------------------------------------------
+# -- exact linear algebra: one RREF over Q, one HNF over Z ---------------------
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: the nonzero rows and their pivot
+    columns.  Unique for the row span, so everything read from it is exact."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot is None:
-            col += 1
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def rational_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q: the number of RREF pivots."""
+    return len(_rref(rows)[1])
+
+
+def rational_kernel(rows: Sequence[Sequence], n: int) -> list[RationalVector]:
+    """Basis of {x in Q^n : A x = 0} read from the RREF of A: one vector per
+    free column c, with x_c = 1 and the other free entries 0."""
+    mat, pivots = _rref(rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, pc in zip(mat, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -270,52 +292,22 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[tuple[int, ...]]:
     """Basis of the saturated lattice {x in Z^n : A x = 0}, in HNF.
 
-    Unimodular column reduction: columns of the tracking matrix U whose image
-    column becomes zero form a basis of the integer kernel; saturation is
-    automatic because U is invertible over Z.
+    Row i of [A^T | I] is (A e_i, e_i), so an integer row combination u reads
+    (A u, u).  The HNF rows whose A^T part vanishes are therefore kernel
+    vectors; they span the whole integer kernel because the row operations
+    are unimodular, and they are in HNF already (their pivots lie in the I
+    part, with the entries above each pivot reduced).
     """
     rows = [list(map(int, row)) for row in rows]
-    if rows:
-        n = len(rows[0])
-    elif ncols is not None:
-        n = ncols
-    else:
+    if not rows and ncols is None:
         raise ValueError("empty system needs explicit ncols")
-    cols = [[rows[r][c] for r in range(len(rows))] for c in range(n)]
-    U = [[1 if i == c else 0 for i in range(n)] for c in range(n)]
-    c0 = 0
-    for r in range(len(rows)):
-        while True:
-            nz = [c for c in range(c0, n) if cols[c][r] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                c = nz[0]
-                cols[c0], cols[c] = cols[c], cols[c0]
-                U[c0], U[c] = U[c], U[c0]
-                break
-            pc = min(nz, key=lambda c: abs(cols[c][r]))
-            for c in nz:
-                if c == pc:
-                    continue
-                qq = cols[c][r] // cols[pc][r]
-                cols[c] = [a - qq * b for a, b in zip(cols[c], cols[pc])]
-                U[c] = [a - qq * b for a, b in zip(U[c], U[pc])]
-        if c0 < n and cols[c0][r] != 0:
-            c0 += 1
-    kernel = [tuple(U[c]) for c in range(c0, n)]
-    basis = hermite_normal_form(kernel)
+    n = len(rows[0]) if rows else ncols
+    m = len(rows)
+    augmented = [[row[i] for row in rows] + [int(i == j) for j in range(n)] for i in range(n)]
+    basis = [row[m:] for row in hermite_normal_form(augmented) if not any(row[:m])]
     for row in basis:
         assert math.gcd(*row) == 1, f"saturation broken: row {row}"
     return basis
-
-
-def _scaled_integer_rows(vectors: Sequence[RationalVector]) -> list[list[int]]:
-    rows = []
-    for vec in vectors:
-        scale = math.lcm(*(x.denominator for x in vec))
-        rows.append([int(x * scale) for x in vec])
-    return rows
 
 
 def resonance_module(vectors: Sequence[PeriodicVector]) -> list[tuple[int, ...]]:
@@ -323,11 +315,10 @@ def resonance_module(vectors: Sequence[PeriodicVector]) -> list[tuple[int, ...]]
     if not vectors:
         raise ValueError("resonance_module of an empty frame is all of Z^n")
     n = vectors[0].n
-    omegas = [pv.omega for pv in vectors]
-    if rational_rank(omegas) != len(omegas):
+    # T*omega is a positive multiple of omega, so it has the same kernel
+    basis = integer_kernel([pv.integer_vector() for pv in vectors], ncols=n)
+    if len(basis) != n - len(vectors):
         raise ValueError("frame vectors must be linearly independent")
-    basis = integer_kernel(_scaled_integer_rows(omegas), ncols=n)
-    assert len(basis) == n - len(vectors)
     return basis
 
 
@@ -407,9 +398,7 @@ class RationalSubspace:
                 raise ValueError("normal dimension mismatch")
             if not any(u):
                 raise ValueError("zero normal vector")
-        if self.normals and rational_rank(
-            [[Fraction(x) for x in u] for u in self.normals]
-        ) != len(self.normals):
+        if rational_rank(self.normals) != len(self.normals):
             raise ValueError("normals must be linearly independent")
 
     @property
@@ -418,11 +407,7 @@ class RationalSubspace:
 
     def lattice_key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical identifier: HNF basis of the subspace's integer points."""
-        if not self.normals:
-            return tuple(
-                tuple(1 if i == j else 0 for i in range(self.n)) for j in range(self.n)
-            )
-        return tuple(integer_kernel(list(self.normals), ncols=self.n))
+        return tuple(integer_kernel(self.normals, ncols=self.n))
 
 
 def subspace_in_GL(s: RationalSubspace, L: int) -> bool:
@@ -433,12 +418,11 @@ def subspace_in_GL(s: RationalSubspace, L: int) -> bool:
     m = len(s.normals)
     if m == 0:
         return True  # empty spanning condition holds vacuously
-    normal_rows = [[Fraction(x) for x in u] for u in s.normals]
     found: list[tuple[int, ...]] = []
     for u in lattice_vectors_l1(s.n, L):
-        if rational_rank(normal_rows + [[Fraction(x) for x in u]]) == m:
+        if rational_rank([*s.normals, u]) == m:
             found.append(u)
-            if rational_rank([[Fraction(x) for x in w] for w in found]) == m:
+            if rational_rank(found) == m:
                 return True
     return False
 
@@ -472,10 +456,9 @@ def enumerate_GL(n: int, k: int, L: int) -> list[RationalSubspace]:
     prims = primitive_vectors_l1(n, L)
     seen: dict[tuple, RationalSubspace] = {}
     for combo in combinations(prims, m):
-        if rational_rank([[Fraction(x) for x in u] for u in combo]) != m:
-            continue
-        sub = RationalSubspace(tuple(combo), n)
-        key = sub.lattice_key()
-        if key not in seen:
-            seen[key] = sub
+        # independent normals leave a kernel of rank k, and its HNF basis is
+        # the subspace's lattice_key
+        key = tuple(integer_kernel(combo, ncols=n))
+        if len(key) == k and key not in seen:
+            seen[key] = RationalSubspace(combo, n)
     return [seen[key] for key in sorted(seen)]

@@ -364,8 +364,8 @@ def drift_time(
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
 ) -> DriftTime:
     """First time |I(t) - I(0)| >= threshold (sup norm), integrating up to t_cap."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     if hasattr(system, "hamiltonian"):
         system = system.hamiltonian
     I0 = np.asarray(start[1], dtype=float)

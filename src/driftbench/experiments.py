@@ -60,6 +60,10 @@ class ExperimentConfig:
             raise ValueError("epsilon ladder must be sorted descending")
         if self.threshold_mode not in ("theorem", "sqrt"):
             raise ValueError("threshold_mode must be 'theorem' or 'sqrt'")
+        if not (math.isfinite(self.threshold_scale) and self.threshold_scale > 0):
+            raise ValueError(
+                f"threshold_scale must be finite and positive, got {self.threshold_scale}"
+            )
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(step=self.step, sample_stride=self.sample_stride)

@@ -211,24 +211,24 @@ def periodic_averaging(
     ))
     cur = H
     steps: list[AveragingStep] = []
-    _, r = resonant_split(f, w)
+    # (resonant, r) is always the split of cur - l_w: one split per step
+    resonant, r = resonant_split(f, w)
     trace = [r.coefficient_norm()]
     floor = 1e-13 * max(mu, 1.0)
     for _ in range(cfg.m):
-        resonant, r = resonant_split(cur - l_w, w)
         if r.is_zero:
             break
         chi = homological_solve(r, w)
         defect = _homological_defect(chi, l_w, r)
         cur = lie_transform(cur, chi, cfg.lie_order)
-        _, r_next = resonant_split(cur - l_w, w)
+        resonant_next, r_next = resonant_split(cur - l_w, w)
         norm_next = r_next.coefficient_norm()
         steps.append(AveragingStep(w, resonant, chi, norm_next, defect))
         if norm_next > max(trace[-1] * (1 + 1e-9), floor):
             raise AveragingDivergenceError(trace + [norm_next])
         trace.append(norm_next)
-    g, remainder = resonant_split(cur - l_w, w)
-    return AveragingOutcome(w, g, remainder, steps, trace, smallness)
+        resonant, r = resonant_next, r_next
+    return AveragingOutcome(w, resonant, r, steps, trace, smallness)
 
 
 def _homological_defect(

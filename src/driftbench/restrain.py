@@ -422,11 +422,12 @@ def try_restrain(
         Q_try = max(
             2.0, mult["q_safety"] * eps ** (-a_next * (n - 1)) / mult["c_mu"] ** (n - 1)
         )
+        grad_point = h.grad(point)
         extended = None
         dr = None
         for _ in range(INDEPENDENCE_RETRIES):
             try:
-                cands = dirichlet_candidates(h.grad(point), Q_try)
+                cands = dirichlet_candidates(grad_point, Q_try)
             except ValueError:
                 cands = []
             for cand in cands:

@@ -11,7 +11,9 @@ Continuum quantifiers (points of B_R, all L) are sampled: points on a grid
 over the Euclidean ball, L up to a cap.  Reports carry both resolutions.
 Every check reads h through ``SeriesHamiltonian``, the gradient and Hessian
 of its angle-independent series; the grid check reads both at every grid
-point, in one stacked read each, so no shape of h is assumed.
+point, in one stacked read each, so no shape of h is assumed.  Subspaces and
+their coordinates come from ``diophantine``'s exact linear algebra (one RREF
+over Q, one HNF over Z); this module has no elimination of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .diophantine import (
     ResonanceFrame,
     enumerate_GL,
     projections,
+    rational_kernel,
 )
 from .series import FourierTaylorSeries
 from .systems import SeriesHamiltonian
@@ -51,53 +54,11 @@ class MorseParams:
         return self.gamma * float(L) ** (-self.tau)
 
 
-def rational_kernel_basis(normals: Sequence[Sequence[float]], n: int) -> np.ndarray:
-    """Deterministic rational-RREF kernel basis (rows) of the normal matrix."""
-    from fractions import Fraction
-
-    if not normals:
-        return np.eye(n)
-    mat = [[Fraction(x) for x in row] for row in normals]
-    m = len(mat)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append([float(x) for x in vec])
-    return np.array(basis) if basis else np.zeros((0, n))
-
-
-def adapted_coordinates(s: RationalSubspace) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns): E spans Lambda, F spans its complement.
-
-    Gram-Schmidt runs in a deterministic order: the RREF kernel basis in free
-    column order for E, the input normals in their given order for F.
-    """
-    n = s.n
-    kern = rational_kernel_basis(s.normals, n)  # rows span Lambda
-    E = _gram_schmidt(kern.T)
-    F = _gram_schmidt(np.array(s.normals, dtype=float).T if s.normals else np.zeros((n, 0)))
-    return E, F
+def adapted_coordinates(s: RationalSubspace) -> np.ndarray:
+    """Orthonormal basis (columns) E of Lambda: Gram-Schmidt on the RREF
+    kernel basis of the normals, in free column order."""
+    kern = np.array(rational_kernel(s.normals, s.n), dtype=float).reshape(-1, s.n)
+    return _gram_schmidt(kern.T)
 
 
 def _gram_schmidt(cols: np.ndarray) -> np.ndarray:
@@ -141,7 +102,7 @@ def check_morse_at(
     point = np.asarray(point, dtype=float)
     if R is not None and np.max(np.abs(point)) > R * (1 + 1e-12):
         raise ValueError(f"point {point} outside the action ball of radius {R}")
-    E, _ = adapted_coordinates(s)
+    E = adapted_coordinates(s)
     thr = params.threshold(L)
     g = float(np.linalg.norm(E.T @ h.grad(point)))
     if g > thr:
@@ -191,7 +152,7 @@ def subspace_margins(
                 if key in seen:
                     continue
                 seen.add(key)
-                E, _ = adapted_coordinates(sub)
+                E = adapted_coordinates(sub)
                 gp = np.linalg.norm(grads @ E, axis=1)
                 blocks = E.T @ hessians @ E
                 sym = 0.5 * (blocks + blocks.swapaxes(1, 2))

@@ -3,14 +3,15 @@
 Each system holds one representation of its integrable part h: the
 angle-independent series ``hamiltonian.integrable`` that the dynamics and
 the normal forms read.  The steepness and restrain machinery reads the same
-series through ``SeriesHamiltonian`` (gradient and Hessian at an action
-point, gradients over a stack of points).  The builtin families span the
+series through ``SeriesHamiltonian`` (gradient and Hessian at one action
+point or over a stack of points).  The builtin families span the
 regimes the experiments target: quasi-convex, linear with a Diophantine
 frequency, and a degenerate non-steep toy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,16 +28,20 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 class SeriesHamiltonian:
     """An angle-independent series h read at action points; each read is one
     ``SeriesStack`` term table of its derivatives.  ``grad`` and ``hess`` take
-    one point (n,) or a stack of points (m, n)."""
+    one point (n,) or a stack of points (m, n).  The Hessian table is built on
+    the first ``hess`` read, so a reader of gradients only never pays for it."""
 
     def __init__(self, series: FourierTaylorSeries) -> None:
         if not series.angle_independent():
             raise ValueError("series must be angle-independent")
         self.series = series
-        n = series.domain.n
-        grad = [series.partial_action(j) for j in range(n)]
-        self._grad_table = SeriesStack(grad)
-        self._hess_table = SeriesStack([g.partial_action(j) for g in grad for j in range(n)])
+        self._grad_series = [series.partial_action(j) for j in range(series.domain.n)]
+        self._grad_table = SeriesStack(self._grad_series)
+
+    @functools.cached_property
+    def _hess_table(self) -> SeriesStack:
+        n = self.series.domain.n
+        return SeriesStack([g.partial_action(j) for g in self._grad_series for j in range(n)])
 
     def grad(self, I: np.ndarray) -> np.ndarray:
         """The gradient, shape I.shape."""

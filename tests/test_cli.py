@@ -78,6 +78,27 @@ class TestMorseCheck:
         )
         assert code == 2 and "FAIL" in out
 
+    def test_degenerate_failures_and_worst_points_pinned(self, capsys):
+        # each subspace's basis of Lambda fixes where on the grid its worst
+        # point lies; a change of basis must not move these silently
+        code, out, _ = run(
+            capsys, "morse-check", "--system", "degenerate", "--eps", "1e-4",
+            "--gamma", "0.9", "--tau", "2", "--L-max", "3",
+        )
+        assert code == 2
+        assert "subspaces tested per dimension: {1: 8, 2: 1}" in out
+        failures = re.findall(r"normals=(\(.*?\)) lattice=.*? at point (\(.*?\)):", out)
+        assert failures == [
+            ("((1, 0),)", "(0.0, -1.0)"),
+            ("()", "(0.0, 0.0)"),
+            ("((1, 1),)", "(-0.125, 0.1875)"),
+            ("((1, -1),)", "(-0.125, -0.1875)"),
+            ("((2, 1),)", "(0.25, 0.375)"),
+            ("((2, -1),)", "(0.25, -0.375)"),
+            ("((1, 2),)", "(-0.3125, 0.4375)"),
+            ("((1, -2),)", "(-0.3125, -0.4375)"),
+        ]
+
     def test_series_quartic_fails_exit_two(self, capsys, tmp_path):
         # I_1^4 + 0.05 I_1^2 + 0.5 I_2^2 has equal Hessians at the two ends
         # of the grid and a degenerate direction on the line I_1 = 0
@@ -172,6 +193,17 @@ class TestDrift:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and name in err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_non_finite_threshold_is_error(self, capsys, value):
+        # a NaN threshold was never crossed and printed "sentinel (no crossing)"
+        code, out, err = run(
+            capsys, "drift", "--system", "pendulum", "--eps", "1e-3", "--seed", "7",
+            "--threshold", value, "--t-cap", "50",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "threshold" in err
 
 
 class TestNormalform:
@@ -302,6 +334,14 @@ class TestScaling:
             code, _, _ = run(capsys, *self.ARGS, "--out", str(path))
             assert code == 0
         assert data_section(a) == data_section(b)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_threshold_scale_is_error(self, capsys, tmp_path, value):
+        args = [x if x != "2.0" else value for x in self.ARGS]
+        path = tmp_path / "s.csv"
+        code, _, err = run(capsys, *args, "--out", str(path))
+        assert code == 1 and err.startswith("error:") and "threshold_scale" in err
+        assert not path.exists()
 
     def test_resume_skips_finished_rows(self, capsys, tmp_path):
         path = tmp_path / "r.csv"

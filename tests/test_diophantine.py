@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from driftbench.diophantine import (
     period_of,
     primitive_vectors_l1,
     projections,
+    rational_kernel,
     rational_rank,
     resonance_module,
     subspace_in_GL,
@@ -408,3 +410,49 @@ class TestIntegerLinearAlgebra:
     def test_rational_rank(self):
         assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
         assert rational_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
+
+
+_small_ints = st.integers(-4, 4)
+_small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _matrix(draw, entries):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
+    return n, [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+class TestExactEliminationOracle:
+    """Rank and kernels against sympy's own exact elimination."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrix(st.one_of(_small_ints, _small_rationals)))
+    def test_rational_rank_and_kernel(self, case):
+        n, rows = case
+        A = sympy.Matrix(len(rows), n, [sympy.Rational(x) for row in rows for x in row])
+        assert rational_rank(rows) == A.rank()
+        kernel = rational_kernel(rows, n)
+        assert len(kernel) == len(A.nullspace()) == n - A.rank()
+        for v in kernel:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        if kernel:
+            assert sympy.Matrix([list(v) for v in kernel]).rank() == len(kernel)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrix(_small_ints))
+    def test_integer_kernel(self, case):
+        n, rows = case
+        A = sympy.Matrix(len(rows), n, [x for row in rows for x in row]) if rows else None
+        rank = A.rank() if rows else 0
+        basis = integer_kernel(rows, ncols=n)
+        assert len(basis) == n - rank
+        for v in basis:
+            assert math.gcd(*v) == 1
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert hermite_normal_form(basis) == basis
+        # saturated: the maximal minors of the basis have gcd 1
+        if basis:
+            K = sympy.Matrix([list(v) for v in basis])
+            minors = [K[:, list(cols)].det() for cols in combinations(range(n), len(basis))]
+            assert math.gcd(*(int(x) for x in minors)) == 1

@@ -458,6 +458,12 @@ class TestDriftTime:
                          IntegratorConfig(step=0.01))
         assert res.time == SENTINEL and res.capped
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -0.1])
+    def test_non_finite_or_non_positive_threshold_rejected(self, threshold):
+        # a NaN threshold is never crossed and would read as "no drift"
+        with pytest.raises(ValueError, match="threshold"):
+            drift_time(pendulum(1e-3), ((0.25,), (0.0,)), threshold, 5.0)
+
     def test_pendulum_crossing_matches_reference(self):
         sys = pendulum(1e-2)
         start = ((0.25,), (0.0,))

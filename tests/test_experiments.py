@@ -49,6 +49,11 @@ class TestRunRow:
             min(4 * 1e-2 ** float(exps.b), 2.0)
         )
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="threshold_scale"):
+            ExperimentConfig(**{**FAST, "threshold_scale": scale})
+
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(**{**FAST, "eps_ladder": (1e-3, 1e-2)})  # ascending

@@ -40,29 +40,28 @@ class TestMorseParams:
 
 
 class TestAdaptedCoordinates:
+    """E is an orthonormal basis of Lambda, the common kernel of the normals."""
+
     def test_axis_subspace(self):
-        s = RationalSubspace(((0, 1),), 2)   # Lambda = span{e_1}
-        E, F = adapted_coordinates(s)
+        E = adapted_coordinates(RationalSubspace(((0, 1),), 2))   # Lambda = span{e_1}
         assert np.allclose(np.abs(E.ravel()), [1, 0])
-        assert np.allclose(np.abs(F.ravel()), [0, 1])
 
     def test_diagonal_normal(self):
-        s = RationalSubspace(((1, 1),), 2)
-        E, _ = adapted_coordinates(s)
+        E = adapted_coordinates(RationalSubspace(((1, 1),), 2))
         assert np.allclose(np.abs(E.ravel()), [1 / math.sqrt(2)] * 2)
 
     def test_full_space(self):
-        s = RationalSubspace((), 3)
-        E, F = adapted_coordinates(s)
-        assert np.allclose(E, np.eye(3))
-        assert F.shape == (3, 0)
+        assert np.array_equal(adapted_coordinates(RationalSubspace((), 3)), np.eye(3))
 
     def test_orthonormality(self):
-        s = RationalSubspace(((2, 3, -1), (0, 1, 1)), 3)
-        E, F = adapted_coordinates(s)
-        assert np.allclose(E.T @ E, np.eye(E.shape[1]), atol=1e-12)
-        assert np.allclose(F.T @ F, np.eye(F.shape[1]), atol=1e-12)
-        assert np.allclose(E.T @ F, 0, atol=1e-12)
+        for normals, n in [
+            (((0, 1),), 2), (((2, -1),), 2), (((1, 2, 0),), 3),
+            (((2, 3, -1), (0, 1, 1)), 3), (((1, 0, 0, 1), (0, 1, -1, 0)), 4),
+        ]:
+            E = adapted_coordinates(RationalSubspace(normals, n))
+            assert E.shape == (n, n - len(normals))
+            assert np.allclose(E.T @ E, np.eye(E.shape[1]), atol=1e-12)
+            assert np.allclose(np.array(normals) @ E, 0, atol=1e-12)
 
 
 class TestCheckMorseAt:
@@ -152,7 +151,7 @@ class TestCheckMorse:
         rep = check_morse(h, params, 3, 2, grid_res=9)
         expected = True
         for m in rep.margins:
-            E, _ = adapted_coordinates(m.subspace)
+            E = adapted_coordinates(m.subspace)
             lam_min = np.min(np.abs(np.linalg.eigvalsh(E.T @ Q @ E)))
             if lam_min <= params.threshold(m.L_min):
                 expected = False
