@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -32,12 +33,11 @@ from .series import (
     Gevrey,
     HamiltonianSystem,
     load_series,
-    recenter_scale,
     save_series,
     split_by_modes,
 )
 from .steepness import MorseParams, check_morse
-from .systems import BUILTIN_SYSTEMS, SeriesHamiltonian, System, make_system
+from .systems import BUILTIN_SYSTEMS, System, make_system
 
 
 class CliError(Exception):
@@ -134,24 +134,15 @@ def cmd_approx(args) -> int:
 def cmd_morse_check(args) -> int:
     system = _load_system(args)
     params = MorseParams(args.gamma, args.tau)
-    # the check samples the ball around the origin: move the center of h
-    # there, and its worst points back
-    integrable = system.hamiltonian.integrable
-    center = integrable.center
-    h = SeriesHamiltonian(recenter_scale(integrable, center, 1.0))
     report = check_morse(
-        h, params, args.L_max, system.domain.n, R=system.domain.R, grid_res=args.grid,
+        system.h_action, params, args.L_max, system.domain.n, grid_res=args.grid,
     )
-
-    def at(m) -> tuple[float, ...]:
-        return tuple(x + c for x, c in zip(m.worst_point, center))
-
     print(f"morse-check: {'PASS' if report.passed else 'FAIL'} "
           f"(gamma={args.gamma}, tau={args.tau}, L<= {args.L_max}, grid={args.grid})")
     print("subspaces tested per dimension:", dict(sorted(report.subspace_counts.items())))
     for fail in report.failures:
         print(f"  FAIL subspace normals={fail.subspace.normals} "
-              f"lattice={fail.subspace.lattice_key()} at point {at(fail)}: "
+              f"lattice={fail.subspace.lattice_key()} at point {fail.worst_point}: "
               f"grad={fail.worst_grad:.4g} sigma={fail.worst_sigma:.4g} "
               f"thr={params.threshold(fail.L_min):.4g}")
     if args.out:
@@ -165,7 +156,7 @@ def cmd_morse_check(args) -> int:
                     ";".join(",".join(map(str, u)) for u in m.subspace.normals),
                     m.L_min, format(m.margin, ".17g"),
                     format(m.worst_grad, ".17g"), format(m.worst_sigma, ".17g"),
-                    ",".join(format(x, ".17g") for x in at(m)),
+                    ",".join(format(x, ".17g") for x in m.worst_point),
                 ])
         print(f"margins written to {args.out}")
     return 0 if report.passed else 2
@@ -300,22 +291,19 @@ def cmd_conditions(args) -> int:
 
 def cmd_scaling(args) -> int:
     if args.config:
-        raw = read_config_file(args.config)
+        # each value is cast by the type of its field's default
+        defaults = {f.name: f.default for f in dataclasses.fields(experiments.ExperimentConfig)}
         kwargs = {}
-        casts = {
-            "system": str, "num_ic": int, "seed": int, "tau": float, "step": float,
-            "sample_stride": int, "m_multiplier": float, "t_cap": float,
-            "wall_cap_s": float, "threshold_mode": str, "threshold_scale": float,
-            "run_restrain": lambda v: v.lower() in ("1", "true", "yes"),
-            "mu0": float, "gamma": float,
-        }
-        for key, val in raw.items():
-            if key == "eps_ladder":
-                kwargs[key] = tuple(_parse_floats(val))
-            elif key in casts:
-                kwargs[key] = casts[key](val)
-            else:
+        for key, val in read_config_file(args.config).items():
+            if key not in defaults or key == "system_kwargs":
                 raise CliError(f"unknown config key {key!r}")
+            default = defaults[key]
+            if isinstance(default, bool):
+                kwargs[key] = val.lower() in ("1", "true", "yes")
+            elif isinstance(default, tuple):
+                kwargs[key] = tuple(_parse_floats(val))
+            else:
+                kwargs[key] = type(default)(val)
         cfg = experiments.ExperimentConfig(**kwargs)
     else:
         cfg = experiments.ExperimentConfig(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -446,19 +447,25 @@ def primitive_vectors_l1(n: int, L: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def enumerate_GL(n: int, k: int, L: int) -> list[RationalSubspace]:
-    """All subspaces in G^L(n, k), deduplicated by their integer-point lattice."""
-    if not 1 <= k <= n:
-        raise ValueError("k must lie in 1..n")
-    if k == n:
-        return [RationalSubspace((), n)]
-    m = n - k
-    prims = primitive_vectors_l1(n, L)
-    seen: dict[tuple, RationalSubspace] = {}
-    for combo in combinations(prims, m):
-        # independent normals leave a kernel of rank k, and its HNF basis is
-        # the subspace's lattice_key
-        key = tuple(integer_kernel(combo, ncols=n))
-        if len(key) == k and key not in seen:
-            seen[key] = RationalSubspace(combo, n)
-    return [seen[key] for key in sorted(seen)]
+@lru_cache(maxsize=None)
+def enumerate_GL(n: int, L_max: int) -> tuple[tuple[int, RationalSubspace], ...]:
+    """Every subspace of every G^L(n, k), L <= L_max, once, as (L_min, subspace)
+    pairs in (L_min, dim, lattice key) order.  One scan over the m-subsets of
+    ``primitive_vectors_l1(n, L_max)``, m < n, keeps per lattice key the least
+    max |u|_1 and the first subset reaching it: the normals the first G^L
+    family holding the subspace lists, since ``primitive_vectors_l1(n, L)`` is
+    an ordered subsequence."""
+    if n < 1 or L_max < 1:
+        raise ValueError(f"need n >= 1 and L_max >= 1, got n={n}, L_max={L_max}")
+    best: dict[tuple, tuple[int, tuple]] = {}
+    prims = primitive_vectors_l1(n, L_max)
+    for m in range(n):
+        for combo in combinations(prims, m):
+            # independent normals leave a kernel of rank n - m, and its HNF
+            # basis is the subspace's lattice_key
+            key = tuple(integer_kernel(combo, ncols=n))
+            L = max((sum(map(abs, u)) for u in combo), default=1)
+            if len(key) == n - m and (key not in best or L < best[key][0]):
+                best[key] = (L, combo)
+    order = sorted(best, key=lambda key: (best[key][0], len(key), key))
+    return tuple((best[key][0], RationalSubspace(best[key][1], n)) for key in order)

@@ -54,6 +54,10 @@ class ExperimentConfig:
     system_kwargs: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
+        if not self.eps_ladder:
+            raise ValueError("eps_ladder must hold at least one epsilon")
+        if self.num_ic < 1:
+            raise ValueError(f"num_ic must be >= 1, got {self.num_ic}")
         if any(not 0 < e < 1 for e in self.eps_ladder):
             raise ValueError("epsilon values must lie in (0, 1)")
         if list(self.eps_ladder) != sorted(self.eps_ladder, reverse=True):
@@ -232,10 +236,10 @@ def run_scaling(
     process that may hold BLAS threads is unsafe), and each is written and
     flushed in canonical order as soon as it and every row before it are
     done, so an interrupted run keeps its finished rows.  Every line ends in
-    ``"\n"``.  On resume, rows already in the file are read back (with
-    either line ending), so the records and the fit cover the whole ladder,
-    and the file's fit line is replaced; a file whose ``# config:`` line
-    differs from ``cfg`` is refused.
+    ``"\n"``; the fit line comes last.  On resume, rows already in the file
+    are read back (with either line ending), so the records and the fit cover
+    the whole ladder, and the file is first rewritten atomically without its
+    fit line; a file whose ``# config:`` line differs from ``cfg`` is refused.
     """
     out_path = Path(out_path)
     pairs = [
@@ -254,6 +258,10 @@ def run_scaling(
         for parts in csv.reader(ln for ln in lines if not ln.startswith("#")):
             if len(parts) == len(ScalingRecord.CSV_FIELDS) and parts[0] != "eps":
                 done[(parts[0], parts[1])] = ScalingRecord.from_csv_row(parts)
+        tmp = out_path.with_name(out_path.name + ".tmp")
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(ln + "\n" for ln in lines if not ln.startswith("# fit"))
+        os.replace(tmp, out_path)
 
     def key(ei: int, ii: int) -> tuple[str, str]:
         return format(cfg.eps_ladder[ei], ".17g"), str(ii)
@@ -280,19 +288,11 @@ def run_scaling(
             done[key(ei, ii)] = rec
             writer.writerow(rec.csv_row())
             fh.flush()
-    records = [done[key(*p)] for p in pairs]
-    system = make_system(cfg.system, cfg.eps_ladder[0], **dict(cfg.system_kwargs))
-    exps = exponents(system.domain.n, tau_fraction(cfg.tau))
-    fit = fit_scaling(records, system.hamiltonian.regularity, exps)
-    # the file keeps one fit line, this run's: a resumed file drops the old one;
-    # lines are read with any ending and written back ending in "\n"
-    with open(out_path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("# fit")]
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.writelines(lines)
+        records = [done[key(*p)] for p in pairs]
+        system = make_system(cfg.system, cfg.eps_ladder[0], **dict(cfg.system_kwargs))
+        exps = exponents(system.domain.n, tau_fraction(cfg.tau))
+        fit = fit_scaling(records, system.hamiltonian.regularity, exps)
         fh.write(f"# {fit.describe()}\n")
-    os.replace(tmp, out_path)
     return records, fit
 
 

@@ -8,12 +8,13 @@ the G^L families only grow, each distinct subspace only needs checking at
 the smallest L where it appears; reports record that L.
 
 Continuum quantifiers (points of B_R, all L) are sampled: points on a grid
-over the Euclidean ball, L up to a cap.  Reports carry both resolutions.
-Every check reads h through ``SeriesHamiltonian``, the gradient and Hessian
-of its angle-independent series; the grid check reads both at every grid
-point, in one stacked read each, so no shape of h is assumed.  Subspaces and
-their coordinates come from ``diophantine``'s exact linear algebra (one RREF
-over Q, one HNF over Z); this module has no elimination of its own.
+over the Euclidean ball h's series declares (radius R around its center), L
+up to a cap.  Reports carry both resolutions.  Every check reads h through
+``SeriesHamiltonian``; the grid check reads the gradient and Hessian at every
+grid point in one stacked read each, and one kernel scores both branches.
+The subspaces, each with its L_min, come from one memoized
+``diophantine.enumerate_GL`` sweep per (n, L_max); this module has no exact
+linear algebra of its own.
 """
 
 from __future__ import annotations
@@ -90,25 +91,34 @@ class BranchResult:
         return self.branch != "fail"
 
 
+def _branch_scores(grads: np.ndarray, hessians: np.ndarray, E: np.ndarray) -> tuple:
+    """Per point of an (m, n) stack: the norm of the Lambda-projected gradient
+    and the smallest |eigenvalue| of the Lambda-restricted Hessian (E is an
+    orthonormal basis of Lambda)."""
+    blocks = E.T @ hessians @ E
+    sym = 0.5 * (blocks + blocks.swapaxes(1, 2))
+    return (np.linalg.norm(grads @ E, axis=1),
+            np.min(np.abs(np.linalg.eigvalsh(sym)), axis=1))
+
+
 def check_morse_at(
     h: SeriesHamiltonian,
     s: RationalSubspace,
     point: Sequence[float],
     params: MorseParams,
     L: int,
-    R: float | None = None,
 ) -> BranchResult:
-    """Two-branch Morse test for one subspace at one action point."""
-    point = np.asarray(point, dtype=float)
-    if R is not None and np.max(np.abs(point)) > R * (1 + 1e-12):
-        raise ValueError(f"point {point} outside the action ball of radius {R}")
-    E = adapted_coordinates(s)
+    """Two-branch Morse test for one subspace at one point of h's ball."""
+    series = h.series
+    pts = np.asarray(point, dtype=float).reshape(1, -1)
+    if not series.domain.contains_action(pts[0], series.center):
+        raise ValueError(f"point {pts[0]} outside the action ball of radius "
+                         f"{series.domain.R} around {series.center}")
+    grads, sigmas = _branch_scores(h.grad(pts), h.hess(pts), adapted_coordinates(s))
+    g, sigma = float(grads[0]), float(sigmas[0])
     thr = params.threshold(L)
-    g = float(np.linalg.norm(E.T @ h.grad(point)))
     if g > thr:
         return BranchResult("gradient", g, math.nan, thr)
-    block = E.T @ h.hess(point) @ E
-    sigma = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (block + block.T)))))
     if sigma > thr:
         return BranchResult("hessian", g, sigma, thr)
     return BranchResult("fail", g, sigma, thr)
@@ -134,38 +144,25 @@ class SubspaceMargin:
     worst_sigma: float
 
 
-def subspace_margins(
-    h: SeriesHamiltonian, n: int, R: float, L_max: int, res: int
-) -> list[SubspaceMargin]:
+def subspace_margins(h: SeriesHamiltonian, L_max: int, res: int) -> list[SubspaceMargin]:
     """Margins for every subspace of every G^L(n, k), L <= L_max, each at its
-    minimal L.  The Morse condition at parameters (gamma, tau) then reads
+    minimal L, over a grid of h's own ball (n, R and center from ``h.series``).
+    The Morse condition at parameters (gamma, tau) then reads
     margin > gamma * L_min^{-tau} for every entry."""
-    pts = action_ball_grid(n, R, res)
+    series = h.series
+    n, R = series.domain.n, series.domain.R
+    pts = np.asarray(series.center, dtype=float) + action_ball_grid(n, R, res)
+    if not len(pts):
+        raise ValueError(f"grid_res={res} puts no grid point in the ball of radius {R}")
     grads = h.grad(pts)
     hessians = h.hess(pts)
     out: list[SubspaceMargin] = []
-    seen: set[tuple] = set()
-    for L in range(1, L_max + 1):
-        for k in range(1, n + 1):
-            for sub in enumerate_GL(n, k, L):
-                key = sub.lattice_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                E = adapted_coordinates(sub)
-                gp = np.linalg.norm(grads @ E, axis=1)
-                blocks = E.T @ hessians @ E
-                sym = 0.5 * (blocks + blocks.swapaxes(1, 2))
-                sigmas = np.min(np.abs(np.linalg.eigvalsh(sym)), axis=1)
-                scores = np.maximum(gp, sigmas)
-                i_worst = int(np.argmin(scores))
-                out.append(
-                    SubspaceMargin(
-                        sub, L, float(scores[i_worst]),
-                        tuple(float(x) for x in pts[i_worst]),
-                        float(gp[i_worst]), float(sigmas[i_worst]),
-                    )
-                )
+    for L, sub in enumerate_GL(n, L_max):
+        gp, sigmas = _branch_scores(grads, hessians, adapted_coordinates(sub))
+        scores = np.maximum(gp, sigmas)
+        i = int(np.argmin(scores))
+        out.append(SubspaceMargin(sub, L, float(scores[i]), tuple(pts[i].tolist()),
+                                  float(gp[i]), float(sigmas[i])))
     return out
 
 
@@ -191,14 +188,16 @@ def check_morse(
     params: MorseParams,
     L_max: int,
     n: int,
-    R: float = 1.0,
     grid_res: int = 33,
 ) -> MorseReport:
     """Enumerate G^L(n, k) for L <= L_max and test the Morse alternative on a
-    ball grid; a subspace fails if some point defeats both branches."""
+    grid of h's ball; a subspace fails if some point defeats both branches.
+    ``n`` must be h's number of actions."""
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    margins = subspace_margins(h, n, R, L_max, grid_res)
+    if n != h.series.domain.n:
+        raise ValueError(f"n={n} does not match h, which has {h.series.domain.n} actions")
+    margins = subspace_margins(h, L_max, grid_res)
     failures = tuple(
         m for m in margins if m.margin <= params.threshold(m.L_min)
     )
@@ -238,7 +237,6 @@ def sample_prevalence(
     num_samples: int,
     xi_box: float,
     n: int,
-    R: float = 1.0,
     L_max: int = 2,
     grid_res: int = 17,
     seed: int = 0,
@@ -248,8 +246,11 @@ def sample_prevalence(
     change its gradient or Hessian.
 
     Requires tau > 2(n^2 + 1), matching the hypothesis under which the shift
-    family is known to be almost-surely Morse.
+    family is known to be almost-surely Morse.  ``n`` must be h's number of
+    actions.
     """
+    if n != h.series.domain.n:
+        raise ValueError(f"n={n} does not match h, which has {h.series.domain.n} actions")
     if tau <= 2 * (n ** 2 + 1):
         raise ValueError(f"prevalence sampling needs tau > 2(n^2+1) = {2 * (n**2 + 1)}")
     series = h.series
@@ -261,7 +262,7 @@ def sample_prevalence(
         shifted = SeriesHamiltonian(series - FourierTaylorSeries.linear(
             series.domain, xi, series.k_max, series.d_max, series.center,
         ))
-        margins = subspace_margins(shifted, n, R, L_max, grid_res)
+        margins = subspace_margins(shifted, L_max, grid_res)
         g = best_gamma(margins, tau)
         gammas.append(g)
         if g is not None:

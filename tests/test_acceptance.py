@@ -358,7 +358,7 @@ def test_criterion_10_morse_checker_verdicts():
     identity = action_h(np.eye(2))
     degenerate = action_h(np.diag([1.0, 0.0]))
     golden = action_h(omega=[1.0, GOLDEN])
-    margins = subspace_margins(golden, 2, 1.0, 5, 33)
+    margins = subspace_margins(golden, 5, 33)
     measured_gamma = best_gamma(margins, 2.0)
     assert measured_gamma is not None
     verdicts = {}

@@ -1,6 +1,9 @@
+import math
 import re
 
 import pytest
+
+from driftbench import experiments
 
 from driftbench.cli import main, read_config_file
 from driftbench.experiments import data_section
@@ -147,6 +150,15 @@ class TestMorseCheck:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and flag[2:] in err
+
+    @pytest.mark.parametrize("grid", ["1", "2"])
+    def test_grid_without_ball_points_is_error(self, capsys, grid):
+        code, out, err = run(
+            capsys, "morse-check", "--system", "quasiconvex", "--eps", "1e-4",
+            "--gamma", "0.9", "--tau", "2", "--grid", grid,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: grid_res={grid} ")
 
 
 class TestDrift:
@@ -369,6 +381,45 @@ class TestScaling:
         code, _, _ = run(capsys, "scaling", "--config", str(cfg), "--out", str(path))
         assert code == 0
         assert path.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--eps-ladder", ",", "eps_ladder"), ("--num-ic", "0", "num_ic"),
+    ])
+    def test_empty_ladder_or_no_ic_is_error(self, capsys, tmp_path, flag, value, field):
+        args = list(self.ARGS)
+        args[args.index(flag) + 1] = value
+        path = tmp_path / "e.csv"
+        code, out, err = run(capsys, *args, "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and field in err
+        assert not path.exists()
+
+    def test_config_values_cast_by_field_type(self, capsys, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run_scaling(cfg, out, workers, resume):
+            seen["cfg"] = cfg
+            return [], experiments.FitSummary("empty", math.nan, math.nan, math.nan, 0)
+
+        monkeypatch.setattr(experiments, "run_scaling", fake_run_scaling)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("system = pendulum\neps_ladder = 1e-2, 1e-3\nnum_ic = 3\n"
+                       "t_cap = 5\nrun_restrain = Yes\nthreshold_mode = sqrt\n")
+        code, _, _ = run(capsys, "scaling", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert seen["cfg"] == experiments.ExperimentConfig(
+            system="pendulum", eps_ladder=(1e-2, 1e-3), num_ic=3, t_cap=5.0,
+            run_restrain=True, threshold_mode="sqrt",
+        )
+        assert type(seen["cfg"].num_ic) is int and type(seen["cfg"].t_cap) is float
+
+    def test_system_kwargs_config_key_is_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("system_kwargs = 1\n")
+        code, _, err = run(capsys, "scaling", "--config", str(cfg),
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and "system_kwargs" in err
 
     def test_unknown_config_key_is_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"

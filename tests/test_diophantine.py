@@ -369,15 +369,13 @@ class TestGLMembership:
         for n in (2, 3):
             for L in (1, 2, 3, 4):
                 for k in range(1, n + 1):
-                    subs = enumerate_GL(n, k, L)
+                    subs = [s for _, s in enumerate_GL(n, L) if s.dim == k]
                     keys = {s.lattice_key() for s in subs}
                     assert len(keys) == len(subs)
                     for s in subs:
                         assert subspace_in_GL(s, L)
                     if k < n:
                         # brute force: all (n-k)-subsets of primitive normals
-                        from itertools import combinations
-
                         for combo in combinations(primitive_vectors_l1(n, L), n - k):
                             if rational_rank([[F(x) for x in u] for u in combo]) != n - k:
                                 continue
@@ -385,9 +383,47 @@ class TestGLMembership:
                             assert key in keys
 
     def test_nesting_in_L(self):
-        small = {s.lattice_key() for s in enumerate_GL(2, 1, 2)}
-        large = {s.lattice_key() for s in enumerate_GL(2, 1, 4)}
+        small = {s.lattice_key() for _, s in enumerate_GL(2, 2) if s.dim == 1}
+        large = {s.lattice_key() for _, s in enumerate_GL(2, 4) if s.dim == 1}
         assert small <= large
+
+    @staticmethod
+    def _per_L_reference(n, L_max):
+        """For each L, then each k, the first combination of
+        primitive_vectors_l1(n, L) that gives a key not seen at a smaller L
+        or earlier in the same family."""
+        seen, out = set(), []
+        for L in range(1, L_max + 1):
+            for k in range(1, n + 1):
+                family = {}
+                for combo in combinations(primitive_vectors_l1(n, L), n - k):
+                    key = tuple(integer_kernel(combo, ncols=n))
+                    if len(key) == k and key not in seen and key not in family:
+                        family[key] = combo
+                for key in sorted(family):
+                    out.append((L, family[key]))
+                seen.update(family)
+        return out
+
+    def test_one_sweep_matches_per_L_loop(self):
+        for n in (1, 2, 3):
+            for L_max in (1, 2, 3, 4):
+                sweep = [(L, s.normals) for L, s in enumerate_GL(n, L_max)]
+                assert sweep == self._per_L_reference(n, L_max)
+
+    def test_L_min_is_the_smallest_membership(self):
+        for n in (2, 3):
+            for L, s in enumerate_GL(n, 4):
+                assert subspace_in_GL(s, L)
+                assert L == 1 or not subspace_in_GL(s, L - 1)
+
+    def test_enumeration_is_memoized(self):
+        assert enumerate_GL(3, 2) is enumerate_GL(3, 2)
+
+    def test_rejects_empty_range(self):
+        for n, L_max in ((0, 2), (2, 0)):
+            with pytest.raises(ValueError):
+                enumerate_GL(n, L_max)
 
 
 class TestIntegerLinearAlgebra:

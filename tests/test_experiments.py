@@ -60,6 +60,16 @@ class TestRunRow:
         with pytest.raises(ValueError):
             ExperimentConfig(**{**FAST, "eps_ladder": (2.0,)})
 
+    def test_empty_ladder_rejected(self):
+        # an empty ladder has no epsilon to build the fit's system from
+        with pytest.raises(ValueError, match="eps_ladder"):
+            ExperimentConfig(**{**FAST, "eps_ladder": ()})
+
+    @pytest.mark.parametrize("num_ic", [0, -1])
+    def test_num_ic_must_be_positive(self, num_ic):
+        with pytest.raises(ValueError, match="num_ic"):
+            ExperimentConfig(**{**FAST, "num_ic": num_ic})
+
 
 class TestFit:
     def _records(self, times):

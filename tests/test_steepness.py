@@ -86,7 +86,21 @@ class TestCheckMorseAt:
     def test_point_outside_ball(self):
         s = RationalSubspace(((1, 0),), 2)
         with pytest.raises(ValueError):
-            check_morse_at(IDENTITY, s, (2.0, 0.0), MorseParams(0.9, 2.0), 1, R=1.0)
+            check_morse_at(IDENTITY, s, (2.0, 0.0), MorseParams(0.9, 2.0), 1)
+
+    def test_ball_is_h_own_ball_around_its_center(self):
+        # |I - c|^2 / 2 on the ball of radius 0.5 around c = (3, -1.5): a point
+        # near c is checked, a point near the origin is outside the ball
+        c = (3.0, -1.5)
+        d = Domain(2, 0.5)
+        h = SeriesHamiltonian(FourierTaylorSeries.monomial(d, (2, 0), 0.5, 0, 2, c)
+                              + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 0, 2, c))
+        s = RationalSubspace(((1, 1),), 2)
+        r = check_morse_at(h, s, (3.2, -1.3), MorseParams(0.9, 2.0), 1)
+        assert r.branch == "hessian"
+        assert r.sigma_min == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="outside the action ball"):
+            check_morse_at(h, s, (0.2, 0.3), MorseParams(0.9, 2.0), 1)
 
     @given(st.floats(0.5, 2.0), st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
@@ -120,6 +134,10 @@ class TestCheckMorse:
         keys = {f.subspace.lattice_key() for f in rep.failures}
         assert ((0, 1),) in keys   # Lambda = span{e_2}
 
+    def test_n_must_match_h(self):
+        with pytest.raises(ValueError, match="n=3"):
+            check_morse(IDENTITY, MorseParams(0.9, 2.0), 3, 3, grid_res=9)
+
     def test_n1_edge_case(self):
         h = action_h(np.eye(1))
         rep = check_morse(h, MorseParams(0.9, 2.0), 2, 1, grid_res=17)
@@ -127,7 +145,7 @@ class TestCheckMorse:
         assert rep.subspace_counts == {1: 1}
 
     def test_linear_golden_measured_gamma(self):
-        margins = subspace_margins(LINEAR_GOLDEN, 2, 1.0, 5, 17)
+        margins = subspace_margins(LINEAR_GOLDEN, 5, 17)
         g = best_gamma(margins, 2.0)
         assert g is not None and g >= 0.5
         rep = check_morse(LINEAR_GOLDEN, MorseParams(g, 2.0), 5, 2, grid_res=17)
@@ -214,6 +232,11 @@ class TestPrevalence:
     def test_tau_hypothesis_enforced(self):
         with pytest.raises(ValueError):
             sample_prevalence(IDENTITY, 9.0, 3, 1.0, 2)  # needs tau > 10 for n=2
+
+    def test_n_must_match_h(self):
+        # n sets both the tau hypothesis and the size of the shift xi
+        with pytest.raises(ValueError, match="n=3"):
+            sample_prevalence(IDENTITY, 30.0, 2, 1.0, 3, grid_res=9)
 
     def test_determinism(self):
         a = sample_prevalence(IDENTITY, 11.0, 5, 1.0, 2, L_max=2, grid_res=9, seed=7)
