@@ -9,7 +9,7 @@ only: the fraction is recorded, never asserted.
 import argparse
 import csv
 
-from driftbench.series import Domain, FourierTaylorSeries
+from driftbench.series import Domain, FourierTaylorSeries, open_new
 from driftbench.steepness import sample_prevalence
 from driftbench.systems import SeriesHamiltonian, degenerate_steep, quasi_convex
 
@@ -32,7 +32,7 @@ def main() -> None:
         "zero": SeriesHamiltonian(FourierTaylorSeries.zero(d)),
         "degenerate-steep-toy": degenerate_steep(0.0).h_action,
     }
-    with open(args.out, "w", newline="") as fh:
+    with open_new(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "samples", "fraction", "gamma_histogram"])
         for name, h in cases.items():

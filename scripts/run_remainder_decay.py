@@ -11,7 +11,7 @@ import csv
 
 from driftbench.diophantine import period_of
 from driftbench.normalform import NormalFormConfig, periodic_averaging
-from driftbench.series import Domain, FourierTaylorSeries
+from driftbench.series import Domain, FourierTaylorSeries, open_new
 
 
 def coupled_system(mu: float, k_max: int = 16, d_max: int = 3):
@@ -31,7 +31,7 @@ def main() -> None:
     ap.add_argument("--out", default="remainder_decay.csv")
     args = ap.parse_args()
     H, w = coupled_system(args.mu)
-    with open(args.out, "w", newline="") as fh:
+    with open_new(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "remainder_norm", "contraction"])
         prev = None

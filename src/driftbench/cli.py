@@ -33,6 +33,7 @@ from .series import (
     Gevrey,
     HamiltonianSystem,
     load_series,
+    open_new,
     save_series,
     split_by_modes,
 )
@@ -146,7 +147,7 @@ def cmd_morse_check(args) -> int:
               f"grad={fail.worst_grad:.4g} sigma={fail.worst_sigma:.4g} "
               f"thr={params.threshold(fail.L_min):.4g}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open_new(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["normals", "L_min", "margin", "worst_grad", "worst_sigma", "point"]
@@ -192,7 +193,7 @@ def cmd_drift(args) -> int:
     print(f"drift time at threshold {args.threshold}: {label}")
     if args.out:
         traj = res.trajectory
-        with open(args.out, "w", newline="") as fh:
+        with open_new(args.out) as fh:
             fh.write(f"# driftbench trajectory; system={system.name} seed={args.seed}\n")
             writer = csv.writer(fh)
             writer.writerow(
@@ -269,7 +270,8 @@ def _write_certificate(path, cert) -> None:
     for e in cert.condition_log:
         lines.append(f"  [{'ok' if e.ok else 'VIOLATED'}] {e.name}: "
                      f"lhs={e.lhs:.6g} rhs={e.rhs:.6g} log-margin={e.log_margin:+.3f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_new(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_conditions(args) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, drift_time
 from .restrain import exponents, tau_fraction, time_budget
-from .series import Gevrey
+from .series import Gevrey, open_new
 from .steepness import MorseParams
 from .systems import System, make_system
 
@@ -238,16 +238,23 @@ def run_scaling(
     done, so an interrupted run keeps its finished rows.  Every line ends in
     ``"\n"``; the fit line comes last.  On resume, rows already in the file
     are read back (with either line ending), so the records and the fit cover
-    the whole ladder, and the file is first rewritten atomically without its
-    fit line; a file whose ``# config:`` line differs from ``cfg`` is refused.
+    the whole ladder, and the file is first rewritten without its fit line:
+    to ``<name>.tmp``, then the old file is unlinked and the ``.tmp`` renamed
+    into place; a crash between the two steps leaves only the complete
+    ``.tmp``, which the next resume renames into place.  A file whose
+    ``# config:`` line differs from ``cfg`` is refused.  Files are written as
+    new inodes (``series.open_new``); a symlinked ``out_path`` keeps its link.
     """
-    out_path = Path(out_path)
+    out_path = Path(os.path.realpath(out_path))
+    tmp = out_path.with_name(out_path.name + ".tmp")
     pairs = [
         (ei, ii)
         for ei in range(len(cfg.eps_ladder))
         for ii in range(cfg.num_ic)
     ]
     done: dict[tuple[str, str], ScalingRecord] = {}
+    if resume and not out_path.exists() and tmp.exists():
+        os.rename(tmp, out_path)
     if resume and out_path.exists():
         with open(out_path) as fh:
             lines = fh.read().splitlines()
@@ -258,17 +265,17 @@ def run_scaling(
         for parts in csv.reader(ln for ln in lines if not ln.startswith("#")):
             if len(parts) == len(ScalingRecord.CSV_FIELDS) and parts[0] != "eps":
                 done[(parts[0], parts[1])] = ScalingRecord.from_csv_row(parts)
-        tmp = out_path.with_name(out_path.name + ".tmp")
-        with open(tmp, "w", newline="") as fh:
+        with open_new(tmp) as fh:
             fh.writelines(ln + "\n" for ln in lines if not ln.startswith("# fit"))
-        os.replace(tmp, out_path)
+        os.unlink(out_path)
+        os.rename(tmp, out_path)
 
     def key(ei: int, ii: int) -> tuple[str, str]:
         return format(cfg.eps_ladder[ei], ".17g"), str(ii)
 
     todo = [(ei, ii) for ei, ii in pairs if key(ei, ii) not in done]
     jobs = [(cfg, ei, ii) for ei, ii in todo]
-    mode = "a" if (resume and out_path.exists()) else "w"
+    fresh = not (resume and out_path.exists())
     with ExitStack() as stack:
         if workers > 1:
             from multiprocessing import get_context
@@ -277,9 +284,11 @@ def run_scaling(
             rows = pool.imap(_run_job, jobs)
         else:
             rows = map(_run_job, jobs)
-        fh = stack.enter_context(open(out_path, mode, newline=""))
+        fh = stack.enter_context(
+            open_new(out_path) if fresh else open(out_path, "a", newline="")
+        )
         writer = csv.writer(fh, lineterminator="\n")
-        if mode == "w":
+        if fresh:
             fh.write(f"# driftbench scaling run; local time {time.ctime()}\n")
             fh.write(f"# config: {cfg}\n")
             writer.writerow(ScalingRecord.CSV_FIELDS)

@@ -25,6 +25,7 @@ from .series import (
     FourierTaylorSeries,
     Gevrey,
     compose_near_identity,
+    open_new,
 )
 
 GevreyParams = Gevrey
@@ -277,10 +278,10 @@ def check_composition_bound(
 
 
 def write_certificates_csv(path, certs: Sequence[NormCertificate]) -> None:
-    """Append-style CSV dump: norm_kind, value, cap, grid_spec."""
+    """Write the certificates as a new CSV file: norm_kind, value, cap, grid_spec."""
     import csv
 
-    with open(path, "w", newline="") as fh:
+    with open_new(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["norm_kind", "value", "cap", "grid_spec"])
         for cert in certs:

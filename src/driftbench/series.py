@@ -22,6 +22,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -942,8 +944,27 @@ def save_series(
             " ".join(str(x) for x in k) + "  " + " ".join(str(x) for x in l)
             + "  " + _fmt(c.real) + " " + _fmt(c.imag)
         )
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def open_new(path):
+    """Open ``path`` for text writing (``newline=""``) as a new file.
+
+    Symlinks are resolved first.  A regular file there is unlinked and created
+    afresh (a new inode): ext4 flushes a file truncated or renamed over at
+    close, which costs tens of milliseconds.  Anything else (a missing path, a
+    device, a FIFO) is opened with ``"w"`` as given and never unlinked.
+    """
+    target = os.path.realpath(path)
+    try:
+        regular = stat.S_ISREG(os.stat(target).st_mode)
+    except OSError:
+        regular = False
+    if regular:
+        os.unlink(target)
+        path = target
+    return open(path, "w", newline="")
 
 
 _HEADER_FIELDS = {

@@ -19,6 +19,7 @@ linear algebra of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,11 +56,15 @@ class MorseParams:
         return self.gamma * float(L) ** (-self.tau)
 
 
+@functools.lru_cache(maxsize=None)
 def adapted_coordinates(s: RationalSubspace) -> np.ndarray:
     """Orthonormal basis (columns) E of Lambda: Gram-Schmidt on the RREF
-    kernel basis of the normals, in free column order."""
+    kernel basis of the normals, in free column order.  Memoized per
+    subspace; the array is read-only."""
     kern = np.array(rational_kernel(s.normals, s.n), dtype=float).reshape(-1, s.n)
-    return _gram_schmidt(kern.T)
+    E = _gram_schmidt(kern.T)
+    E.setflags(write=False)
+    return E
 
 
 def _gram_schmidt(cols: np.ndarray) -> np.ndarray:

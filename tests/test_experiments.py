@@ -151,6 +151,39 @@ class TestRunScaling:
         assert fit.points == full_fit.points
         assert data_section(cut_path) == data_section(full_path)
 
+    def test_resume_after_crash_between_unlink_and_rename(self, tmp_path):
+        # the rewrite unlinks the target before it renames <name>.tmp into
+        # place; a crash in between leaves only the .tmp, which a resume
+        # must take up instead of starting over
+        cfg = ExperimentConfig(**FAST)
+        full_path, cut_path = tmp_path / "full.csv", tmp_path / "cut.csv"
+        full, _ = run_scaling(cfg, full_path, resume=False)
+        lines = full_path.read_text().splitlines(keepends=True)
+        header = [ln for ln in lines if ln.startswith("#") and "fit" not in ln]
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        # the first two rows carry a runtime no run could write, to tell them apart
+        kept = [rows[0]] + [ln.rsplit(",", 1)[0] + ",123.000\n" for ln in rows[1:3]]
+        tmp = tmp_path / "cut.csv.tmp"
+        tmp.write_text("".join(header + kept))
+        records, _ = run_scaling(cfg, cut_path, resume=True)
+        assert not tmp.exists()
+        assert cut_path.read_text().count(",123.000\n") == 2   # the .tmp's rows were kept
+        assert [r.csv_row()[:-1] for r in records] == [r.csv_row()[:-1] for r in full]
+        assert data_section(cut_path) == data_section(full_path)
+
+    def test_symlinked_output_keeps_its_link(self, tmp_path):
+        cfg = ExperimentConfig(**FAST)
+        plain, target = tmp_path / "plain.csv", tmp_path / "target.csv"
+        link = tmp_path / "s.csv"
+        run_scaling(cfg, plain, resume=False)
+        target.write_text("stale\n")
+        link.symlink_to(target)
+        run_scaling(cfg, link, resume=False)
+        assert link.is_symlink() and data_section(target) == data_section(plain)
+        run_scaling(cfg, link, resume=True)   # the .tmp sits next to the target
+        assert link.is_symlink() and data_section(target) == data_section(plain)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "s.csv", "target.csv"]
+
     def test_resume_refuses_other_config(self, tmp_path):
         out = tmp_path / "s.csv"
         run_scaling(ExperimentConfig(**FAST), out, resume=False)

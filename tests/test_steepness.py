@@ -64,6 +64,13 @@ class TestAdaptedCoordinates:
             assert np.allclose(np.array(normals) @ E, 0, atol=1e-12)
 
 
+    def test_memoized_and_read_only(self):
+        E = adapted_coordinates(RationalSubspace(((1, 2, 0),), 3))
+        assert adapted_coordinates(RationalSubspace(((1, 2, 0),), 3)) is E
+        with pytest.raises(ValueError, match="read-only"):
+            E[0, 0] = 0.0
+
+
 class TestCheckMorseAt:
     def test_identity_hessian_branch(self):
         s = RationalSubspace(((1, 1),), 2)
