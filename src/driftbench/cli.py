@@ -214,6 +214,7 @@ def cmd_drift(args) -> int:
 
 def cmd_restrain(args) -> int:
     system = _load_system(args)
+    morse = MorseParams(args.gamma, args.tau)  # rejects a non-finite tau
     exps = exponents(system.domain.n, Fraction(args.tau))
     ham = system.hamiltonian
     budget = time_budget(ham.epsilon, ham.regularity, exps, args.m_multiplier)
@@ -222,7 +223,7 @@ def cmd_restrain(args) -> int:
     start = experiments.initial_condition(system, np.random.default_rng(args.seed))
     traj = integrate(system, start, tau_m, cfg)
     res = try_restrain(
-        system, traj, args.mu0, budget, MorseParams(args.gamma, args.tau),
+        system, traj, args.mu0, budget, morse,
         exps=exps, multipliers=_parse_multipliers(args.multipliers),
     )
     if res.restrained:
@@ -435,13 +436,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (CliError, FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

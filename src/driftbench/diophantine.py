@@ -133,6 +133,8 @@ def dirichlet_candidates(
     n = len(v)
     if n < 2:
         raise ValueError("dirichlet approximation needs dimension n >= 2")
+    if not all(map(math.isfinite, (Q, *v))):
+        raise ValueError(f"Q and v must be finite, got Q={Q}, v={tuple(v)}")
     if Q <= 1:
         raise ValueError("Q must exceed 1")
     vf = _to_fraction_vector(v)

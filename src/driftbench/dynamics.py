@@ -10,8 +10,11 @@ part per step serves two half-drifts, bit-identical to drift-kick-drift.  Its
 step is one straight-line Python function generated for each split, with the
 series' floats passed in through the function's globals.
 
-The midpoint iterates on z = (theta, I) and reads its vector field, as the
-energy monitor reads H, from one ``SeriesStack`` term table per numpy pass.
+The midpoint iterates on z = (theta, I) and reads its vector field from one
+``SeriesStack`` term table, one point per numpy pass.  Both steppers share
+one ``run_block(theta, action, dt, nsteps, time)`` signature, so the sample
+loop only steps, records and stops; the energy monitor reads H at every
+recorded sample after the loop, in stacked reads of sample blocks.
 A trajectory escapes when its action leaves the ball of radius R around the
 series center.  Escape and crossing times are reported at sample resolution
 with a one-step bracket and no interpolation.
@@ -74,6 +77,9 @@ ENERGY_TOL = 1e-6
 # the midpoint's fixed-point iteration stops once an update is below MIDPOINT_TOL
 MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_ITER = 50
+# one energy block's (samples x terms x n) temporaries stay under this many
+# elements, so a large H is read in small blocks of samples
+ENERGY_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ class _SplitFlow:
             + ["    " + line for line in drift + kick + grad + drift]
             + [f"return [{ts}], [{xs}]"]
         )
-        source = "def run_block(theta, action, dt, nsteps):\n" + "".join(
+        source = "def run_block(theta, action, dt, nsteps, time):\n" + "".join(
             f"    {line}\n" for line in body)
         exec(_compile_split(source), env)
         self.run_block = env["run_block"]
@@ -198,7 +204,7 @@ class _MidpointFlow:
         )
 
     def run_block(
-        self, theta: list[float], action: list[float], dt: float, nsteps: int, t0: float
+        self, theta: list[float], action: list[float], dt: float, nsteps: int, time: float
     ) -> tuple[list[float], list[float]]:
         n, field, half = self.n, self.field, 0.5 * dt
         z = np.concatenate((theta, action))
@@ -213,7 +219,7 @@ class _MidpointFlow:
             else:
                 raise RuntimeError(
                     f"implicit midpoint did not converge in the step from "
-                    f"t={t0 + i * dt:.17g}: last update {delta:.3g} >= "
+                    f"t={time + i * dt:.17g}: last update {delta:.3g} >= "
                     f"tol {MIDPOINT_TOL:.3g} after {MIDPOINT_MAX_ITER} iterations"
                 )
             z = 2 * zm - z
@@ -229,13 +235,22 @@ def _choose_scheme(
     return ("split" if osc.action_independent() else "midpoint"), avg, osc
 
 
+def _energy(H: FourierTaylorSeries, thetas: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """H at every (theta, action) sample, one stacked read per block of samples."""
+    table = SeriesStack([H])
+    block = max(1, ENERGY_BLOCK_ELEMENTS // max(1, len(table.C) * H.domain.n))
+    return np.concatenate([
+        table.values(thetas[i:i + block], actions[i:i + block])[:, 0]
+        for i in range(0, len(thetas), block)
+    ])
+
+
 def integrate(
     system: HamiltonianSystem,
     start: tuple[Sequence[float], Sequence[float]],
     t_max: float,
     cfg: IntegratorConfig | None = None,
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
-    seed: int | None = None,
 ) -> TrajectoryRecord:
     """Integrate from start=(theta0, I0) up to |t| = t_max.
 
@@ -243,7 +258,8 @@ def integrate(
     own inverses up to roundoff).  The trajectory halts early, flagged
     ``escaped``, if the action leaves the domain ball around H's center;
     ``stop_when(t, I)`` is evaluated at sample points for caller-defined
-    early exits.
+    early exits.  The loop only steps and records; H is read at the
+    recorded samples once the loop has ended.
     """
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
@@ -252,27 +268,18 @@ def integrate(
         system = system.hamiltonian
     H = system.total()
     scheme, avg, osc = _choose_scheme(H)
-    if scheme == "split":
-        stepper = _SplitFlow(avg, osc)
-    else:
-        stepper = _MidpointFlow(H)
-    energy = SeriesStack([H])
+    stepper = _SplitFlow(avg, osc) if scheme == "split" else _MidpointFlow(H)
     domain, center = system.domain, H.center
     dt = (1.0 if t_max >= 0 else -1.0) * cfg.step
     n_steps = int(round(abs(t_max) / cfg.step))
-    theta = np.asarray(start[0], dtype=float) % 1.0
-    action = np.asarray(start[1], dtype=float)
-    th, ac = theta.tolist(), action.tolist()
+    th = (np.asarray(start[0], dtype=float) % 1.0).tolist()
+    ac = np.asarray(start[1], dtype=float).tolist()
     times, thetas, actions = [0.0], [th], [ac]
-    energies = [float(energy.values(theta, action)[0])]
     escaped = False
     k = 0
     while k < n_steps:
         block = min(cfg.sample_stride, n_steps - k)
-        if scheme == "split":
-            th, ac = stepper.run_block(th, ac, dt, block)
-        else:
-            th, ac = stepper.run_block(th, ac, dt, block, k * dt)
+        th, ac = stepper.run_block(th, ac, dt, block, k * dt)
         k += block
         t = k * dt
         if not all(map(math.isfinite, th + ac)):
@@ -280,27 +287,19 @@ def integrate(
         times.append(t)
         thetas.append(th)  # both steppers return new lists
         actions.append(ac)
-        action = np.array(ac)
-        energies.append(float(energy.values(np.array(th), action)[0]))
         if not domain.contains_action(ac, center):
             escaped = True
             break
-        if stop_when is not None and stop_when(t, action):
+        if stop_when is not None and stop_when(t, np.array(ac)):
             break
-    meta = {
-        "config_hash": cfg.digest(),
-        "scheme": scheme,
-        "seed": seed,
-        "step": cfg.step,
-    }
-    rec = TrajectoryRecord(
-        np.array(times), np.array(thetas) % 1.0, np.array(actions), np.array(energies),
-        escaped, meta,
-    )
+    # H is read at the angles as stepped, before they are wrapped
+    thetas, actions = np.array(thetas), np.array(actions)
+    energy = _energy(H, thetas, actions)
+    meta = {"config_hash": cfg.digest(), "scheme": scheme, "step": cfg.step}
+    rec = TrajectoryRecord(np.array(times), thetas % 1.0, actions, energy, escaped, meta)
     dev = rec.energy_deviation()
-    scale = max(1.0, abs(energies[0]))
     meta["energy_deviation"] = dev
-    meta["energy_ok"] = bool(dev <= ENERGY_TOL * scale)
+    meta["energy_ok"] = bool(dev <= ENERGY_TOL * max(1.0, abs(energy[0])))
     return rec
 
 
@@ -366,8 +365,6 @@ def drift_time(
     """First time |I(t) - I(0)| >= threshold (sup norm), integrating up to t_cap."""
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
-    if hasattr(system, "hamiltonian"):
-        system = system.hamiltonian
     I0 = np.asarray(start[1], dtype=float)
 
     def crossed(t: float, action: np.ndarray) -> bool:

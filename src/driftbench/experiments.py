@@ -20,13 +20,14 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, drift_time
-from .restrain import exponents, tau_fraction, time_budget
+from .restrain import exponents, time_budget
 from .series import Gevrey, open_new
 from .steepness import MorseParams
 from .systems import System, make_system
@@ -58,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("eps_ladder must hold at least one epsilon")
         if self.num_ic < 1:
             raise ValueError(f"num_ic must be >= 1, got {self.num_ic}")
+        if not (math.isfinite(self.tau) and self.tau >= 2):
+            raise ValueError(f"tau must be finite and >= 2, got {self.tau}")
         if any(not 0 < e < 1 for e in self.eps_ladder):
             raise ValueError("epsilon values must lie in (0, 1)")
         if list(self.eps_ladder) != sorted(self.eps_ladder, reverse=True):
@@ -139,7 +142,7 @@ def run_row(
     eps = cfg.eps_ladder[eps_index]
     system = make_system(cfg.system, eps, **dict(cfg.system_kwargs))
     n = system.domain.n
-    exps = exponents(n, tau_fraction(cfg.tau))
+    exps = exponents(n, Fraction(cfg.tau))
     budget = time_budget(eps, system.hamiltonian.regularity, exps, cfg.m_multiplier)
     tau_m = min(budget.tau_m, cfg.t_cap)
     if cfg.threshold_mode == "theorem":
@@ -299,7 +302,7 @@ def run_scaling(
             fh.flush()
         records = [done[key(*p)] for p in pairs]
         system = make_system(cfg.system, cfg.eps_ladder[0], **dict(cfg.system_kwargs))
-        exps = exponents(system.domain.n, tau_fraction(cfg.tau))
+        exps = exponents(system.domain.n, Fraction(cfg.tau))
         fit = fit_scaling(records, system.hamiltonian.regularity, exps)
         fh.write(f"# {fit.describe()}\n")
     return records, fit

@@ -470,6 +470,9 @@ def localize_and_scale(
     if mu <= 0:
         raise ValueError("mu must be positive")
     domain = system.domain
+    for name, dim in (("center", len(I_center)), ("periodic vector", omega.n)):
+        if dim != domain.n:
+            raise ValueError(f"{name} has dimension {dim}, the system has dimension {domain.n}")
     I_center = tuple(float(x) for x in I_center)
     center = system.integrable.center
     reach = max(abs(x - c) for x, c in zip(I_center, center)) + 3 * rho * mu

@@ -154,6 +154,7 @@ def check_conditions(p: ConditionParams) -> ConditionReport:
     """Evaluate the eleven smallness conditions with signed log margins."""
     if len(p.mus) != p.n or len(p.Ts) != p.n or len(p.Ls) != p.n:
         raise ValueError("mus, Ts, Ls must have length n")
+    exps = exponents(p.n, Fraction(p.tau))
     c = p.multiplier
     E: list[ConditionEntry] = []
     for j in range(1, p.n):  # j in 1..n-1
@@ -180,15 +181,9 @@ def check_conditions(p: ConditionParams) -> ConditionReport:
     info = tuple(
         ConditionEntry(f"mu_{j} =. T_{j}^-1 eps^a_{j} (ratio)",
                        p.mus[j - 1] * p.Ts[j - 1], p.eps ** float(a_j))
-        for j, a_j in zip(range(1, p.n + 1), exponents(p.n, tau_fraction(p.tau)).a_list)
+        for j, a_j in zip(range(1, p.n + 1), exps.a_list)
     )
     return ConditionReport(tuple(E), info)
-
-
-def tau_fraction(tau: float) -> Fraction:
-    """tau as an exact Fraction, raised to 2 where it is smaller."""
-    f = Fraction(tau)
-    return f if f >= 2 else Fraction(2)
 
 
 # -- the restrain monitor -------------------------------------------------------------
@@ -306,7 +301,7 @@ def try_restrain(
     ham = system.hamiltonian
     n = ham.domain.n
     eps = ham.epsilon
-    exps = exps or exponents(n, tau_fraction(morse.tau))
+    exps = exps or exponents(n, Fraction(morse.tau))
     gamma, tau = morse.gamma, morse.tau
     tau_m = min(budget.tau_m, float(traj.times[-1]))
     R, center = ham.domain.R, np.asarray(ham.integrable.center)
@@ -384,12 +379,6 @@ def try_restrain(
                         "for the steepness property if h passed the Morse check",
                         {"c_j": c_j, "threshold": er.grad_threshold},
                     ),
-                )
-            if er.containment_ok is False:
-                return RestrainResult(
-                    None,
-                    FailureTrace(j, f"(C_{j}) containment",
-                                 "projected curve left the c_j ball before escape"),
                 )
             idx_next = idx_j + er.index
             t_next = float(er.time)

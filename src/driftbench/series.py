@@ -573,13 +573,15 @@ class SeriesStack:
         self.angle_free = not self.K.any()
 
     def values(self, theta: np.ndarray | None, action: np.ndarray) -> np.ndarray:
-        """Every row at (theta, action): shape (rows,) for one action point,
-        (m, rows) for an (m, n) stack of them.  ``theta`` is not read when no
+        """Every row at (theta, action): shape (rows,) for one point, (m, rows)
+        for an (m, n) stack of action points, read at one theta (n,) or at the
+        paired rows of an (m, n) theta stack.  ``theta`` is not read when no
         row depends on the angles."""
         mono = ((action[..., None, :] - self.center) ** self.L).prod(axis=-1)
         if self.angle_free:
             return (self.C.real * mono) @ self.S
-        return (self.C * np.exp(2j * math.pi * (self.K @ theta)) * mono).real @ self.S
+        phase = (self.K @ theta.T).T  # at one theta, K @ theta: its rounding is kept
+        return (self.C * np.exp(2j * math.pi * phase) * mono).real @ self.S
 
     def grid_values(self, theta_points: np.ndarray, action_points: np.ndarray) -> np.ndarray:
         """Every row on the tensor grid theta_points (P, n) x action_points

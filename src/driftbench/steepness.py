@@ -14,7 +14,8 @@ up to a cap.  Reports carry both resolutions.  Every check reads h through
 grid point in one stacked read each, and one kernel scores both branches.
 The subspaces, each with its L_min, come from one memoized
 ``diophantine.enumerate_GL`` sweep per (n, L_max); this module has no exact
-linear algebra of its own.
+linear algebra of its own.  The steepness escape scan reads the gradient
+over its curve in one stacked read, up to the first sample at length c.
 """
 
 from __future__ import annotations
@@ -320,14 +321,18 @@ class SteepnessQuery:
 
 @dataclass(frozen=True)
 class EscapeResult:
-    """Escape-time search outcome on a sampled curve."""
+    """Escape-time search outcome on a sampled curve.
+
+    The scan ends at the first sample whose displacement reaches c, so every
+    sample before a found escape lies inside the c-ball: the containment
+    clause holds whenever ``found`` does.
+    """
 
     found: bool
     time: float | None
     index: int | None
     grad_sup: float | None          # |Pi_j grad h|_inf at the escape sample
     grad_threshold: float
-    containment_ok: bool | None     # displacement < c at all earlier samples
     length_margin: float            # multiplier*gamma*L^-tau - c (precondition)
 
 
@@ -340,7 +345,9 @@ def steepness_escape(
     length_multiplier: float = 1.0,
 ) -> EscapeResult:
     """Scan the curve for the first time the projected gradient exceeds the
-    configured multiple of c^2, verifying the containment clause on the way.
+    configured multiple of c^2, up to and including the first sample whose
+    displacement reaches c; the gradient over that stretch is one stacked
+    read.
 
     Not finding one contradicts the steepness escape property whenever h
     passed the Morse check.
@@ -353,17 +360,14 @@ def steepness_escape(
             f"(c must be << gamma L^-tau; adjust the multiplier)"
         )
     disp = np.max(np.abs(q.points - q.points[0]), axis=1)
-    if float(np.max(disp)) < q.c:
+    reached = np.flatnonzero(disp >= q.c)
+    if not len(reached):
         raise ValueError("curve never reaches length c; precondition violated")
     Pi, _ = projections(q.frame)
     thr = grad_multiplier * q.c ** 2
-    for i in range(len(q.times)):
-        g = float(np.max(np.abs(Pi @ h.grad(q.points[i]))))
-        if g > thr:
-            contained = bool(np.all(disp[:i] < q.c)) if i > 0 else True
-            return EscapeResult(
-                True, float(q.times[i]), i, g, thr, contained, length_cap - q.c,
-            )
-        if disp[i] >= q.c:
-            break
-    return EscapeResult(False, None, None, None, thr, None, length_cap - q.c)
+    grads = np.max(np.abs(h.grad(q.points[: reached[0] + 1]) @ Pi.T), axis=1)
+    hits = np.flatnonzero(grads > thr)
+    if not len(hits):
+        return EscapeResult(False, None, None, None, thr, length_cap - q.c)
+    i = int(hits[0])
+    return EscapeResult(True, float(q.times[i]), i, float(grads[i]), thr, length_cap - q.c)

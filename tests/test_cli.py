@@ -60,6 +60,15 @@ class TestApprox:
         assert code == 1 and out == ""
         assert err.startswith("error: |v| = 1e-320 is too small")
 
+    @pytest.mark.parametrize("v, Q", [
+        ("1,0.41421356", "inf"), ("1,inf", "10"), ("1,-inf", "10"), ("nan,1", "10"),
+        ("1,0.41421356", "nan"),
+    ])
+    def test_non_finite_input_is_error(self, capsys, v, Q):
+        code, out, err = run(capsys, "approx", "--v", v, "--Q", Q)
+        assert code == 1 and out == ""
+        assert err.startswith("error: Q and v must be finite")
+
 
 class TestMorseCheck:
     def test_pass_exit_zero(self, capsys, tmp_path):
@@ -237,6 +246,19 @@ class TestNormalform:
         )
         assert code == 1
         assert "epsilon" in err
+
+    @pytest.mark.parametrize("center, frame, dims", [
+        ("0.3", "3/10,-3/10", "center has dimension 1"),
+        ("0.3,-0.3,0.1", "3/10,-3/10", "center has dimension 3"),
+        ("0.3,-0.3", "3/10,-3/10,1/10", "periodic vector has dimension 3"),
+    ], ids=["short-center", "long-center", "long-frame"])
+    def test_dimension_mismatch_is_error(self, capsys, center, frame, dims):
+        code, out, err = run(
+            capsys, "normalform", "--system", "quasiconvex", "--eps", "1e-8",
+            "--center", center, "--frame", frame, "--mu", "0.02",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {dims}, the system has dimension 2\n"
 
 
 class TestRestrain:
@@ -452,6 +474,31 @@ class TestErrors:
         code, out, err = run(capsys, command[0], "--series", str(path), *command[1:])
         assert code == 1 and out == ""
         assert err.startswith(f"error: series file {path}, line ")
+
+    @pytest.mark.parametrize("argv", [
+        ("exponents", "--n", "2", "--tau", "1"),
+        ("restrain", "--system", "quasiconvex", "--eps", "1e-4", "--tau", "1.5",
+         "--t-cap", "5"),
+        ("restrain", "--system", "quasiconvex", "--eps", "1e-4", "--tau", "inf",
+         "--t-cap", "5"),
+        ("conditions", "--n", "2", "--tau", "1", "--gamma", "0.9", "--eps", "1e-12",
+         "--m", "1", "--mu0", "1e-2", "--mus", "5e-5,2e-5", "--Ts", "2,3", "--Ls", "2,3"),
+    ], ids=["exponents", "restrain", "restrain-inf", "conditions"])
+    def test_tau_below_two_is_error(self, capsys, argv):
+        # tau < 2 is rejected, never raised to 2 behind the user's back
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: tau must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tau", ["1.5", "inf"])
+    def test_scaling_config_tau_below_two_is_error(self, capsys, tmp_path, tau):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"system = pendulum\neps_ladder = 1e-2\nnum_ic = 1\ntau = {tau}\n")
+        path = tmp_path / "s.csv"
+        code, out, err = run(capsys, "scaling", "--config", str(cfg), "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: tau must be finite and >= 2")
+        assert not path.exists()
 
     def test_series_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "h.series"

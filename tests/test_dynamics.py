@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -258,7 +259,7 @@ class _TwoGradientSplit:
             out.append(total)
         return out
 
-    def run_block(self, theta, action, dt, nsteps):
+    def run_block(self, theta, action, dt, nsteps, time):
         n = self.n
         half = 0.5 * dt
         theta, action = list(theta), list(action)
@@ -323,9 +324,11 @@ def test_split_block_matches_two_gradient_reference(case):
     flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
     th, ac = list(theta), list(action)
     ref_th, ref_ac = list(theta), list(action)
+    k = 0
     for nsteps in blocks:
-        th, ac = flow.run_block(th, ac, dt, nsteps)
-        ref_th, ref_ac = ref.run_block(ref_th, ref_ac, dt, nsteps)
+        th, ac = flow.run_block(th, ac, dt, nsteps, k * dt)
+        ref_th, ref_ac = ref.run_block(ref_th, ref_ac, dt, nsteps, k * dt)
+        k += nsteps
         assert th == ref_th and ac == ref_ac
 
 
@@ -361,6 +364,98 @@ def test_integrate_matches_two_gradient_reference(system, start, t_max, monkeypa
     assert rec.metadata == ref.metadata
 
 
+@st.composite
+def _energy_case(draw):
+    """A split H from ``_split_case`` or a seeded non-separable H for the
+    midpoint, either centered on or off the origin, with a start, a signed
+    step and a sample stride."""
+    if draw(st.booleans()):
+        A, B, theta, action, dt, _ = draw(_split_case())
+        system = HamiltonianSystem(A, B, 1e-2, Gevrey(1.0, 0.5))
+    else:
+        n = draw(st.integers(1, 3))
+        center = draw(st.sampled_from([None, (3.0, -1.5, 0.7)[:n]]))
+        system = HamiltonianSystem(*_nonseparable(n, draw(st.integers(0, 1000)), center),
+                                   1e-3, Gevrey(1.0, 0.5))
+        theta = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+        offset = draw(st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n))
+        action = [c + o for c, o in zip(system.integrable.center, offset)]
+        dt = draw(st.floats(1e-3, 0.05)) * draw(st.sampled_from([1.0, -1.0]))
+    return system, (theta, action), dt, draw(st.sampled_from([1, 3, 7]))
+
+
+@given(_energy_case())
+@settings(max_examples=40, deadline=None)
+def test_energy_matches_pointwise_evaluate(case):
+    # the stacked read after the loop against the reference evaluator at
+    # every recorded sample; an escaped run's last sample lies outside the
+    # ball, where ``evaluate`` refuses to read
+    system, start, dt, stride = case
+    rec = integrate(system, start, 40 * dt, IntegratorConfig(step=abs(dt), sample_stride=stride))
+    H = system.total()
+    tol = 1e-13 * max(1.0, H.coefficient_norm())
+    inside = len(rec.times) - rec.escaped
+    assert inside >= 1
+    for th, ac, e in zip(rec.thetas[:inside], rec.actions[:inside], rec.energy):
+        assert abs(e - H.evaluate(th, ac)) <= tol
+
+
+def test_energy_read_once_per_block(monkeypatch):
+    calls = []
+    values = dynamics.SeriesStack.values
+
+    def counting(self, theta, action):
+        calls.append(np.shape(action))
+        return values(self, theta, action)
+
+    monkeypatch.setattr(dynamics.SeriesStack, "values", counting)
+    system, start = pendulum(1e-2), ((0.25,), (0.05,))
+    cfg = IntegratorConfig(step=0.01, sample_stride=2)
+    rec = integrate(system, start, 10.0, cfg)
+    assert rec.metadata["scheme"] == "split" and len(rec.times) == 501
+    assert calls == [(501, 1)]
+    # H has three terms and one action: a budget of 30 elements reads blocks
+    # of 10 samples
+    calls.clear()
+    monkeypatch.setattr(dynamics, "ENERGY_BLOCK_ELEMENTS", 30)
+    blocked = integrate(system, start, 10.0, cfg)
+    assert calls == [(10, 1)] * 50 + [(1, 1)]
+    assert np.array_equal(blocked.actions, rec.actions)
+    assert np.max(np.abs(blocked.energy - rec.energy)) <= 1e-15
+
+
+def test_energy_read_memory_is_bounded():
+    # 2,205 terms over 1,200 samples: one unblocked read would hold
+    # (samples x terms x n) and (samples x terms) temporaries of over 100 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    d, zero = Domain(2, 1.0), (0, 0)
+    coeffs = {}
+    for k in itertools.product(range(-10, 11), repeat=2):
+        for l in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)):
+            if k == zero:
+                coeffs[(k, l)] = float(rng.uniform(-1, 1))
+            elif k > zero:
+                c = complex(*rng.uniform(-1e-3, 1e-3, 2))
+                coeffs[(k, l)] = c
+                coeffs[(tuple(-x for x in k), l)] = c.conjugate()
+    H = FourierTaylorSeries(d, coeffs, 10, 2)
+    assert len(H) >= 2000
+    thetas = rng.uniform(0, 1, (1200, 2))
+    actions = rng.uniform(-0.5, 0.5, (1200, 2))
+    tracemalloc.start()
+    try:
+        energy = dynamics._energy(H, thetas, actions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    tol = 1e-13 * max(1.0, H.coefficient_norm())
+    for i in (0, 599, 1199):
+        assert abs(energy[i] - H.evaluate(thetas[i], actions[i])) <= tol
+
+
 def test_split_with_ten_thousand_monomials_matches_reference():
     # one statement per monomial: a single expression this long would
     # exhaust the compiler's recursion limit
@@ -372,7 +467,7 @@ def test_split_with_ten_thousand_monomials_matches_reference():
     B = FourierTaylorSeries.cosine(d, (1,), 1e-2, 1, deg)
     flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
     start = ([0.1], [0.3])
-    assert flow.run_block(*start, 1e-3, 3) == ref.run_block(*start, 1e-3, 3)
+    assert flow.run_block(*start, 1e-3, 3, 0.0) == ref.run_block(*start, 1e-3, 3, 0.0)
 
 
 class TestIntegratorConfig:

@@ -70,6 +70,11 @@ class TestRunRow:
         with pytest.raises(ValueError, match="num_ic"):
             ExperimentConfig(**{**FAST, "num_ic": num_ic})
 
+    @pytest.mark.parametrize("tau", [1.5, 0.0, math.nan, math.inf])
+    def test_tau_must_be_finite_and_at_least_two(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and >= 2"):
+            ExperimentConfig(**{**FAST, "tau": tau})
+
 
 class TestFit:
     def _records(self, times):

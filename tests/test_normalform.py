@@ -479,6 +479,18 @@ class TestLocalization:
         with pytest.raises(ValueError):
             localize_and_scale(sysq.hamiltonian, (0.3, 0.0), 0.01, None)
 
+    @pytest.mark.parametrize("center, omega, match", [
+        ((0.3,), (F(3, 10), F(-3, 10)), "center has dimension 1, the system has dimension 2"),
+        ((0.3, -0.3, 0.1), (F(3, 10), F(-3, 10)),
+         "center has dimension 3, the system has dimension 2"),
+        ((0.3, -0.3), (F(3, 10), F(-3, 10), F(1, 10)),
+         "periodic vector has dimension 3, the system has dimension 2"),
+    ])
+    def test_dimension_mismatch(self, center, omega, match):
+        ham = quasi_convex(1e-8).hamiltonian
+        with pytest.raises(ValueError, match=match):
+            localize_and_scale(ham, center, 0.02, period_of(omega))
+
 
 class TestLocalNormalForm:
     def _setup(self, eps=1e-8):
@@ -520,6 +532,17 @@ class TestLocalNormalForm:
             "remainder_dtheta_target"
         ]
         assert res.symmetry_checked
+
+    @pytest.mark.parametrize("center, omega, match", [
+        ((0.3,), (F(3, 10), F(-3, 10)), "center has dimension 1, the system has dimension 2"),
+        ((0.3, -0.3), (F(3, 10), F(-3, 10), F(1, 10)),
+         "periodic vector has dimension 3, the system has dimension 2"),
+    ])
+    def test_dimension_mismatch(self, center, omega, match):
+        ham, _, _ = self._setup()
+        frame = ResonanceFrame.build([period_of(omega)])
+        with pytest.raises(ValueError, match=match):
+            local_normal_form(ham, center, frame, [0.02], NormalFormConfig(m=2))
 
     def test_mu_schedule_length_checked(self):
         ham, Ic, frame = self._setup()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -121,6 +122,12 @@ class TestCheckConditions:
         rep = check_conditions(p)
         failing = [e.name for e in rep.failing()]
         assert any(name.startswith("(x)") for name in failing)
+
+    def test_tau_below_two_rejected(self):
+        # the info rows are read at the exponents of tau itself, never at 2
+        p = dataclasses.replace(self._params(), tau=1.5)
+        with pytest.raises(ValueError, match="tau must be >= 2"):
+            check_conditions(p)
 
     def test_eleven_condition_families_present(self):
         rep = check_conditions(self._params())

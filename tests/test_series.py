@@ -73,11 +73,14 @@ class TestEvaluate:
     @settings(max_examples=40, deadline=None)
     def test_stack_matches_pointwise(self, s):
         # one table for a series and two of its derivatives, read at single
-        # points and at a stack of action points; |I| < 1 bounds every term
-        # by its coefficient, so the coefficient norm scales the roundoff
+        # points, at a stack of action points and at paired (theta, action)
+        # stacks; |I| < 1 bounds every term by its coefficient, so the
+        # coefficient norm scales the roundoff
         rows = [s, s.partial_theta(0), s.partial_action(s.domain.n - 1)]
         stack = SeriesStack(rows)
         thetas, actions = sample_points(s.domain.n, count=3)
+        paired = stack.values(thetas, actions)
+        assert paired.shape == (len(thetas), len(rows))
         for th in thetas:
             many = stack.values(th, actions)
             for i, ac in enumerate(actions):
@@ -86,6 +89,10 @@ class TestEvaluate:
                     tol = 1e-13 * max(1.0, row.coefficient_norm())
                     assert abs(stack.values(th, ac)[r] - ref) <= tol
                     assert abs(many[i, r] - ref) <= tol
+        for i, (th, ac) in enumerate(zip(thetas, actions)):
+            for r, row in enumerate(rows):
+                tol = 1e-13 * max(1.0, row.coefficient_norm())
+                assert abs(paired[i, r] - row.evaluate(th, ac)) <= tol
 
     @given(small_series())
     @settings(max_examples=40, deadline=None)

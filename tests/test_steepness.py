@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import action_h
-from driftbench.diophantine import RationalSubspace, ResonanceFrame, period_of
+from driftbench.diophantine import RationalSubspace, ResonanceFrame, period_of, projections
 from driftbench.series import Domain, FourierTaylorSeries
 from driftbench.steepness import (
     MorseParams,
@@ -265,7 +265,6 @@ class TestSteepnessEscape:
         # grad h = I along the ray; escape at the first sample with
         # |I|_inf > c^2
         assert r.grad_sup > 0.25 ** 2
-        assert r.containment_ok
         idx = r.index
         assert np.max(np.abs(q.points[idx - 1])) <= 0.25 ** 2 + 1e-12
 
@@ -302,6 +301,45 @@ class TestSteepnessEscape:
         disp = np.max(np.abs(q.points - q.points[0]), axis=1)
         assert np.all(disp[: r.index] < q.c)
         assert r.grad_sup > r.grad_threshold
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_scan_matches_per_point_scan(self, data):
+        # random drifting curves through a random quadratic h, on the whole
+        # plane or on the line of one periodic vector, with c a fraction of
+        # the curve's reach and a threshold multiplier across four decades;
+        # the per-point loop the stacked scan replaced is the reference
+        entry = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+        a = data.draw(st.lists(entry, min_size=3, max_size=3))
+        scale = data.draw(st.sampled_from([1.0, 0.1, 0.01]))
+        h = action_h(scale * np.array([[a[0], a[1]], [a[1], a[2]]]))
+        vectors = data.draw(st.sampled_from([[], [period_of((1, 0))], [period_of((1, 1))]]))
+        frame = ResonanceFrame.build(vectors, n=2)
+        Pi, _ = projections(frame)
+        m = data.draw(st.integers(2, 40))
+        step = st.floats(-0.01, 0.01)
+        phi = data.draw(st.floats(0.0, 2 * math.pi))
+        drift = 0.01 * np.array([math.cos(phi), math.sin(phi)])
+        steps = drift + np.array(data.draw(st.lists(st.tuples(step, step), min_size=m - 1,
+                                                    max_size=m - 1)))
+        start = np.array(data.draw(st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))))
+        pts = start + np.vstack([np.zeros(2), np.cumsum(steps @ Pi.T, axis=0)])
+        disp = np.max(np.abs(pts - pts[0]), axis=1)
+        assume(disp.max() > 1e-3)
+        c = data.draw(st.floats(0.2, 1.0)) * disp.max()
+        q = SteepnessQuery(np.arange(m) * 0.1, pts, c, frame, R=1.0)
+        mult = 10.0 ** data.draw(st.floats(-2.0, 2.0))
+        r = steepness_escape(q, h, 0.9, 2.0, grad_multiplier=mult)
+        ref = (False, None, None)
+        for i in range(m):
+            if float(np.max(np.abs(Pi @ h.grad(pts[i])))) > mult * c ** 2:
+                ref = (True, i, float(q.times[i]))
+                break
+            if disp[i] >= c:
+                break
+        assert (r.found, r.index, r.time) == ref
+        if r.found:
+            assert np.all(disp[: r.index] < c)
 
     def test_ball_measured_from_center(self):
         # a curve near (3.0, -1.5) lies inside the unit ball around that
