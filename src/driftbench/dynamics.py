@@ -10,11 +10,13 @@ part per step serves two half-drifts, bit-identical to drift-kick-drift.  Its
 step is one straight-line Python function generated for each split, with the
 series' floats passed in through the function's globals.
 
-The midpoint iterates on z = (theta, I) and reads its vector field from one
-``SeriesStack`` term table, one point per numpy pass.  Both steppers share
-one ``run_block(theta, action, dt, nsteps, time)`` signature, so the sample
-loop only steps, records and stops; the energy monitor reads H at every
-recorded sample after the loop, in stacked reads of sample blocks.
+The midpoint iterates on z = (theta, I) in a straight-line Python function
+generated the same way: each iteration reads cos/sin once per mode pair and
+each power once, and every field row shares those reads.  Both steppers
+share one ``run_block(theta, action, dt, nsteps, time)`` signature, so the
+sample loop only steps, records and stops; the energy monitor reads H at
+every recorded sample after the loop, in stacked ``SeriesStack`` reads of
+sample blocks.
 A trajectory escapes when its action leaves the ball of radius R around the
 series center.  Escape and crossing times are reported at sample resolution
 with a one-step bracket and no interpolation.
@@ -133,10 +135,19 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=32)
-def _compile_split(source: str):
-    """The code object of a generated split step, shared by every split
-    with the same structure."""
-    return compile(source, "<split step>", "exec")
+def _compile(source: str):
+    """The code object of a generated step, shared by every series with the
+    same structure."""
+    return compile(source, "<generated step>", "exec")
+
+
+def _generate(body: list[str], env: dict) -> Callable:
+    """``run_block(theta, action, dt, nsteps, time)`` with the given body,
+    its free names bound to ``env``."""
+    source = "def run_block(theta, action, dt, nsteps, time):\n" + "".join(
+        f"    {line}\n" for line in body)
+    exec(_compile(source), env)
+    return env["run_block"]
 
 
 class _SplitFlow:
@@ -181,49 +192,94 @@ class _SplitFlow:
         drift = [f"t{j} = (t{j} + half * g{j}) % 1.0" for j in range(n)]
         ts = "".join(f"t{j}, " for j in range(n))
         xs = "".join(f"x{j}, " for j in range(n))
-        body = (
+        self.run_block = _generate(
             [f"{ts}= theta", f"{xs}= action", "half = 0.5 * dt"] + grad
             + ["for _ in range(nsteps):"]
             + ["    " + line for line in drift + kick + grad + drift]
-            + [f"return [{ts}], [{xs}]"]
+            + [f"return [{ts}], [{xs}]"],
+            env,
         )
-        source = "def run_block(theta, action, dt, nsteps, time):\n" + "".join(
-            f"    {line}\n" for line in body)
-        exec(_compile_split(source), env)
-        self.run_block = env["run_block"]
+
+
+def _stalled(t: float, max_iter: int, *updates: float) -> RuntimeError:
+    """The midpoint's non-convergence error for the step from t; the last
+    update is the largest of ``updates``, or NaN if any is NaN."""
+    delta = math.nan if any(map(math.isnan, updates)) else max(updates)
+    return RuntimeError(
+        f"implicit midpoint did not converge in the step from "
+        f"t={t:.17g}: last update {delta:.3g} >= "
+        f"tol {MIDPOINT_TOL:.3g} after {max_iter} iterations"
+    )
 
 
 class _MidpointFlow:
-    """Implicit midpoint by fixed-point iteration; symplectic for any H."""
+    """Implicit midpoint by fixed-point iteration; symplectic for any H.
+
+    ``run_block`` is generated like ``_SplitFlow``'s: the source holds the
+    mode vectors and exponents of the field dz/dt = (dH/dI, -dH/dtheta), and
+    its coefficients and H's center enter through the globals.  Each
+    iteration reads cos and sin once per +-k mode pair and d_i ** e once per
+    distinct power, and the 2n field rows share those reads; a row sums its
+    terms (Re c cos - Im c sin) * (product of its powers) left to right.
+    An iteration whose updates are all below ``MIDPOINT_TOL`` ends the step;
+    a NaN update never does.  An overflow or a domain error while reading
+    the field counts as a NaN update that cannot converge.
+    """
 
     def __init__(self, H: FourierTaylorSeries) -> None:
-        self.n = n = H.domain.n
-        self.field = SeriesStack(  # dz/dt = (dH/dI, -dH/dtheta)
-            [H.partial_action(j) for j in range(n)]
-            + [-H.partial_theta(j) for j in range(n)]
+        n = H.domain.n
+        env = {"sin": math.sin, "cos": math.cos, "isnan": math.isnan, "NAN": math.nan,
+               "TWO_PI": TWO_PI, "TOL": MIDPOINT_TOL, "MAX_ITER": MIDPOINT_MAX_ITER,
+               "stalled": _stalled}
+        env.update((f"c{i}", c) for i, c in enumerate(H.center))
+        rows = [H.partial_action(j) for j in range(n)] + [-H.partial_theta(j) for j in range(n)]
+        modes: dict[tuple[int, ...], int] = {}   # one representative per +-k pair
+        powers: dict[tuple[int, int], str] = {}  # (i, e) -> its variable
+        field = []
+        for r, row in enumerate(rows):
+            terms = []
+            for s, ((k, l), c) in enumerate(row.items()):
+                env[f"a{r}_{s}"], env[f"b{r}_{s}"] = c.real, c.imag
+                factors = [powers.setdefault((i, e), f"d{i}" if e == 1 else f"p{i}_{e}")
+                           for i, e in enumerate(l) if e]
+                if any(k):
+                    rep = k if next(x for x in k if x) > 0 else tuple(-x for x in k)
+                    q = modes.setdefault(rep, len(modes))
+                    sign = "-" if k == rep else "+"
+                    term = f"(a{r}_{s} * C{q} {sign} b{r}_{s} * S{q})"
+                else:
+                    term = f"a{r}_{s}"
+                if factors:
+                    prod = " * ".join(factors)
+                    term += f" * ({prod})" if len(factors) > 1 else f" * {prod}"
+                terms.append(term)
+            # one statement per term: a long sum in one expression would
+            # exhaust the compiler's recursion limit
+            field += [f"v{r} = {terms[0]}" if terms else f"v{r} = 0.0"]
+            field += [f"v{r} += {term}" for term in terms[1:]]
+        reads = [f"d{i} = m{n + i} - c{i}" for i in sorted({i for i, _ in powers})]
+        for rep, q in modes.items():
+            phase = " + ".join(f"{kj} * m{j}" for j, kj in enumerate(rep) if kj)
+            reads += [f"y = TWO_PI * ({phase})", f"C{q} = cos(y)", f"S{q} = sin(y)"]
+        reads += [f"{v} = d{i} ** {float(e)!r}" for (i, e), v in powers.items() if e != 1]
+        update = [line for r in range(2 * n) for line in (
+            f"w = z{r} + half * v{r}", f"e{r} = abs(w - m{r})", f"m{r} = w")]
+        z, m, e = ([f"{x}{r}" for r in range(2 * n)] for x in "zme")
+        zs, ms, es = map(", ".join, (z, m, e))
+        self.run_block = _generate(
+            [f"{zs}, = *theta, *action", "half = 0.5 * dt",
+             "for i in range(nsteps):", f"    {ms} = {zs}",
+             "    try:", "        for _ in range(MAX_ITER):"]
+            + ["            " + line for line in reads + field + update]
+            + [f"            if max({es}) < TOL and not isnan({' + '.join(e)}):",
+               "                break", "        else:",
+               f"            raise stalled(time + i * dt, MAX_ITER, {es})",
+               "    except (OverflowError, ValueError):",
+               "        raise stalled(time + i * dt, MAX_ITER, NAN) from None"]
+            + [f"    z{r} = 2.0 * m{r} - z{r}" for r in range(2 * n)]
+            + [f"return [{', '.join(z[:n])}], [{', '.join(z[n:])}]"],
+            env,
         )
-
-    def run_block(
-        self, theta: list[float], action: list[float], dt: float, nsteps: int, time: float
-    ) -> tuple[list[float], list[float]]:
-        n, field, half = self.n, self.field, 0.5 * dt
-        z = np.concatenate((theta, action))
-        for i in range(nsteps):
-            zm = z
-            for _ in range(MIDPOINT_MAX_ITER):
-                zn = z + half * field.values(zm[:n], zm[n:])
-                delta = abs(zn - zm).max()
-                zm = zn
-                if delta < MIDPOINT_TOL:
-                    break
-            else:
-                raise RuntimeError(
-                    f"implicit midpoint did not converge in the step from "
-                    f"t={time + i * dt:.17g}: last update {delta:.3g} >= "
-                    f"tol {MIDPOINT_TOL:.3g} after {MIDPOINT_MAX_ITER} iterations"
-                )
-            z = 2 * zm - z
-        return z[:n].tolist(), z[n:].tolist()
 
 
 def _choose_scheme(
@@ -250,7 +306,7 @@ def integrate(
     start: tuple[Sequence[float], Sequence[float]],
     t_max: float,
     cfg: IntegratorConfig | None = None,
-    stop_when: Callable[[float, np.ndarray], bool] | None = None,
+    stop_when: Callable[[float, list[float]], bool] | None = None,
 ) -> TrajectoryRecord:
     """Integrate from start=(theta0, I0) up to |t| = t_max.
 
@@ -258,7 +314,8 @@ def integrate(
     own inverses up to roundoff).  The trajectory halts early, flagged
     ``escaped``, if the action leaves the domain ball around H's center;
     ``stop_when(t, I)`` is evaluated at sample points for caller-defined
-    early exits.  The loop only steps and records; H is read at the
+    early exits, with I the sample's actions as a list of floats that it
+    must not modify.  The loop only steps and records; H is read at the
     recorded samples once the loop has ended.
     """
     if not math.isfinite(t_max):
@@ -290,7 +347,7 @@ def integrate(
         if not domain.contains_action(ac, center):
             escaped = True
             break
-        if stop_when is not None and stop_when(t, np.array(ac)):
+        if stop_when is not None and stop_when(t, ac):
             break
     # H is read at the angles as stepped, before they are wrapped
     thetas, actions = np.array(thetas), np.array(actions)
@@ -360,15 +417,15 @@ def drift_time(
     threshold: float,
     t_cap: float,
     cfg: IntegratorConfig | None = None,
-    stop_when: Callable[[float, np.ndarray], bool] | None = None,
+    stop_when: Callable[[float, list[float]], bool] | None = None,
 ) -> DriftTime:
     """First time |I(t) - I(0)| >= threshold (sup norm), integrating up to t_cap."""
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
-    I0 = np.asarray(start[1], dtype=float)
+    I0 = np.asarray(start[1], dtype=float).tolist()
 
-    def crossed(t: float, action: np.ndarray) -> bool:
-        if np.max(np.abs(action - I0)) >= threshold:
+    def crossed(t: float, action: list[float]) -> bool:
+        if max(abs(a - b) for a, b in zip(action, I0)) >= threshold:
             return True
         return stop_when(t, action) if stop_when is not None else False
 

@@ -158,7 +158,7 @@ def run_row(
     deadline = t0 + cfg.wall_cap_s
     censored = False
 
-    def over_wall(t: float, action: np.ndarray) -> bool:
+    def over_wall(t: float, action: list[float]) -> bool:
         nonlocal censored
         if time.monotonic() > deadline:
             censored = True

@@ -580,7 +580,7 @@ class SeriesStack:
         mono = ((action[..., None, :] - self.center) ** self.L).prod(axis=-1)
         if self.angle_free:
             return (self.C.real * mono) @ self.S
-        phase = (self.K @ theta.T).T  # at one theta, K @ theta: its rounding is kept
+        phase = (self.K @ theta.T).T  # (terms,) at one theta, (m, terms) at paired rows
         return (self.C * np.exp(2j * math.pi * phase) * mono).real @ self.S
 
     def grid_values(self, theta_points: np.ndarray, action_points: np.ndarray) -> np.ndarray:

@@ -149,6 +149,15 @@ class TestIntegrate:
         dist = np.abs(traj.actions[:, 0] - 3.0)
         assert dist[-1] > 0.05 and np.all(dist[:-1] <= 0.05)
 
+    def test_stop_when_reads_each_sample_as_a_list(self):
+        seen = []
+        rec = integrate(pendulum(1e-2), ((0.25,), (0.05,)), 1.0,
+                        IntegratorConfig(step=0.01, sample_stride=10),
+                        stop_when=lambda t, I: seen.append((t, I)) or t >= 0.5)
+        assert [t for t, _ in seen] == rec.times[1:].tolist() and rec.times[-1] == 0.5
+        assert all(type(I) is list for _, I in seen)
+        assert [I for _, I in seen] == rec.actions[1:].tolist()
+
     def test_midpoint_nonconvergence_raises_with_time_and_update(self, monkeypatch):
         sys = HamiltonianSystem(*_nonseparable(2, seed=3), 1e-3, Gevrey(1.0, 0.5))
         cfg = IntegratorConfig(step=0.05)
@@ -226,6 +235,144 @@ def test_midpoint_matches_reference_loop(n, seed, center):
     assert np.max(np.abs(traj.actions - ref_ac)) <= 1e-12
     dth = (traj.thetas - ref_th + 0.5) % 1.0 - 0.5
     assert np.max(np.abs(dth)) <= 1e-12
+
+
+def _interpreted_midpoint(H, theta, action, dt, nsteps, time=0.0):
+    """The generated midpoint's arithmetic, one term at a time: every term
+    of the field rows (dH/dI_j, then -dH/dtheta_j, in ``items()`` order)
+    reads its own cos/sin and powers, (Re c cos y - Im c sin y) times the
+    left-to-right product of (I_i - c_i) ** float(e_i), and each row sums its
+    terms left to right.  An update that is NaN never converges, and an
+    overflow or domain error is a NaN update."""
+    n = H.domain.n
+    rows = [H.partial_action(j) for j in range(n)] + [-H.partial_theta(j) for j in range(n)]
+    rows = [list(row.items()) for row in rows]
+    z, half = list(theta) + list(action), 0.5 * dt
+    for i in range(nsteps):
+        m = list(z)
+        try:
+            for _ in range(dynamics.MIDPOINT_MAX_ITER):
+                diff = [a - c for a, c in zip(m[n:], H.center)]
+                field = []
+                for row in rows:
+                    v = None
+                    for (k, l), c in row:
+                        term = c.real
+                        if any(k):
+                            y = None
+                            for kj, tj in zip(k, m):
+                                if kj:
+                                    y = kj * tj if y is None else y + kj * tj
+                            y = TWO_PI * y
+                            term = c.real * math.cos(y) - c.imag * math.sin(y)
+                        prod = None
+                        for d, e in zip(diff, l):
+                            if e:
+                                p = d ** float(e)
+                                prod = p if prod is None else prod * p
+                        term = term if prod is None else term * prod
+                        v = term if v is None else v + term
+                    field.append(0.0 if v is None else v)
+                w = [a + half * v for a, v in zip(z, field)]
+                updates = [abs(a - b) for a, b in zip(w, m)]
+                m = w
+                delta = math.nan if any(map(math.isnan, updates)) else max(updates)
+                if delta < dynamics.MIDPOINT_TOL:
+                    break
+        except (OverflowError, ValueError):
+            delta = math.nan
+        if not delta < dynamics.MIDPOINT_TOL:
+            raise RuntimeError(
+                f"implicit midpoint did not converge in the step from t={time + i * dt:.17g}: "
+                f"last update {delta:.3g} >= tol {dynamics.MIDPOINT_TOL:.3g} "
+                f"after {dynamics.MIDPOINT_MAX_ITER} iterations")
+        z = [2.0 * a - b for a, b in zip(m, z)]
+    return z[:n], z[n:]
+
+
+@st.composite
+def _midpoint_case(draw):
+    """A real H: an optional twist 0.5 I_j^2 per action plus up to six modes,
+    each with its -k partner and a cosine, sine or mixed amplitude; on or
+    off the origin.  Actions or angles that no term reads leave field rows
+    with no terms.  Steps up to 0.3 make each update large against the
+    state, so that a last-bit change in a field row shows in the states;
+    some of those steps do not converge."""
+    n = draw(st.integers(1, 3))
+    center = draw(st.sampled_from([(0.0,) * n, (0.3, -1.2, 2.5)[:n]]))
+    d = Domain(n, 1.0)
+    coeffs = {}
+    for j, twist in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        if twist:
+            coeffs[((0,) * n, tuple(2 if i == j else 0 for i in range(n)))] = 0.5
+    part = st.sampled_from([0.0, 0.0, 0.05]) | st.floats(-0.1, 0.1)
+    amp = st.builds(complex, part, part).map(lambda c: c or 0.05)
+    ks = st.tuples(*[st.integers(-2, 2)] * n)
+    ls = st.tuples(*[st.integers(0, 3)] * n).map(
+        lambda l: l if sum(l) <= 3 else tuple(min(e, 1) for e in l))
+    for k, l, c in draw(st.lists(st.tuples(ks, ls, amp), max_size=6)):
+        c = c if any(k) else complex(c.real or 0.05)
+        coeffs[(k, l)] = c
+        coeffs[(tuple(-x for x in k), l)] = c.conjugate()
+    H = FourierTaylorSeries(d, coeffs, 2, 3, center)
+    theta = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    offset = draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n))
+    action = [c + o for c, o in zip(center, offset)]
+    dt = draw(st.floats(1e-3, 0.3)) * draw(st.sampled_from([1.0, -1.0]))
+    blocks = draw(st.lists(st.sampled_from([1, 2, 7]), min_size=1, max_size=3))
+    return H, theta, action, dt, blocks
+
+
+def _outcome(run, *args):
+    """The states ``run`` returns, or its non-convergence message."""
+    try:
+        return run(*args)
+    except RuntimeError as err:
+        return str(err)
+
+
+@given(_midpoint_case())
+@settings(max_examples=150, deadline=None)
+def test_midpoint_block_matches_interpreted_arithmetic(case):
+    H, theta, action, dt, blocks = case
+    flow = dynamics._MidpointFlow(H)
+    got = want = (list(theta), list(action))
+    k = 0
+    for nsteps in blocks:
+        got = _outcome(flow.run_block, *got, dt, nsteps, k * dt)
+        want = _outcome(_interpreted_midpoint, H, *want, dt, nsteps, k * dt)
+        assert got == want
+        if isinstance(got, str):
+            break
+        k += nsteps
+
+
+@pytest.mark.parametrize("step", [1e6, 1e200])
+def test_midpoint_divergent_step_raises_nonconvergence(step):
+    # the field overflows or reads sin/cos of an infinite angle; the step
+    # still ends in the non-convergence error with a NaN update
+    sys = HamiltonianSystem(*_nonseparable(2, seed=3), 1e-3, Gevrey(1.0, 0.5))
+    with pytest.raises(RuntimeError, match=(
+            r"^implicit midpoint did not converge in the step from t=0: "
+            r"last update nan >= tol 1e-13 after 50 iterations$")):
+        integrate(sys, ((0.1, 0.2), (0.1, -0.2)), 3 * step, IntegratorConfig(step=step))
+
+
+@pytest.mark.parametrize("start", [
+    ((0.1, 0.2), (0.1, math.nan)),
+    ((math.nan, 0.2), (0.1, 0.1)),
+], ids=["action", "angle"])
+def test_midpoint_nan_update_never_converges(start):
+    # NaN in some rows only: the other updates fall below the tolerance, so
+    # the largest finite update alone would end the step
+    d = Domain(2, 0.5)
+    h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 1, 3)
+         + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 1, 3))
+    f = FourierTaylorSeries.cosine(d, (1, 0), 1e-3, 1, 3).product(
+        FourierTaylorSeries.constant(d, 1.0, 1, 3) + FourierTaylorSeries.action_coordinate(d, 0, 1, 3))
+    sys = HamiltonianSystem(h, f, 1e-3, Gevrey(1.0, 0.5))
+    with pytest.raises(RuntimeError, match=r"from t=0: last update nan >= tol"):
+        integrate(sys, start, 1.0, IntegratorConfig(step=0.05))
 
 
 class _TwoGradientSplit:
