@@ -77,6 +77,11 @@ class PeriodicVector:
         return "(" + ", ".join(str(w) for w in self.omega) + f") T={self.period}"
 
 
+def frequency_gap(a: PeriodicVector, b: PeriodicVector) -> float:
+    """Sup-norm distance |omega_a - omega_b|, exact up to the final rounding."""
+    return float(max(abs(x - y) for x, y in zip(a.omega, b.omega)))
+
+
 def period_of(v: Sequence) -> PeriodicVector:
     """Exact minimal period of a rational vector.
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diophantine import PeriodicVector, ResonanceFrame, projections
+from .diophantine import PeriodicVector, ResonanceFrame, frequency_gap, projections
 from .dynamics import tau_m_value
 from .norms import GridSpec
 from .series import (
@@ -367,22 +367,28 @@ def composed_normal_form(
     symmetry propagates because all the filters and divisions preserve each
     mode condition and brackets only add Fourier indices).
     """
+    result = _composed(H, frame, cfg)
+    result.symmetry_checked = verify_resonant_symmetry(result.g, frame)
+    return result
+
+
+def _composed(
+    H: FourierTaylorSeries, frame: ResonanceFrame, cfg: NormalFormConfig
+) -> NormalFormResult:
+    """``composed_normal_form`` without the symmetry check."""
     if frame.j == 0:
         raise ValueError("composed_normal_form needs at least one frequency")
     g, remainder, steps, gens, margins = _composed_rec(H, list(frame.vectors), cfg)
-    transform = TransformData(gens, cfg.lie_order)
     certificates = {
         "g_norm": g.coefficient_norm(),
         "remainder_norm": remainder.coefficient_norm(),
         "remainder_trunc_loss": remainder.trunc_loss.raw,
     }
     certificates.update(margins)
-    result = NormalFormResult(
+    return NormalFormResult(
         frame=frame, steps=steps, g=g, remainder=remainder,
-        transform=transform, certificates=certificates,
+        transform=TransformData(gens, cfg.lie_order), certificates=certificates,
     )
-    result.symmetry_checked = verify_resonant_symmetry(g, frame)
-    return result
 
 
 def _composed_rec(
@@ -405,7 +411,7 @@ def _composed_rec(
     w_prev = freqs[-2]
     l_w = _linear_series(H.domain, w, H.k_max, H.d_max, H.center)
     l_prev = _linear_series(H.domain, w_prev, H.k_max, H.d_max, H.center)
-    gap = float(max(abs(a - b) for a, b in zip(w.omega, w_prev.omega)))
+    gap = frequency_gap(w, w_prev)
     mu_prev = (H - l_w).coefficient_norm()
     margins[f"A{stage}:|w-w_prev|/mu_prev"] = gap / mu_prev if mu_prev else math.inf
     f_tilde = (l_w - l_prev) + outcome.g
@@ -547,7 +553,8 @@ def local_normal_form(
     mu_j = float(mu_schedule[-1])
     rho_j = cfg.rho(j)
     loc = localize_and_scale(system, I_center, mu_j, frame.vectors[-1], rho_j)
-    result = composed_normal_form(loc.total(), frame, cfg)
+    # g is checked for symmetry once, after scaling back
+    result = _composed(loc.total(), frame, cfg)
 
     s_tilde = result.g - loc.h_tilde
     back_domain = Domain(system.domain.n, 3 * rho_j * mu_j)
@@ -611,10 +618,7 @@ def _b_condition_margins(
         out[f"B{i}:m*T*mu"] = cfg.m * T * mu_i
         out[f"B{i}:mu"] = mu_i
         if i >= 2:
-            prev = frame.vectors[i - 2]
-            gap = float(
-                max(abs(a - b) for a, b in zip(pv.omega, prev.omega))
-            )
+            gap = frequency_gap(pv, frame.vectors[i - 2])
             out[f"B{i}:|w_i - w_(i-1)|/mu_(i-1)"] = gap / mu_schedule[i - 2]
             out[f"B{i}:mu_i/mu_(i-1)"] = mu_i / mu_schedule[i - 2]
     out["B_j:gradient_mismatch/mu_j"] = loc.gradient_mismatch / mu_schedule[-1]

@@ -23,6 +23,7 @@ from the measured transform displacements, downgrading the certificate to
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,8 +31,10 @@ from fractions import Fraction
 import numpy as np
 
 from .diophantine import (
+    DirichletResult,
     ResonanceFrame,
     dirichlet_candidates,
+    frequency_gap,
     projections,
     rational_rank,
 )
@@ -259,9 +262,19 @@ DEFAULT_MULTIPLIERS = {
 INDEPENDENCE_RETRIES = 8
 
 
-def _traj_hash(traj: TrajectoryRecord) -> str:
-    import hashlib
+class _Failed(Exception):
+    """A stage of the ladder failed; the args are those of its FailureTrace."""
 
+
+def _require(log: list[ConditionEntry], stage: int, entry: ConditionEntry,
+             detail: str | None = None) -> None:
+    """Log one condition and end the ladder at ``stage`` if it fails."""
+    log.append(entry)
+    if not entry.ok:
+        raise _Failed(stage, entry.name, detail or f"{entry.lhs} > {entry.rhs}")
+
+
+def _traj_hash(traj: TrajectoryRecord) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(traj.times).tobytes())
     h.update(np.ascontiguousarray(traj.actions).tobytes())
@@ -288,6 +301,8 @@ def try_restrain(
     """
     if not (math.isfinite(mu0) and mu0 > 0):
         raise ValueError(f"mu0 must be finite and positive, got {mu0}")
+    if not 0 < system.hamiltonian.epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
     mult = dict(DEFAULT_MULTIPLIERS)
     for key, value in (multipliers or {}).items():
         if key not in DEFAULT_MULTIPLIERS:
@@ -297,23 +312,30 @@ def try_restrain(
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"multiplier {key} must be finite and positive, got {value}")
         mult[key] = value
-    h = system.h_action
-    ham = system.hamiltonian
-    n = ham.domain.n
-    eps = ham.epsilon
+    try:
+        return RestrainResult(_ladder(system, traj, mu0, budget, morse, exps, mult), None)
+    except _Failed as failed:
+        return RestrainResult(None, FailureTrace(*failed.args))
+
+
+def _ladder(
+    system: System, traj: TrajectoryRecord, mu0: float, budget: TimeBudget,
+    morse: MorseParams, exps: ExponentSet | None, mult: dict[str, float],
+) -> RestrainFrame:
+    """The certificate of ``try_restrain``; raises ``_Failed`` at the first
+    violated condition."""
+    h, ham = system.h_action, system.hamiltonian
+    n, eps = ham.domain.n, ham.epsilon
     exps = exps or exponents(n, Fraction(morse.tau))
     gamma, tau = morse.gamma, morse.tau
+    small = mult["smallness"]
     tau_m = min(budget.tau_m, float(traj.times[-1]))
     R, center = ham.domain.R, np.asarray(ham.integrable.center)
     log: list[ConditionEntry] = []
 
-    e_x = ConditionEntry("(x) mu_0 << gamma", mu0, mult["smallness"] * gamma)
-    e_xi = ConditionEntry("(xi) mu_0 << 1", mu0, mult["smallness"])
-    e_def = ConditionEntry("(n+1)^2 mu_0 < R/2", (n + 1) ** 2 * mu0, R / 2)
-    log += [e_x, e_xi, e_def]
-    for e in (e_x, e_xi, e_def):
-        if not e.ok:
-            return RestrainResult(None, FailureTrace(0, e.name, f"{e.lhs} > {e.rhs}"))
+    _require(log, 0, ConditionEntry("(x) mu_0 << gamma", mu0, small * gamma))
+    _require(log, 0, ConditionEntry("(xi) mu_0 << 1", mu0, small))
+    _require(log, 0, ConditionEntry("(n+1)^2 mu_0 < R/2", (n + 1) ** 2 * mu0, R / 2))
 
     frame = ResonanceFrame.build([], n=n)
     times: list[float] = []
@@ -326,8 +348,9 @@ def try_restrain(
     for j in range(n):
         Pi, _ = projections(frame)
         I_j = traj.actions[idx_j]
-        c_j = mu0 if j == 0 else float(
-            (float(frame.vectors[-1].period) * mus[-1] / frame.l_index) ** tau
+        mu_j = mu0 if j == 0 else mus[-1]
+        c_j = mu_j if j == 0 else float(
+            (float(frame.vectors[-1].period) * mu_j / frame.l_index) ** tau
         )
         # projected curve from t_j onward, clipped to the domain ball
         disp = traj.actions[idx_j:] - I_j
@@ -339,17 +362,11 @@ def try_restrain(
         curve = curve[:cut]
         ctimes = traj.times[idx_j : idx_j + cut]
         if len(curve) < 1:
-            return RestrainResult(
-                None, FailureTrace(j, "domain", "curve left B_R immediately")
-            )
+            raise _Failed(j, "domain", "curve left B_R immediately")
 
         length_cap = mult["length"] * gamma * float(frame.l_index) ** (-tau)
-        e_len = ConditionEntry(f"(C_{j}) c_{j} << gamma L_{j}^-tau", c_j, length_cap)
-        log.append(e_len)
-        if not e_len.ok:
-            return RestrainResult(
-                None, FailureTrace(j, e_len.name, f"c_j={c_j} > cap={length_cap}")
-            )
+        _require(log, j, ConditionEntry(f"(C_{j}) c_{j} << gamma L_{j}^-tau", c_j, length_cap),
+                 f"c_j={c_j} > cap={length_cap}")
 
         reach = float(np.max(np.max(np.abs(curve - curve[0]), axis=1)))
         if reach >= c_j and c_j < 1:
@@ -359,26 +376,17 @@ def try_restrain(
                     grid_tol=max(0.25, 2 * c_j), center=center,
                 )
             except ValueError as exc:
-                return RestrainResult(
-                    None,
-                    FailureTrace(j, "curve sampling",
-                                 f"projected curve unusable for the escape "
-                                 f"scan: {exc}"),
-                )
-            er = steepness_escape(
-                q, h, gamma, tau,
-                grad_multiplier=mult["grad"], length_multiplier=mult["length"],
-            )
+                raise _Failed(j, "curve sampling",
+                              f"projected curve unusable for the escape scan: {exc}")
+            er = steepness_escape(q, h, gamma, tau, grad_multiplier=mult["grad"],
+                                  length_multiplier=mult["length"])
             if not er.found:
-                return RestrainResult(
-                    None,
-                    FailureTrace(
-                        j, "steepness escape not found",
-                        "projected gradient never exceeded the threshold before "
-                        "the curve length was spent; counterexample candidate "
-                        "for the steepness property if h passed the Morse check",
-                        {"c_j": c_j, "threshold": er.grad_threshold},
-                    ),
+                raise _Failed(
+                    j, "steepness escape not found",
+                    "projected gradient never exceeded the threshold before "
+                    "the curve length was spent; counterexample candidate "
+                    "for the steepness property if h passed the Morse check",
+                    {"c_j": c_j, "threshold": er.grad_threshold},
                 )
             idx_next = idx_j + er.index
             t_next = float(er.time)
@@ -388,112 +396,57 @@ def try_restrain(
             t_next = tau_m
 
         # (C_j) first display: full displacement stays below mu_j on [t_j, t_{j+1}]
-        mu_j = mu0 if j == 0 else mus[-1]
         seg = traj.actions[idx_j : idx_next + 1] - I_j
         seg_sup = float(np.max(np.abs(seg))) if len(seg) else 0.0
-        e_cj = ConditionEntry(
-            f"(C_{j}) |I^{j}(t) - I^{j}(t_{j})| < mu_{j}",
-            seg_sup + disp_budget, mu_j,
-        )
-        log.append(e_cj)
-        if not e_cj.ok:
-            return RestrainResult(
-                None, FailureTrace(j, e_cj.name,
-                                   f"sup {seg_sup} (+budget {disp_budget}) >= {mu_j}")
-            )
+        _require(log, j, ConditionEntry(f"(C_{j}) |I^{j}(t) - I^{j}(t_{j})| < mu_{j}",
+                                        seg_sup + disp_budget, mu_j),
+                 f"sup {seg_sup} (+budget {disp_budget}) >= {mu_j}")
 
-        # Dirichlet step: approximate grad h at the new point.  The monitor
-        # searches for a certificate witness, so it scans feasible candidates
-        # (smallest period first) for one that is independent of the frame
-        # and satisfies the T-dependent parts of (B_{j+1}).
+        # Dirichlet step: approximate grad h at the new point
         point = traj.actions[idx_next]
         a_next = float(exps.a_list[j])
-        Q_try = max(
-            2.0, mult["q_safety"] * eps ** (-a_next * (n - 1)) / mult["c_mu"] ** (n - 1)
-        )
-        grad_point = h.grad(point)
-        extended = None
-        dr = None
-        for _ in range(INDEPENDENCE_RETRIES):
-            try:
-                cands = dirichlet_candidates(grad_point, Q_try)
-            except ValueError:
-                cands = []
-            for cand in cands:
-                T_c = float(cand.vector.period)
-                mu_c = mult["c_mu"] * eps ** a_next / T_c
-                if float(cand.error) >= mu_c:
-                    continue
-                if not eps < mu_c ** 2:
-                    continue
-                if 2 * mu_c > (mu0 if j == 0 else mus[-1]):
-                    continue
-                if j >= 1:
-                    gap_c = float(max(
-                        abs(a - b)
-                        for a, b in zip(cand.vector.omega, frame.vectors[-1].omega)
-                    ))
-                    if gap_c > mult["smallness"] * mus[-1]:
-                        continue
-                vecs = frame.vectors + (cand.vector,)
-                if rational_rank([pv.omega for pv in vecs]) == j + 1:
-                    extended = ResonanceFrame.build(vecs)
-                    dr = cand
-                    break
-            if extended is not None:
-                break
-            Q_try *= 2
-        if extended is None or dr is None:
-            return RestrainResult(
-                None,
-                FailureTrace(j, "independence / (B_(j+1)) witness search",
-                             f"no independent periodic vector near grad h({point}) "
-                             f"meeting the (B) bounds up to Q={Q_try}",
-                             {"guard (iv) rhs": c_j ** (2 * tau)}),
-            )
+        scale = mult["c_mu"] * eps ** a_next          # mu_{j+1} = scale / T_{j+1}
+        Q = max(2.0, mult["q_safety"] * eps ** (-a_next * (n - 1)) / mult["c_mu"] ** (n - 1))
+        grad = h.grad(point)
+        margins = {"guard (iv) rhs": c_j ** (2 * tau)}
+        try:
+            found = _witness(grad, Q, frame, scale, eps, mu_j, small * mu_j)
+        except ValueError as exc:   # zero, non-finite or tiny grad h: no Q helps
+            raise _Failed(j, "independence / (B_(j+1)) witness search",
+                          f"no Dirichlet approximation of grad h({point}): {exc}", margins)
+        if found is None:
+            raise _Failed(j, "independence / (B_(j+1)) witness search",
+                          f"no independent periodic vector near grad h({point}) meeting "
+                          f"the (B) bounds up to Q={Q * 2 ** (INDEPENDENCE_RETRIES - 1)}",
+                          margins)
+        dr, extended = found
         T_next = float(dr.vector.period)
-        mu_next = mult["c_mu"] * eps ** a_next / T_next
+        mu_next = scale / T_next
 
         checks = [
             ConditionEntry(f"(B_{j+1}) |grad h - w_{j+1}| < mu_{j+1}",
                            float(dr.error), mu_next),
-            ConditionEntry(f"(B_{j+1}) T mu << 1",
-                           T_next * mu_next, mult["smallness"]),
-            ConditionEntry(f"(B_{j+1}) m T mu << 1",
-                           budget.m * T_next * mu_next, mult["smallness"]),
-            ConditionEntry(f"(B_{j+1}) mu << 1", mu_next, mult["smallness"]),
+            ConditionEntry(f"(B_{j+1}) T mu << 1", T_next * mu_next, small),
+            ConditionEntry(f"(B_{j+1}) m T mu << 1", budget.m * T_next * mu_next, small),
+            ConditionEntry(f"(B_{j+1}) mu << 1", mu_next, small),
             ConditionEntry(f"(B_{j+1}) eps < mu^2", eps, mu_next ** 2),
             ConditionEntry(f"nesting 2 mu_{j+1} <= mu_{j}", 2 * mu_next, mu_j),
         ]
         if j >= 1:
-            gap = float(
-                max(abs(a - b) for a, b in zip(dr.vector.omega, frame.vectors[-1].omega))
-            )
-            checks.append(ConditionEntry(
-                f"(B_{j+1}) |w_{j+1} - w_{j}| << mu_{j}",
-                gap, mult["smallness"] * mu_j,
-            ))
+            checks.append(ConditionEntry(f"(B_{j+1}) |w_{j+1} - w_{j}| << mu_{j}",
+                                         frequency_gap(dr.vector, frame.vectors[-1]),
+                                         small * mu_j))
             # guard (iv) would certify independence analytically; the monitor
             # verified independence exactly (rational rank), so this margin is
             # informational only
-            log.append(ConditionEntry(
-                f"guard (iv, info) mu_{j+1} << c_{j}^2tau",
-                mu_next, mult["smallness"] * c_j ** (2 * tau),
-            ))
-        log.extend(checks)
+            log.append(ConditionEntry(f"guard (iv, info) mu_{j+1} << c_{j}^2tau",
+                                      mu_next, small * c_j ** (2 * tau)))
         for e in checks:
-            if not e.ok:
-                return RestrainResult(
-                    None, FailureTrace(j, e.name, f"{e.lhs} > {e.rhs}")
-                )
+            _require(log, j, e)
 
         # normalizing transform: budget the normalized-vs-raw discrepancy
-        delta = _transform_displacement(
-            system, point, extended, mus + [mu_next], budget
-        )
-        disp_budget += delta
-        if disp_budget > mu_next / 10:
-            approximate = True
+        disp_budget += _transform_displacement(system, point, extended, mus + [mu_next], budget)
+        approximate |= disp_budget > mu_next / 10
 
         frame = extended
         times.append(t_next)
@@ -501,14 +454,38 @@ def try_restrain(
         centers.append(np.array(point))
         idx_j = idx_next
 
-    cert = RestrainFrame(
+    return RestrainFrame(
         mu0=mu0, mus=mus, times=times, frame=frame, centers=centers,
         budget=budget, condition_log=log, multipliers=mult,
         displacement_budget=disp_budget, approximate=approximate,
         trajectory_hash=_traj_hash(traj),
         config_hash=str(traj.metadata.get("config_hash", "")),
     )
-    return RestrainResult(cert, None)
+
+
+def _witness(
+    grad: np.ndarray, Q: float, frame: ResonanceFrame, scale: float, eps: float,
+    mu_j: float, gap_cap: float,
+) -> tuple[DirichletResult, ResonanceFrame] | None:
+    """The next stage's witness and extended frame, or None.
+
+    Scans the Dirichlet candidates of grad h (smallest period first) for one
+    that is independent of the frame and meets the T-dependent parts of
+    (B_{j+1}) for mu = scale/T: error below mu, eps < mu^2, 2 mu <= mu_j and,
+    for j >= 1, a frequency gap of at most gap_cap.  Each of the
+    INDEPENDENCE_RETRIES searches doubles Q.
+    """
+    for _ in range(INDEPENDENCE_RETRIES):
+        for cand in dirichlet_candidates(grad, Q):
+            mu_c = scale / float(cand.vector.period)
+            if (float(cand.error) >= mu_c or not eps < mu_c ** 2 or 2 * mu_c > mu_j
+                    or frame.j and frequency_gap(cand.vector, frame.vectors[-1]) > gap_cap):
+                continue
+            vecs = frame.vectors + (cand.vector,)
+            if rational_rank([pv.omega for pv in vecs]) == frame.j + 1:
+                return cand, ResonanceFrame.build(vecs)
+        Q *= 2
+    return None
 
 
 def _transform_displacement(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_series
+from driftbench import normalform
 from driftbench.diophantine import ResonanceFrame, period_of
 from driftbench.normalform import (
     AveragingDivergenceError,
@@ -517,6 +518,21 @@ class TestLocalNormalForm:
         assert res.certificates["remainder_dtheta_sup"] <= res.certificates[
             "remainder_dtheta_target"
         ]
+
+    def test_symmetry_checked_once(self, monkeypatch):
+        # only the scaled-back g is checked; the localized g's verdict would
+        # be overwritten unread
+        checked = []
+        real = normalform.verify_resonant_symmetry
+
+        def counted(g, frame):
+            checked.append(g)
+            return real(g, frame)
+
+        monkeypatch.setattr(normalform, "verify_resonant_symmetry", counted)
+        ham, Ic, frame = self._setup()
+        res = local_normal_form(ham, Ic, frame, [0.02], NormalFormConfig(m=3))
+        assert checked == [res.g] and res.symmetry_checked
 
     def test_zero_perturbation_remainder(self):
         sysq = quasi_convex(1e-12)

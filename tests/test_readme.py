@@ -1,6 +1,9 @@
 """Every command of README's CLI block runs and exits as documented: 0, and 2
-for ``conditions``, whose example parameters fail a condition on purpose."""
+for ``conditions``, whose example parameters fail a condition on purpose.
+The restrain line's certificate keeps its condition log, and the criterion 11
+regime keeps failing at (B_1)."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -31,3 +34,51 @@ def test_cli_line_exit_code(line, tmp_path, monkeypatch, capsys):
     code = main(argv[1:])
     out = capsys.readouterr()
     assert code == (2 if argv[1] == "conditions" else 0), out
+
+
+# the README restrain certificate's condition log as ([flag], name), in log
+# order; lhs and rhs are left out, so numeric changes elsewhere do not move it
+README_RESTRAIN_CONDITIONS = [
+    ("ok", "(x) mu_0 << gamma"),
+    ("ok", "(xi) mu_0 << 1"),
+    ("ok", "(n+1)^2 mu_0 < R/2"),
+    ("ok", "(C_0) c_0 << gamma L_0^-tau"),
+    ("ok", "(C_0) |I^0(t) - I^0(t_0)| < mu_0"),
+    ("ok", "(B_1) |grad h - w_1| < mu_1"),
+    ("ok", "(B_1) T mu << 1"),
+    ("ok", "(B_1) m T mu << 1"),
+    ("ok", "(B_1) mu << 1"),
+    ("ok", "(B_1) eps < mu^2"),
+    ("ok", "nesting 2 mu_1 <= mu_0"),
+    ("ok", "(C_1) c_1 << gamma L_1^-tau"),
+    ("ok", "(C_1) |I^1(t) - I^1(t_1)| < mu_1"),
+    ("VIOLATED", "guard (iv, info) mu_2 << c_1^2tau"),
+    ("ok", "(B_2) |grad h - w_2| < mu_2"),
+    ("ok", "(B_2) T mu << 1"),
+    ("ok", "(B_2) m T mu << 1"),
+    ("ok", "(B_2) mu << 1"),
+    ("ok", "(B_2) eps < mu^2"),
+    ("ok", "nesting 2 mu_2 <= mu_1"),
+    ("ok", "(B_2) |w_2 - w_1| << mu_1"),
+]
+
+
+def test_restrain_line_condition_log(tmp_path, monkeypatch, capsys):
+    line = next(ln for ln in _cli_lines() if shlex.split(ln)[1] == "restrain")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:] + ["--out", "cert.txt"]) == 0
+    rows = (tmp_path / "cert.txt").read_text().split("conditions:\n")[1].splitlines()
+    assert [re.fullmatch(r"  \[(\w+)\] (.*): lhs=.*", r).groups()
+            for r in rows] == README_RESTRAIN_CONDITIONS
+
+
+def test_criterion_11_regime_fails_at_b1(capsys):
+    # the c11 settings of the drift_series_eval benchmark (--m-multiplier 10
+    # gives its m = 10 at eps = 1e-4) from one seeded start
+    code = main(["restrain", "--system", "quasiconvex", "--eps", "1e-4", "--seed", "4",
+                 "--mu0", "0.045", "--m-multiplier", "10", "--t-cap", "2000",
+                 "--step", "0.05", "--stride", "40",
+                 "--multipliers", "c_mu=1.2,smallness=3,length=4"])
+    assert code == 2
+    assert capsys.readouterr().out.startswith(
+        "NOT RESTRAINED: stage j=0: (B_1) m T mu << 1 -- ")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbench import restrain
-from driftbench.diophantine import ResonanceFrame, period_of
+from driftbench.diophantine import ResonanceFrame, dirichlet_candidates, period_of
 from driftbench.dynamics import SENTINEL, IntegratorConfig, TimeBudget, drift_time, integrate
 from driftbench.normalform import AveragingDivergenceError
 from driftbench.restrain import (
@@ -192,6 +192,52 @@ class TestTryRestrain:
         assert not res.restrained
         assert res.failure.stage == 0
         assert res.failure.condition
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_epsilon_outside_unit_interval_rejected(self, eps):
+        # the range time_budget enforces; eps = 0 used to scan the trajectory
+        # and end in a ZeroDivisionError at the Dirichlet Q
+        from test_dynamics import synthetic_record
+
+        traj = synthetic_record([0.0, 1.0], [[0.1, 0.2], [0.1, 0.2]])
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            try_restrain(quasi_convex(eps), traj, 0.05,
+                         TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
+
+
+class TestWitnessSearch:
+    def test_dirichlet_error_ends_the_stage(self, monkeypatch):
+        # grad h = 0 has no Dirichlet approximation at any Q: one call, and
+        # the failure names the reason
+        from test_dynamics import synthetic_record
+
+        searched = []
+
+        def counted(v, Q):
+            searched.append(Q)
+            return dirichlet_candidates(v, Q)
+
+        monkeypatch.setattr(restrain, "dirichlet_candidates", counted)
+        traj = synthetic_record([0.0, 1.0, 2.0], np.zeros((3, 2)))
+        res = try_restrain(quasi_convex(1e-6), traj, 0.05,
+                           TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
+        assert len(searched) == 1
+        assert res.failure.stage == 0
+        assert res.failure.condition == "independence / (B_(j+1)) witness search"
+        assert "zero vector has no period" in res.failure.detail
+
+    def test_failed_search_reports_largest_q_searched(self, monkeypatch):
+        searched = []
+
+        def none_found(v, Q):
+            searched.append(Q)
+            return []
+
+        monkeypatch.setattr(restrain, "dirichlet_candidates", none_found)
+        failure = _certified_setup()[-1].failure
+        assert searched == [searched[0] * 2 ** i for i in range(restrain.INDEPENDENCE_RETRIES)]
+        assert failure.stage == 0
+        assert failure.detail.endswith(f"meeting the (B) bounds up to Q={searched[-1]}")
 
 
 def _quasi_convex_at(center, eps):
