@@ -103,12 +103,16 @@ def homological_solve(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylo
     integer, so |k.omega| >= 1/T holds exactly and no small divisor occurs.
     """
     Tw = w.integer_vector()
+    divisor: dict[int, complex] = {}  # 2*pi*i*m/T per distinct m, formed once
     out = {}
     for (k, l), c in f.items():
         m = sum(map(mul, k, Tw))
         if m == 0:
             continue
-        out[(k, l)] = c / (2j * math.pi * float(Fraction(m) / w.period))
+        d = divisor.get(m)
+        if d is None:
+            d = divisor[m] = 2j * math.pi * float(Fraction(m) / w.period)
+        out[(k, l)] = c / d
     return f._derive(out)
 
 

@@ -24,7 +24,9 @@ import itertools
 import math
 import os
 import stat
+import weakref
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -149,7 +151,8 @@ class FourierTaylorSeries:
     complex-valued and do not hold it.
     """
 
-    __slots__ = ("domain", "center", "k_max", "d_max", "_coeffs", "trunc_loss")
+    # __weakref__ lets _moments cache per series outside the pickled state
+    __slots__ = ("domain", "center", "k_max", "d_max", "_coeffs", "trunc_loss", "__weakref__")
 
     def __init__(
         self,
@@ -343,10 +346,12 @@ class FourierTaylorSeries:
         return sum(abs(c) for c in self._coeffs.values())
 
     def k_weighted_mass(self) -> float:
-        return sum(abs(c) * sum(abs(x) for x in k) for (k, _), c in self._coeffs.items())
+        """sum |c| |k|_1, summed term by term in order."""
+        return _moments(self)[0]
 
     def l_weighted_mass(self) -> float:
-        return sum(abs(c) * sum(l) for (_, l), c in self._coeffs.items())
+        """sum |c| |l|_1, summed term by term in order."""
+        return _moments(self)[1]
 
     def angle_independent(self) -> bool:
         return all(all(x == 0 for x in k) for (k, _) in self._coeffs)
@@ -547,6 +552,26 @@ class FourierTaylorSeries:
         )
 
 
+# (k_weighted_mass, l_weighted_mass) per live series, read once: series are
+# immutable, and nothing is stored on the series, so pickles do not change.
+_MOMENT_CACHE: "weakref.WeakKeyDictionary[FourierTaylorSeries, tuple[float, float]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _moments(s: FourierTaylorSeries) -> tuple[float, float]:
+    """The two truncation moments of ``s`` from one pass over its terms."""
+    got = _MOMENT_CACHE.get(s)
+    if got is None:
+        kw, lw = [], []
+        for (k, l), c in s._coeffs.items():
+            a = abs(c)
+            kw.append(a * sum(map(abs, k)))
+            lw.append(a * sum(l))
+        got = _MOMENT_CACHE[s] = (sum(kw), sum(lw))
+    return got
+
+
 class SeriesStack:
     """Same-geometry series packed into one term table: the one numpy reader
     of series values.
@@ -610,12 +635,12 @@ def _partition(
     for (k, l), c in acc.items():
         if c == 0:
             continue
-        if max((abs(x) for x in k), default=0) <= k_max and sum(l) <= d_max:
+        if max(map(abs, k), default=0) <= k_max and sum(l) <= d_max:
             kept[(k, l)] = c
         else:
             a = abs(c)
             raw += a
-            kmass += a * sum(abs(x) for x in k)
+            kmass += a * sum(map(abs, k))
             lmass += a * sum(l)
     return kept, TruncationLoss(raw, kmass, lmass)
 
@@ -631,9 +656,10 @@ def _propagated_loss(
 
 
 # |F|*|G| from which poisson_bracket builds the numpy pair table.  Timed on the
-# bracket calls of normal-form runs (n = 2, 3), the table was the faster path
-# in 50 % of the calls with 64-95 pairs, 71 % with 96-127 and 98 % with 128-191.
-_PAIR_TABLE_MIN = 96
+# bracket calls of 240 normal_form_certify ops (n = 2, 3), the table was the
+# faster path in 32 % of the calls with 64-79 pairs, 77 % with 80-95, 76 % with
+# 96-127 and 97 % with 128-191.
+_PAIR_TABLE_MIN = 80
 # F rows per block of the pair table are chosen to keep a block near this many
 # pairs, so the (pairs, n) temporaries stay small.
 _PAIR_BLOCK = 4096
@@ -670,22 +696,32 @@ def poisson_bracket(
 
 
 def _bracket_loop(F: FourierTaylorSeries, G: FourierTaylorSeries) -> dict[MultiIndex, complex]:
-    """Untruncated {F, G}, one dict update per (term of F, term of G, j)."""
-    n = F.domain.n
+    """Untruncated {F, G}, one dict update per (term of F, term of G, j).
+
+    c1*c2, k1 + k2 and l1 + l2 are formed once per pair that contributes;
+    each contribution gets key tuples of its own, so no two terms of a result
+    share an index object (pickles would record the sharing).
+    """
     acc: dict[MultiIndex, complex] = {}
+    get = acc.get
+    two_pi_i = 2j * math.pi
+    js = range(F.domain.n)
+    g_terms = list(G._coeffs.items())
     for (k1, l1), c1 in F._coeffs.items():
-        for (k2, l2), c2 in G._coeffs.items():
-            base = c1 * c2
-            for j in range(n):
+        for (k2, l2), c2 in g_terms:
+            base = None
+            for j in js:
                 w = k1[j] * l2[j] - l1[j] * k2[j]
                 if w == 0:
                     continue
-                k = tuple(k1[i] + k2[i] for i in range(n))
-                l = tuple(
-                    l1[i] + l2[i] - (1 if i == j else 0) for i in range(n)
-                )
-                idx = (k, l)
-                acc[idx] = acc.get(idx, 0j) + base * (2j * math.pi * w)
+                if base is None:
+                    base = c1 * c2
+                    k = list(map(add, k1, k2))
+                    l = list(map(add, l1, l2))
+                l[j] -= 1
+                idx = (tuple(k), tuple(l))
+                l[j] += 1
+                acc[idx] = get(idx, 0j) + base * (two_pi_i * w)
     return acc
 
 
@@ -697,22 +733,53 @@ def _key_radices(F: FourierTaylorSeries, G: FourierTaylorSeries) -> tuple[int, i
 
 
 def _packable(F: FourierTaylorSeries, G: FourierTaylorSeries) -> bool:
-    """Whether every index of {F, G} packs into one int64 key."""
-    _, bk, bl = _key_radices(F, G)
-    return (bk * bl) ** F.domain.n < 2**62
+    """Whether every index of {F, G} packs into one int64 key and every
+    k1_j l2_j - l1_j k2_j is an integer that float64 holds exactly."""
+    kr, bk, bl = _key_radices(F, G)
+    return (bk * bl) ** F.domain.n < 2**62 and kr * (bl - 1) < 2**52
 
 
 def _term_table(s: FourierTaylorSeries) -> tuple[np.ndarray, ...]:
-    n = s.domain.n
-    k = np.array([k for (k, _) in s._coeffs], dtype=np.int64).reshape(-1, n)
-    l = np.array([l for (_, l) in s._coeffs], dtype=np.int64).reshape(-1, n)
-    c = np.array(list(s._coeffs.values()), dtype=complex)
-    return k, l, c.real, c.imag
+    """(kl, Re c, Im c) of the terms in order; row i of kl is k_i then l_i."""
+    n, count = s.domain.n, len(s._coeffs)
+    chain = itertools.chain.from_iterable
+    kl = np.fromiter(chain(chain(s._coeffs)), dtype=np.int64, count=2 * n * count)
+    c = np.fromiter(s._coeffs.values(), dtype=complex, count=count)
+    return kl.reshape(count, 2 * n), c.real, c.imag
 
 
 def _sequential_sum(x: np.ndarray) -> float:
     """Left-to-right float sum, as a Python ``+=`` loop adds (np.sum pairs)."""
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
+def _first_occurrences(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, first) for nonnegative int64 keys below ``bound``.
+
+    ``first`` holds the position of each distinct key's first occurrence, in
+    stream order, and ``slot[i]`` is the index in ``first`` of key[i]'s.  The
+    keys are ordered by a stable LSD radix sort on 16-bit digits (numpy sorts
+    ``uint16`` stably by radix, one pass per digit), so equal keys stay in
+    stream order and the head of each run of equal keys is its first
+    occurrence.
+    """
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, (bound - 1).bit_length(), 16):
+        order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
+    sorted_key = key[order]
+    head = np.empty(len(key), dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=head[1:])
+    del sorted_key
+    lead = order[head]  # first occurrences, in key order
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[lead] = True
+    first = np.flatnonzero(is_first)
+    run = np.cumsum(head)
+    run -= 1
+    slot = np.empty(len(key), dtype=np.intp)
+    slot[order] = np.searchsorted(first, lead)[run]
+    return slot, first
 
 
 def _bracket_table(
@@ -721,61 +788,68 @@ def _bracket_table(
     """``_partition(_bracket_loop(F, G), K, D)`` from one numpy pair table.
 
     Each (term of F, term of G, j) contribution gets a packed int64 key for
-    its (k, l); ``np.unique`` + ``np.bincount`` sum the contributions per key.
-    The result is bit-identical to the loop's: contributions stay pair-major
-    and j-minor, ``bincount`` adds them in that order, keys keep their
-    first-occurrence order, and c1*c2*(2*pi*i*w) is written out in real
-    arithmetic, since numpy's complex multiply may fuse multiply-adds.
+    its (k, l), read off its pair's key and c1*c2, which each block of pairs
+    forms once; ``_first_occurrences`` groups the contributions by key and
+    ``np.bincount`` sums each group.  The result is bit-identical to the
+    loop's: contributions stay pair-major and j-minor, ``bincount`` adds them
+    in that order, keys keep their first-occurrence order, and
+    c1*c2*(2*pi*i*w) is written out in real arithmetic, since numpy's complex
+    multiply may fuse multiply-adds.
     """
     n = F.domain.n
     kr, bk, bl = _key_radices(F, G)
-    pl = bl ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    pk = bl**n * bk ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    kf, lf, fr, fi = _term_table(F)
-    kg, lg, gr, gi = _term_table(G)
+    radix = np.array([bk] * n + [bl] * n, dtype=np.int64)
+    place = np.append(np.cumprod(radix[:0:-1])[::-1], 1)  # radices after each digit
+    klf, fr, fi = _term_table(F)
+    klg, gr, gi = _term_table(G)
     # key(k1 + k2, l1 + l2 - e_j) = fkey + gkey - pl[j]; kr offsets k once.
-    fkey = kf @ pk + lf @ pl
-    gkey = (kg + kr) @ pk + lg @ pl
+    pl = place[n:]
+    fkey = klf @ place
+    gkey = klg @ place + kr * int(place[:n].sum())
+    # w = k1_j l2_j - l1_j k2_j of every (pair, j), pair-major, is [k1 l1] @ wg,
+    # exact in float64 (see _packable)
     m = len(G)
+    wg = np.zeros((2 * n, m, n))
+    for j in range(n):
+        wg[j, :, j] = klg[:, n + j]
+        wg[n + j, :, j] = -klg[:, j]
+    wg = wg.reshape(2 * n, m * n)
+    wf = klf.astype(float)
     rows = max(1, _PAIR_BLOCK // m)
     keys, res, ims = [], [], []
     for a in range(0, len(F), rows):
         b = min(a + rows, len(F))
-        w = (kf[a:b, None, :] * lg - lf[a:b, None, :] * kg).ravel()
-        idx = np.flatnonzero(w)
+        w = (wf[a:b] @ wg).ravel()
+        idx = np.flatnonzero(w != 0)
         pair, j = np.divmod(idx, n)
-        i, g = np.divmod(pair, m)
-        i += a
-        br = fr[i] * gr[g] - fi[i] * gi[g]
-        bi = fr[i] * gi[g] + fi[i] * gr[g]
+        f_r, f_i = fr[a:b, None], fi[a:b, None]
+        br = (f_r * gr - f_i * gi).ravel()[pair]
+        bi = (f_r * gi + f_i * gr).ravel()[pair]
         tw = TWO_PI * w[idx]
-        keys.append(fkey[i] + gkey[g] - pl[j])
+        keys.append((fkey[a:b, None] + gkey).ravel()[pair] - pl[j])
         res.append(-(bi * tw))
         ims.append(br * tw)
-    uniq, first, inv = np.unique(
-        np.concatenate(keys), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    re = np.bincount(inv, weights=np.concatenate(res), minlength=len(uniq))[order]
-    im = np.bincount(inv, weights=np.concatenate(ims), minlength=len(uniq))[order]
-    key = uniq[order]
-    digits = np.empty((len(key), 2 * n), dtype=np.int64)
-    for col, radix in zip(range(2 * n - 1, -1, -1), [bl] * n + [bk] * n):
-        key, digits[:, col] = np.divmod(key, radix)
-    digits[:, :n] -= kr
-    k, l = digits[:, :n], digits[:, n:]
+    key, res, ims = np.concatenate(keys), np.concatenate(res), np.concatenate(ims)
+    del keys
+    slot, first = _first_occurrences(key, (bk * bl) ** n)
+    re = np.bincount(slot, weights=res, minlength=len(first))
+    im = np.bincount(slot, weights=ims, minlength=len(first))
+    digits = key[first, None] // place % radix
+    k, l = digits[:, :n] - kr, digits[:, n:]
+    k_abs, degree = np.abs(k), l.sum(axis=1)
     nonzero = (re != 0) | (im != 0)
-    inside = (np.abs(k).max(axis=1) <= K) & (l.sum(axis=1) <= D)
+    inside = (k_abs.max(axis=1) <= K) & (degree <= D)
     keep, drop = nonzero & inside, nonzero & ~inside
     kept = {
-        (tuple(row[:n]), tuple(row[n:])): complex(x, y)
-        for row, x, y in zip(digits[keep].tolist(), re[keep].tolist(), im[keep].tolist())
+        (tuple(kk), tuple(ll)): complex(x, y)
+        for kk, ll, x, y in zip(k[keep].tolist(), l[keep].tolist(),
+                                re[keep].tolist(), im[keep].tolist())
     }
     mass = np.hypot(re[drop], im[drop])
     dropped = TruncationLoss(
         _sequential_sum(mass),
-        _sequential_sum(mass * np.abs(k[drop]).sum(axis=1)),
-        _sequential_sum(mass * l[drop].sum(axis=1)),
+        _sequential_sum(mass * k_abs[drop].sum(axis=1)),
+        _sequential_sum(mass * degree[drop]),
     )
     return kept, dropped
 
