@@ -1,5 +1,8 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import small_series
 from driftbench import normalform
+from driftbench import series as series_module
 from driftbench.diophantine import ResonanceFrame, period_of
 from driftbench.normalform import (
     AveragingDivergenceError,
@@ -335,6 +339,20 @@ class TestPeriodicAveraging:
         assert "T*mu << 1" in names and "m*T*mu << 1" in names
 
 
+def _value(x):
+    """x with every series replaced by its terms, bounds and loss, so that
+    results compare by value."""
+    if isinstance(x, FourierTaylorSeries):
+        return (list(x.items()), x.trunc_loss, x.k_max, x.d_max, x.center, x.domain)
+    if dataclasses.is_dataclass(x):
+        return (type(x), [_value(getattr(x, f.name)) for f in dataclasses.fields(x)])
+    if isinstance(x, (list, tuple)):
+        return [_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _value(v) for k, v in x.items()}
+    return x
+
+
 class TestComposedNormalForm:
     def test_single_frequency_matches_periodic_averaging(self):
         f = FourierTaylorSeries.cosine(D2, (1, 0), 1e-3, k_max=2, d_max=1)
@@ -361,6 +379,34 @@ class TestComposedNormalForm:
         zero_k = (0, 0)
         assert all(k == zero_k for (k, _), _ in res.g.items())
         assert res.symmetry_checked
+
+    def test_dense_frame_equal_on_either_bracket_path(self):
+        # a dense n = 2 frame: f holds the 27 modes |k| <= 1 of degree <= 1,
+        # and every bracket goes through the pair table (cutoff 1) or through
+        # the dict loop (infinite cutoff)
+        coeffs = {}
+        for k in itertools.product((-1, 0, 1), repeat=2):
+            neg = tuple(-x for x in k)
+            for l in ((0, 0), (1, 0), (0, 1)):
+                if (neg, l) in coeffs:
+                    continue
+                i = len(coeffs)
+                c = 1e-8 * complex(1 / (1 + i), 0.3 / (2 + i) if any(k) else 0.0)
+                coeffs[(k, l)] = c
+                coeffs[(neg, l)] = c.conjugate()
+        f = FourierTaylorSeries(D2, coeffs, 3, 2)
+        assert len(f) == 27
+        w1 = period_of((F(1, 2), F(-2, 3)))
+        w2 = period_of((F(1, 2) + F(3, 1000), F(-2, 3) - F(1, 1000)))
+        H = FourierTaylorSeries.linear(D2, [float(x) for x in w2.omega], 3, 2) + f
+        frame = ResonanceFrame.build([w1, w2])
+        results = []
+        for cutoff in (1, math.inf):
+            with mock.patch.object(series_module, "_PAIR_TABLE_MIN", cutoff):
+                results.append(composed_normal_form(H, frame, NormalFormConfig(m=2, lie_order=3)))
+        table, loop = results
+        assert table.symmetry_checked and not table.remainder.is_zero
+        assert _value(table) == _value(loop)
 
     def test_zero_perturbation(self):
         H = FourierTaylorSeries.linear(D2, (0.0, 1.0), k_max=2, d_max=1)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -197,6 +199,28 @@ def _assert_identical(a, b):
     assert (a.k_max, a.d_max) == (b.k_max, b.d_max)
 
 
+def _unit_mode_operands(n, d_f, d_g):
+    """F and G, each with every mode |k|_inf <= 1 at l = 0 and at each unit
+    l (mirrors included), with distinct coefficients; the degree bounds d_f
+    and d_g set the l radix of the bracket's packed keys."""
+    ls = [tuple(int(i == j) for i in range(n)) for j in range(-1, n)]
+
+    def build(d_max, scale):
+        coeffs = {}
+        for k in itertools.product((-1, 0, 1), repeat=n):
+            neg = tuple(-x for x in k)
+            for l in ls:
+                if (neg, l) in coeffs:
+                    continue
+                im = 0.5 * scale / (2 + len(coeffs)) if any(k) else 0.0
+                c = complex(scale / (1 + len(coeffs)), im)
+                coeffs[(k, l)] = c
+                coeffs[(neg, l)] = c.conjugate()
+        return FourierTaylorSeries(Domain(n, 1.0), coeffs, 1, d_max)
+
+    return build(d_f, 1.0), build(d_g, 0.7)
+
+
 class TestPoissonBracket:
     @given(bracket_operands())
     @settings(max_examples=150, deadline=None)
@@ -224,6 +248,36 @@ class TestPoissonBracket:
         G = self._modes(mg, (0, 1, 1), lambda k: (1, k, 0))
         assert (len(F) * len(G) >= series_module._PAIR_TABLE_MIN) == above
         _assert_identical(poisson_bracket(F, G), _bracket_with_cutoff(math.inf, F, G))
+
+    @pytest.mark.parametrize("n, d_f, d_g, digits", [
+        (2, 1, 1, 1),  # radices 5 and 3: 8-bit keys
+        # l radix 2**8: keys with equal (l_2, l_3) share their low 16 bits
+        (3, 128, 127, 2),
+        # l radix 2**11: keys with equal l share their low 32 bits
+        (3, 1024, 1023, 3),
+        # l radix 2**16: keys with equal l share their low 48 bits
+        (3, 32768, 32767, 4),
+    ])
+    def test_pair_table_matches_loop_for_every_key_width(self, n, d_f, d_g, digits):
+        # the grouper sorts 16 bits per pass; the keys of each case need
+        # `digits` passes, and many keys repeat
+        F, G = _unit_mode_operands(n, d_f, d_g)
+        _, bk, bl = series_module._key_radices(F, G)
+        assert -(-((bk * bl) ** n - 1).bit_length() // 16) == digits
+        table = _bracket_with_cutoff(1, F, G)
+        assert len(table) > 0 and not table.trunc_loss.is_zero
+        _assert_identical(table, _bracket_with_cutoff(math.inf, F, G))
+
+    def test_pair_table_without_contributions(self):
+        # angle-free operands: every (pair, j) has w = 0, so the grouper gets
+        # an empty key array and the bracket is exactly zero
+        ls = [l for l in itertools.product(range(4), repeat=2) if sum(l) <= 3]
+        F = FourierTaylorSeries(D2, {((0, 0), l): complex(1 + i) for i, l in enumerate(ls)}, 1, 3)
+        G = FourierTaylorSeries(D2, {((0, 0), l): complex(0.5 - i) for i, l in enumerate(ls)}, 1, 3)
+        assert len(F) * len(G) >= max(96, series_module._PAIR_TABLE_MIN)
+        bracket = poisson_bracket(F, G)
+        assert bracket.is_zero and bracket.trunc_loss.is_zero
+        _assert_identical(bracket, _bracket_with_cutoff(math.inf, F, G))
 
     def test_antisymmetry_self(self):
         f = FourierTaylorSeries.cosine(D2, (1, 0), 1.3, k_max=2, d_max=1)
@@ -293,6 +347,37 @@ class TestPoissonBracket:
         bound = j.trunc_loss.raw
         scale = max(1.0, f.coefficient_norm() * g.coefficient_norm() * h.coefficient_norm())
         assert j.coefficient_norm() <= bound + 1e-9 * scale
+
+
+@st.composite
+def moment_inputs(draw):
+    """Two same-geometry series, at the origin or off it, and a factor."""
+    n = draw(st.integers(1, 3))
+    center = draw(st.sampled_from([None, (0.3, -1.2, 2.5)[:n]]))
+    ops = []
+    for _ in range(2):
+        s = draw(small_series(n=n, n_terms=6))
+        ops.append(FourierTaylorSeries(s.domain, s.coeffs, s.k_max, s.d_max, center))
+    return ops[0], ops[1], draw(st.floats(-4.0, 4.0))
+
+
+class TestMoments:
+    @given(moment_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_moments_are_the_term_sums(self, inputs):
+        # bit for bit the generator sums over the terms, on a first and a
+        # repeated read, and reading them leaves the pickled series unchanged
+        f, g, factor = inputs
+        results = [f, f + g, f.scaled(factor), _bracket_with_cutoff(1, f, g),
+                   _bracket_with_cutoff(math.inf, f, g)]
+        for s in results:
+            before = pickle.dumps(s)
+            kw = sum(abs(c) * sum(abs(x) for x in k) for (k, _), c in s.items())
+            lw = sum(abs(c) * sum(l) for (_, l), c in s.items())
+            for _ in range(2):
+                assert repr(s.k_weighted_mass()) == repr(kw)
+                assert repr(s.l_weighted_mass()) == repr(lw)
+            assert pickle.dumps(s) == before
 
 
 class TestTruncate:
