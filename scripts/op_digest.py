@@ -6,9 +6,13 @@
 Builds the seeded workload of ``perfbench/workloads.py``, runs the first K
 ops of ``perfbench/run.py``'s schedule (untimed and unchecked) and hashes
 their pickled results in schedule order.  Run it in two checkouts: equal
-digests mean that every op returned the same objects, bit for bit.  The one
-wall-clock field of a result, ``ScalingRecord.runtime_s``, is zeroed before
-pickling.  The program is imported from this checkout's ``src/``.
+digests mean that every op returned the same objects, bit for bit.  The
+converse does not hold: a pickle also records which objects a result shares
+(an index tuple used by two terms is written once and then referenced) and
+any state cached on an object (a filled ``__slots__`` field), so digests can
+differ while every value is equal.  The one wall-clock field of a result,
+``ScalingRecord.runtime_s``, is zeroed before pickling.  The program is
+imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations

@@ -552,11 +552,9 @@ class FourierTaylorSeries:
         )
 
 
-# (k_weighted_mass, l_weighted_mass) per live series, read once: series are
-# immutable, and nothing is stored on the series, so pickles do not change.
-_MOMENT_CACHE: "weakref.WeakKeyDictionary[FourierTaylorSeries, tuple[float, float]]" = (
-    weakref.WeakKeyDictionary()
-)
+# (k_weighted_mass, l_weighted_mass) of each live series, summed on first read;
+# kept off the series (which are immutable), so their pickles do not change
+_MOMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _moments(s: FourierTaylorSeries) -> tuple[float, float]:
@@ -686,9 +684,9 @@ def poisson_bracket(
     lf, lg = F.trunc_loss, G.trunc_loss
     cross = 0.0
     if lf.kmass or lf.lmass or lg.kmass or lg.lmass:
+        (fk, fl), (gk, gl) = _moments(F), _moments(G)
         cross = TWO_PI * (
-            lf.kmass * G.l_weighted_mass() + lf.lmass * G.k_weighted_mass()
-            + F.k_weighted_mass() * lg.lmass + F.l_weighted_mass() * lg.kmass
+            lf.kmass * gl + lf.lmass * gk + fk * lg.lmass + fl * lg.kmass
             + lf.kmass * lg.lmass + lf.lmass * lg.kmass
         )
     loss = _propagated_loss(cross, dropped, n, K, D)
