@@ -764,19 +764,11 @@ def _first_occurrences(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndar
     order = np.argsort(key.astype(np.uint16), kind="stable")
     for shift in range(16, (bound - 1).bit_length(), 16):
         order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
-    sorted_key = key[order]
-    head = np.empty(len(key), dtype=bool)
-    head[:1] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=head[1:])
-    del sorted_key
+    head = np.diff(key[order], prepend=-1) != 0  # keys are >= 0
     lead = order[head]  # first occurrences, in key order
-    is_first = np.zeros(len(key), dtype=bool)
-    is_first[lead] = True
-    first = np.flatnonzero(is_first)
-    run = np.cumsum(head)
-    run -= 1
+    first = np.sort(lead)
     slot = np.empty(len(key), dtype=np.intp)
-    slot[order] = np.searchsorted(first, lead)[run]
+    slot[order] = np.searchsorted(first, lead)[np.cumsum(head) - 1]
     return slot, first
 
 
@@ -827,12 +819,11 @@ def _bracket_table(
         keys.append((fkey[a:b, None] + gkey).ravel()[pair] - pl[j])
         res.append(-(bi * tw))
         ims.append(br * tw)
-    key, res, ims = np.concatenate(keys), np.concatenate(res), np.concatenate(ims)
-    del keys
-    slot, first = _first_occurrences(key, (bk * bl) ** n)
+    keys, res, ims = (np.concatenate(x) for x in (keys, res, ims))
+    slot, first = _first_occurrences(keys, (bk * bl) ** n)
     re = np.bincount(slot, weights=res, minlength=len(first))
     im = np.bincount(slot, weights=ims, minlength=len(first))
-    digits = key[first, None] // place % radix
+    digits = keys[first, None] // place % radix
     k, l = digits[:, :n] - kr, digits[:, n:]
     k_abs, degree = np.abs(k), l.sum(axis=1)
     nonzero = (re != 0) | (im != 0)
