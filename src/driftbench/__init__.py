@@ -16,11 +16,9 @@ from .dynamics import (
     TimeBudget,
     TrajectoryRecord,
     drift_time,
-    escape_time,
     integrate,
     transverse_drift,
 )
-from .norms import GevreyParams, GridSpec, NormCertificate, ck_norm, gevrey_norm
 from .normalform import (
     NormalFormConfig,
     NormalFormResult,

@@ -228,11 +228,13 @@ def cmd_restrain(args) -> int:
     )
     if res.restrained:
         cert = res.certificate
+        # the ladder certifies up to the last sample, which can fall short of tau_m
+        horizon = min(cert.budget.tau_m, float(traj.times[-1]))
         print("RESTRAINED: certificate issued")
         print(f"  mu ladder: mu_0={cert.mu0}  " +
               "  ".join(f"mu_{i+1}={m:.6g}" for i, m in enumerate(cert.mus)))
         print(f"  times: " + "  ".join(f"t_{i+1}={t:.6g}" for i, t in enumerate(cert.times))
-              + f"  tau_m={cert.budget.tau_m:.6g}")
+              + f"  horizon={horizon:.6g} (tau_m={cert.budget.tau_m:.6g})")
         for i, pv in enumerate(cert.frame.vectors, start=1):
             print(f"  omega_{i} ~ ("
                   + ", ".join(f"{float(w):.10g}" for w in pv.omega)
@@ -242,7 +244,7 @@ def cmd_restrain(args) -> int:
         print(f"  conditions: {'all ok' if cert.passed_conditions else 'violations logged'}")
         print(f"  binds trajectory {cert.trajectory_hash} config {cert.config_hash}")
         if args.out:
-            _write_certificate(args.out, cert)
+            _write_certificate(args.out, cert, horizon)
             print(f"certificate written to {args.out}")
         return 0
     print(f"NOT RESTRAINED: {res.failure}")
@@ -251,12 +253,13 @@ def cmd_restrain(args) -> int:
     return 2
 
 
-def _write_certificate(path, cert) -> None:
+def _write_certificate(path, cert, horizon: float) -> None:
     lines = ["driftbench restrain certificate v1"]
     lines.append(f"mu_0 {cert.mu0!r}")
     lines.append("mus " + " ".join(format(m, ".17g") for m in cert.mus))
     lines.append("times " + " ".join(format(t, ".17g") for t in cert.times))
-    lines.append(f"tau_m {format(cert.budget.tau_m, '.17g')} m {cert.budget.m}")
+    lines.append(f"horizon {format(horizon, '.17g')} "
+                 f"tau_m {format(cert.budget.tau_m, '.17g')} m {cert.budget.m}")
     for i, pv in enumerate(cert.frame.vectors, start=1):
         lines.append(f"omega_{i} " + " ".join(str(w) for w in pv.omega)
                      + f" T {pv.period}")

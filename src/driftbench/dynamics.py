@@ -360,20 +360,6 @@ def integrate(
     return rec
 
 
-def escape_time(
-    traj: TrajectoryRecord, center: Sequence[float], radius: float
-) -> float:
-    """First sample time with |I(t) - center|_inf >= radius, else +inf."""
-    center = np.asarray(center, dtype=float)
-    dist = np.max(np.abs(traj.actions - center), axis=1)
-    if radius > 0 and dist[0] >= radius:
-        raise ValueError("trajectory starts outside the ball")
-    hits = np.nonzero(dist >= radius)[0]
-    if len(hits) == 0:
-        return SENTINEL
-    return float(traj.times[hits[0]])
-
-
 @dataclass(frozen=True)
 class TransverseDrift:
     """Pi_perp-projected displacement along a trajectory."""

@@ -27,7 +27,6 @@ import numpy as np
 
 from .diophantine import PeriodicVector, ResonanceFrame, frequency_gap, projections
 from .dynamics import tau_m_value
-from .norms import GridSpec
 from .series import (
     Domain,
     DomainError,
@@ -330,8 +329,24 @@ class NormalFormResult:
     approximate: bool = False
 
 
-_SYMMETRY_GRID = GridSpec(theta_res=8, action_res=3)
 _SYMMETRY_TOL = 1e-10
+
+
+def _cartesian(axis: np.ndarray, n: int) -> np.ndarray:
+    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _theta_points(res: int, n: int) -> np.ndarray:
+    """res uniform points per angle on T^n, as (res^n, n) rows."""
+    return _cartesian(np.arange(res) / res, n)
+
+
+def _action_points(res: int, radius: float, center: np.ndarray) -> np.ndarray:
+    """res points per action across the cube of half-width radius around
+    center.  The center is added even when it is zeros, which turns -0.0
+    into 0.0."""
+    return _cartesian(np.linspace(-radius, radius, res), len(center)) + center
 
 
 def verify_resonant_symmetry(g: FourierTaylorSeries, frame: ResonanceFrame) -> bool:
@@ -349,8 +364,9 @@ def verify_resonant_symmetry(g: FourierTaylorSeries, frame: ResonanceFrame) -> b
         if any(sum(map(mul, k, Tw)) for Tw in Tws):
             return False
     _, Pperp = projections(frame)
-    theta_pts = _SYMMETRY_GRID.theta_points(g.domain.n)
-    action_pts = _SYMMETRY_GRID.action_points(g.domain) + np.asarray(g.center)
+    n = g.domain.n
+    theta_pts = _theta_points(8, n)
+    action_pts = _action_points(3, g.domain.R, np.zeros(n)) + np.asarray(g.center)
     stacked = SeriesStack(
         [g.partial_theta(j) for j in range(g.domain.n)]
     ).grid_values(theta_pts, action_pts)      # (n, P, Q)
@@ -566,14 +582,12 @@ def local_normal_form(
     rem_back = _unscale(result.remainder, loc.sigma, back_domain)
 
     # measured remainder angle-derivative sup over T^n x B(center, 2*rho_1*mu_j)
-    grid = GridSpec(
-        theta_res=theta_grid, action_res=action_grid,
-        action_radius=2 * cfg.rho(1) * mu_j, action_center=tuple(I_center),
-    )
-    theta_pts = grid.theta_points(system.domain.n)
-    action_pts = grid.action_points(back_domain)
+    n = system.domain.n
+    theta_pts = _theta_points(theta_grid, n)
+    action_pts = _action_points(action_grid, 2 * cfg.rho(1) * mu_j,
+                                np.asarray(I_center, dtype=float))
     dtheta_sup = float(np.max(np.abs(SeriesStack(
-        [rem_back.partial_theta(jj) for jj in range(system.domain.n)]
+        [rem_back.partial_theta(jj) for jj in range(n)]
     ).grid_values(theta_pts, action_pts))))
     tau_m = tau_m_value(cfg.m, system.regularity)
     target = mu_j / tau_m
@@ -581,11 +595,8 @@ def local_normal_form(
     disp = result.transform.action_displacement(result.g.k_max, result.g.d_max)
     disp_sup = 0.0
     if disp:
-        sgrid = GridSpec(theta_res=theta_grid, action_res=action_grid,
-                         action_radius=2 * cfg.rho(1))
-        th = sgrid.theta_points(system.domain.n)
-        ac = sgrid.action_points(disp[0].domain)
-        disp_sup = float(np.max(np.abs(SeriesStack(disp).grid_values(th, ac))))
+        ac = _action_points(action_grid, 2 * cfg.rho(1), np.zeros(disp[0].domain.n))
+        disp_sup = float(np.max(np.abs(SeriesStack(disp).grid_values(theta_pts, ac))))
     disp_sup *= mu_j  # scaled back through sigma
 
     mismatch_margins = _b_condition_margins(system, frame, mu_schedule, cfg, loc)

@@ -146,9 +146,7 @@ class FourierTaylorSeries:
     algebra come from the private ``_derive``, which trusts terms taken from
     already-checked series: it keeps the ``complex`` conversion, the dropping
     of zero terms and the term order, and skips the per-term checks.  Every
-    operation preserves the reality invariant; only the angle-substitution
-    factors inside ``compose_near_identity``, such as exp(2*pi*i*k.u), are
-    complex-valued and do not hold it.
+    operation preserves the reality invariant.
     """
 
     # __weakref__ lets _moments cache per series outside the pickled state
@@ -507,33 +505,6 @@ class FourierTaylorSeries:
             self.trunc_loss.lmass * d_max,
         ))
 
-    def derivative_multi(
-        self, l_theta: Sequence[int], l_action: Sequence[int]
-    ) -> "FourierTaylorSeries":
-        """Mixed partial d^{l_theta}_theta d^{l_action}_I applied in one pass."""
-        out = {}
-        n = self.domain.n
-        for (k, l), c in self._coeffs.items():
-            term = c
-            ok = True
-            nl = list(l)
-            for j in range(n):
-                if l_theta[j]:
-                    if k[j] == 0:
-                        ok = False
-                        break
-                    term *= (2j * math.pi * k[j]) ** l_theta[j]
-                if l_action[j]:
-                    if l[j] < l_action[j]:
-                        ok = False
-                        break
-                    term *= math.perm(l[j], l_action[j])
-                    nl[j] = l[j] - l_action[j]
-            if ok and term != 0:
-                idx = (k, tuple(nl))
-                out[idx] = out.get(idx, 0j) + term
-        return self._derive(out, d_max=max(self.d_max - sum(l_action), 0))
-
     # -- truncation ---------------------------------------------------------------
 
     def truncate(self, k_max: int, d_max: int) -> tuple["FourierTaylorSeries", TruncationLoss]:
@@ -876,91 +847,6 @@ def recenter_scale(
             idx = (k, exps)
             acc[idx] = acc.get(idx, 0j) + c * w
     return s._derive(acc, domain=domain, center=(0.0,) * n, trunc_loss=s.trunc_loss)
-
-
-EXP_ORDER = 4
-
-
-def compose_near_identity(
-    f: FourierTaylorSeries,
-    theta_disp: Sequence[FourierTaylorSeries] | None,
-    action_disp: Sequence[FourierTaylorSeries] | None,
-    k_max: int | None = None,
-    d_max: int | None = None,
-) -> FourierTaylorSeries:
-    """f composed with Phi(theta, I) = (theta + u(theta,I), I + v(theta,I)).
-
-    The angle substitution expands exp(2*pi*i*k.u) as a truncated exponential
-    up to order ``EXP_ORDER``; the action substitution is a binomial expansion.
-    Truncation losses of the power series products are propagated into the
-    result.  Displacements must share f's geometry.
-    """
-    n = f.domain.n
-    K = k_max if k_max is not None else f.k_max
-    D = d_max if d_max is not None else f.d_max
-    zero = FourierTaylorSeries.zero(f.domain, K, D, f.center)
-    us = list(theta_disp) if theta_disp is not None else [zero] * n
-    vs = list(action_disp) if action_disp is not None else [zero] * n
-    if len(us) != n or len(vs) != n:
-        raise ValueError("displacement tuples must have one series per coordinate")
-    # the map must send its domain into f's ball: a displacement whose C0
-    # bound reaches the ball radius certainly escapes somewhere
-    for v in vs:
-        if v.coefficient_norm() >= f.domain.R:
-            raise DomainError(
-                "action displacement can leave the ball: "
-                f"C0 bound {v.coefficient_norm()} >= R = {f.domain.R}"
-            )
-    result = FourierTaylorSeries.zero(f.domain, K, D, f.center)
-    exp_cache: dict[tuple[int, ...], FourierTaylorSeries] = {}
-    pow_cache: dict[tuple[int, int], FourierTaylorSeries] = {}
-
-    def v_power(j: int, q: int) -> FourierTaylorSeries:
-        if q == 0:
-            return FourierTaylorSeries.constant(f.domain, 1.0, K, D, f.center)
-        key = (j, q)
-        if key not in pow_cache:
-            pow_cache[key] = v_power(j, q - 1).product(vs[j], k_max=K, d_max=D)
-        return pow_cache[key]
-
-    for (k, l), c in f._coeffs.items():
-        if k not in exp_cache:
-            ku = FourierTaylorSeries.zero(f.domain, K, D, f.center)
-            for j in range(n):
-                if k[j]:
-                    ku = ku + us[j].scaled(float(k[j]))
-            expk = FourierTaylorSeries.constant(f.domain, 1.0, K, D, f.center)
-            if not ku.is_zero:
-                # exp(2*pi*i*k.u) = sum_p x^p / p! with x = 2*pi*i * k.u
-                x = ku._derive(
-                    {idx: cc * (2j * math.pi) for idx, cc in ku._coeffs.items()},
-                    trunc_loss=ku.trunc_loss.scaled(TWO_PI),
-                )
-                xp = FourierTaylorSeries.constant(f.domain, 1.0, K, D, f.center)
-                for p in range(1, EXP_ORDER + 1):
-                    xp = xp.product(x, k_max=K, d_max=D)
-                    expk = expk + xp.scaled(1.0 / math.factorial(p))
-            exp_cache[k] = expk
-        term = exp_cache[k]
-        # base Fourier factor e^{2 pi i k.theta} at the original k
-        base = f._derive(
-            {(k, (0,) * n): c}, max(K, max((abs(x) for x in k), default=0)), D
-        )
-        piece = base.product(term, k_max=K, d_max=D)
-        for j in range(n):
-            if l[j] == 0:
-                continue
-            coord = FourierTaylorSeries.action_coordinate(f.domain, j, K, D, f.center)
-            factor = FourierTaylorSeries.zero(f.domain, K, D, f.center)
-            for q in range(l[j] + 1):
-                binom = float(math.comb(l[j], q))
-                part = v_power(j, q)
-                for _ in range(l[j] - q):
-                    part = part.product(coord, k_max=K, d_max=D)
-                factor = factor + part.scaled(binom)
-            piece = piece.product(factor, k_max=K, d_max=D)
-        result = result + piece
-    return result
 
 
 # -- file format ------------------------------------------------------------------

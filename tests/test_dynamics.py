@@ -14,7 +14,6 @@ from driftbench.dynamics import (
     TimeBudget,
     TrajectoryRecord,
     drift_time,
-    escape_time,
     integrate,
     tau_m_value,
     transverse_drift,
@@ -633,29 +632,6 @@ class TestIntegratorConfig:
     def test_non_finite_t_max_rejected(self, t_max):
         with pytest.raises(ValueError, match="t_max"):
             integrate(pendulum(1e-2), ((0.1,), (0.0,)), t_max)
-
-
-class TestEscapeTime:
-    def test_integrable_sentinel(self):
-        sys = quasi_convex(0.0)
-        traj = integrate(sys, ((0.0, 0.0), (0.2, 0.1)), 5.0, IntegratorConfig(step=0.01))
-        assert escape_time(traj, (0.2, 0.1), 0.05) == SENTINEL
-
-    def test_linear_drift_crossing(self):
-        times = np.linspace(0, 10, 101)
-        actions = np.stack([0.05 * times, np.zeros_like(times)], axis=1)
-        rec = synthetic_record(times, actions)
-        t = escape_time(rec, (0.0, 0.0), 0.25)
-        assert t == pytest.approx(0.25 / 0.05, abs=0.1 + 1e-12)
-
-    def test_radius_zero(self):
-        rec = synthetic_record([0.0, 1.0], [[0.0, 0.0], [0.1, 0.0]])
-        assert escape_time(rec, (0.0, 0.0), 0.0) == 0.0
-
-    def test_starts_outside_raises(self):
-        rec = synthetic_record([0.0, 1.0], [[0.5, 0.0], [0.6, 0.0]])
-        with pytest.raises(ValueError):
-            escape_time(rec, (0.0, 0.0), 0.1)
 
 
 class TestTransverseDrift:

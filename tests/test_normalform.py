@@ -632,3 +632,44 @@ class TestLocalNormalForm:
         # the loose frame link shows up honestly in the reported margins
         assert res.certificates["B2:|w_i - w_(i-1)|/mu_(i-1)"] > 1.0
         assert "A2:|w-w_prev|/mu_prev" in res.certificates
+
+    @pytest.mark.parametrize("eps, Ic, omegas, mus", [
+        (1e-12, (0.5, 0.0), [(F(1, 2), F(0))], [0.01]),
+        (1e-9, (0.5, 0.25), [(F(1, 2), F(1, 4)), (F(1, 2), F(11, 40))], [0.02, 0.01]),
+    ])
+    def test_measured_sups_match_pointwise_reads(self, monkeypatch, eps, Ic, omegas, mus):
+        # both sups are maxima over the tensor grid of theta_grid points per
+        # angle times action_grid points per action: remainder_dtheta_sup on
+        # the cube of radius 2 rho_1 mu_j around I_center, displacement_sup
+        # on the cube of radius 2 rho_1 around the origin, times mu_j
+        displacements = []
+        real = normalform.TransformData.action_displacement
+
+        def spy(self, k_max, d_max):
+            out = real(self, k_max, d_max)
+            displacements.extend(out)
+            return out
+
+        monkeypatch.setattr(normalform.TransformData, "action_displacement", spy)
+        sysq = quasi_convex(eps, mode=(1, 1))
+        frame = ResonanceFrame.build([period_of(w) for w in omegas])
+        cfg = NormalFormConfig(m=2, lie_order=4)
+        res = local_normal_form(sysq.hamiltonian, Ic, frame, mus, cfg,
+                                theta_grid=5, action_grid=3)
+        mu_j, r1 = mus[-1], 2 * cfg.rho(1)
+
+        def pointwise_sup(rows, radius, center):
+            thetas = itertools.product(np.arange(5) / 5, repeat=2)
+            actions = [np.add(center, a) for a in
+                       itertools.product(np.linspace(-radius, radius, 3), repeat=2)]
+            return max(abs(s.evaluate(t, a)) for t, a in itertools.product(thetas, actions)
+                       for s in rows)
+
+        dtheta = [res.remainder.partial_theta(j) for j in range(2)]
+        assert res.certificates["remainder_dtheta_sup"] == pytest.approx(
+            pointwise_sup(dtheta, r1 * mu_j, Ic), rel=1e-12)
+        assert displacements
+        assert res.certificates["displacement_sup"] == pytest.approx(
+            pointwise_sup(displacements, r1, (0.0, 0.0)) * mu_j, rel=1e-12)
+        assert res.certificates["remainder_dtheta_sup"] > 0
+        assert res.certificates["displacement_sup"] > 0

@@ -1,8 +1,10 @@
 """Every command of README's CLI block runs and exits as documented: 0, and 2
 for ``conditions``, whose example parameters fail a condition on purpose.
-The restrain line's certificate keeps its condition log, and the criterion 11
-regime keeps failing at (B_1)."""
+The restrain line's certificate keeps its condition log and reports the
+horizon it covers, the criterion 11 regime keeps failing at (B_1), and the
+Layout table lists every module of the package."""
 
+import math
 import re
 import shlex
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 from driftbench.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _cli_lines() -> list[str]:
@@ -70,6 +73,28 @@ def test_restrain_line_condition_log(tmp_path, monkeypatch, capsys):
     rows = (tmp_path / "cert.txt").read_text().split("conditions:\n")[1].splitlines()
     assert [re.fullmatch(r"  \[(\w+)\] (.*): lhs=.*", r).groups()
             for r in rows] == README_RESTRAIN_CONDITIONS
+
+
+def test_restrain_line_reports_the_covered_horizon(tmp_path, monkeypatch, capsys):
+    # tau_m = e, but the trajectory's last sample is at 2.7: the ladder
+    # certifies up to that sample, and the output says so
+    line = next(ln for ln in _cli_lines() if shlex.split(ln)[1] == "restrain")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:] + ["--out", "cert.txt"]) == 0
+    assert "  horizon=2.7 (tau_m=2.71828)\n" in capsys.readouterr().out
+    row = next(r for r in (tmp_path / "cert.txt").read_text().splitlines()
+               if r.startswith("horizon "))
+    _, horizon, _, tau_m, _, m = row.split()
+    assert float(horizon) == pytest.approx(2.7, abs=1e-12)
+    assert float(tau_m) == pytest.approx(math.e) and m == "1"
+
+
+def test_layout_table_lists_every_module():
+    text = README.read_text()
+    table = text[text.index("## Layout"):text.index("\n\n", text.index("| module"))]
+    listed = re.findall(r"^\| `driftbench\.(\w+)` \|", table, re.M)
+    modules = sorted(p.stem for p in (ROOT / "src" / "driftbench").glob("*.py"))
+    assert sorted(listed) == [m for m in modules if m != "__init__"]
 
 
 def test_criterion_11_regime_fails_at_b1(capsys):

@@ -29,7 +29,6 @@ from driftbench.series import (
     FiniteDiff,
     SeriesStack,
     TruncationLoss,
-    compose_near_identity,
     load_series,
     poisson_bracket,
     recenter_scale,
@@ -380,6 +379,46 @@ class TestMoments:
             assert pickle.dumps(s) == before
 
 
+@st.composite
+def product_inputs(draw):
+    """Two same-geometry series with truncation losses of their own, at the
+    origin or off it, and bounds (K, D) up to the full product's."""
+    n = draw(st.integers(1, 3))
+    center = draw(st.sampled_from([None, (0.3, -1.2, 2.5)[:n]]))
+    ops = []
+    for _ in range(2):
+        s = draw(small_series(n=n, n_terms=4))
+        loss = TruncationLoss(*(draw(st.floats(0.0, 1.0)) for _ in range(3)))
+        ops.append(FourierTaylorSeries(s.domain, s.coeffs, s.k_max, s.d_max, center,
+                                       trunc_loss=loss))
+    return ops[0], ops[1], draw(st.integers(0, 6)), draw(st.integers(0, 4))
+
+
+class TestProduct:
+    @given(product_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_product_of_values_and_its_truncation(self, inputs):
+        f, g, K, D = inputs
+        fn, gn = f.coefficient_norm(), g.coefficient_norm()
+        fl, gl = f.trunc_loss.raw, g.trunc_loss.raw
+        cross = fl * gn + fn * gl + fl * gl
+        # both operands have |k| <= 3 and |l| <= 2, so these bounds drop nothing
+        full = f.product(g, k_max=6, d_max=4)
+        assert full.trunc_loss.raw == pytest.approx(cross, rel=1e-12)
+        thetas, actions = sample_points(f.domain.n, count=4)
+        for th, ac in zip(thetas, actions):
+            ac = tuple(np.add(ac, f.center))
+            ref = f.evaluate(th, ac) * g.evaluate(th, ac)
+            assert full.evaluate(th, ac) == pytest.approx(ref, rel=1e-12, abs=1e-12 * fn * gn)
+        # tighter bounds keep exactly the in-bound terms of the full product,
+        # and report the dropped mass on top of the cross terms
+        tight = f.product(g, k_max=K, d_max=D)
+        inside = {(k, l) for (k, l), _ in full.items() if max(map(abs, k)) <= K and sum(l) <= D}
+        assert list(tight.items()) == [(i, c) for i, c in full.items() if i in inside]
+        dropped = sum(abs(c) for i, c in full.items() if i not in inside)
+        assert tight.trunc_loss.raw == pytest.approx(cross + dropped, rel=1e-12)
+
+
 class TestTruncate:
     def test_constant_noop(self):
         s = FourierTaylorSeries.constant(D2, 4.0, k_max=1, d_max=1)
@@ -457,18 +496,6 @@ class TestAlgebraMisc:
         assert out.coefficient((0, 0), (1, 0)).real == pytest.approx(0.03)
         assert out.coefficient((0, 0), (2, 0)).real == pytest.approx(0.005)
 
-    def test_compose_identity(self):
-        s = FourierTaylorSeries.cosine(D2, (1, 0), 0.8, k_max=2, d_max=2)
-        out = compose_near_identity(s, None, None)
-        assert (out - s).coefficient_norm() == 0
-
-    def test_compose_action_shift(self):
-        i1 = FourierTaylorSeries.action_coordinate(D2, 0, k_max=1, d_max=1)
-        v = FourierTaylorSeries.sine(D2, (1, 0), 0.1, k_max=1, d_max=1)
-        zero = FourierTaylorSeries.zero(D2, 1, 1)
-        out = compose_near_identity(i1, None, [v, zero])
-        assert (out - (i1 + v)).coefficient_norm() == pytest.approx(0.0, abs=1e-15)
-
     def test_split_by_modes(self):
         h = FourierTaylorSeries.monomial(D2, (2, 0), 0.5, k_max=1, d_max=2)
         f = FourierTaylorSeries.cosine(D2, (1, 0), 0.1, k_max=1, d_max=2)
@@ -527,7 +554,6 @@ class TestDerivedSeries:
     def test_every_operation_keeps_the_public_form(self, inputs):
         f, g, w, factor = inputs
         n = f.domain.n
-        small = g.scaled(1e-2)
         h, osc = split_by_modes(f)
         # the point sits 0.1 off the series center, inside its ball
         loc = localize_and_scale(HamiltonianSystem(h, osc, 1e-3, Gevrey(1.0, 0.5)),
@@ -536,12 +562,10 @@ class TestDerivedSeries:
             -f, f.scaled(factor), f.scaled(np.float64(factor)), f + g, f - g,
             f - f, f.product(g), f.product(g, k_max=1, d_max=1),
             f.partial_theta(n - 1), f.partial_action(0),
-            f.derivative_multi((1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)),
             f.truncate(1, 1)[0], f.with_bounds(5, 4),
             _bracket_with_cutoff(1, f, g), _bracket_with_cutoff(math.inf, f, g),
             _bracket_with_cutoff(1, f, g, k_max=2, d_max=1),
             recenter_scale(f, (0.1,) * n, 0.5),
-            compose_near_identity(f, [small] * n, [small] * n),
             h, osc, *resonant_split(f, w), homological_solve(f, w),
             _unscale(f, ScaleMap((0.2,) * n, 0.05), Domain(n, 0.6)),
             loc.h_tilde, loc.f_scaled, loc.f_tilde,
