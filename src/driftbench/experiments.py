@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ValueError("epsilon values must lie in (0, 1)")
         if list(self.eps_ladder) != sorted(self.eps_ladder, reverse=True):
             raise ValueError("epsilon ladder must be sorted descending")
+        if not (math.isfinite(self.t_cap) and self.t_cap > 0):
+            raise ValueError(f"t_cap must be finite and positive, got {self.t_cap}")
         if self.threshold_mode not in ("theorem", "sqrt"):
             raise ValueError("threshold_mode must be 'theorem' or 'sqrt'")
         if not (math.isfinite(self.threshold_scale) and self.threshold_scale > 0):

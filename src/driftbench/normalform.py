@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diophantine import PeriodicVector, ResonanceFrame, frequency_gap, projections
+from .diophantine import PeriodicVector, ResonanceFrame, frequency_gap
 from .dynamics import tau_m_value
 from .series import (
     Domain,
@@ -326,10 +326,6 @@ class NormalFormResult:
     transform: TransformData
     certificates: dict[str, float]
     symmetry_checked: bool = False
-    approximate: bool = False
-
-
-_SYMMETRY_TOL = 1e-10
 
 
 def _cartesian(axis: np.ndarray, n: int) -> np.ndarray:
@@ -350,28 +346,16 @@ def _action_points(res: int, radius: float, center: np.ndarray) -> np.ndarray:
 
 
 def verify_resonant_symmetry(g: FourierTaylorSeries, frame: ResonanceFrame) -> bool:
-    """True iff every mode of g annihilates the whole frame (k.omega_i = 0).
+    """True iff every stored mode (k, l) of g annihilates the whole frame,
+    decided exactly on integers: k.(T_i omega_i) = 0 for every frame vector.
 
-    Checked both mode-wise (exact integer dot products k.(T_i omega_i)) and,
-    equivalently for Fourier data, on a sample grid: the angle gradient of g
-    must lie in Lambda_j, i.e. its Pi_perp projection must vanish.
+    Every stored mode counts, whatever its size: there is no tolerance.
     """
-    scale = max(g.coefficient_norm(), 1.0)
     Tws = [pv.integer_vector() for pv in frame.vectors]
-    for (k, _), c in g.items():
-        if abs(c) <= 1e-14 * scale:
-            continue
+    for (k, _), _c in g.items():
         if any(sum(map(mul, k, Tw)) for Tw in Tws):
             return False
-    _, Pperp = projections(frame)
-    n = g.domain.n
-    theta_pts = _theta_points(8, n)
-    action_pts = _action_points(3, g.domain.R, np.zeros(n)) + np.asarray(g.center)
-    stacked = SeriesStack(
-        [g.partial_theta(j) for j in range(g.domain.n)]
-    ).grid_values(theta_pts, action_pts)      # (n, P, Q)
-    proj = np.einsum("ij,jpq->ipq", Pperp, stacked)
-    return bool(np.max(np.abs(proj)) <= _SYMMETRY_TOL * scale)
+    return True
 
 
 def composed_normal_form(

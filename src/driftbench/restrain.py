@@ -303,6 +303,8 @@ def try_restrain(
         raise ValueError(f"mu0 must be finite and positive, got {mu0}")
     if not 0 < system.hamiltonian.epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    if len(traj.times) < 2 or not np.all(np.diff(traj.times) > 0):
+        raise ValueError("the trajectory needs at least two samples at increasing times")
     mult = dict(DEFAULT_MULTIPLIERS)
     for key, value in (multipliers or {}).items():
         if key not in DEFAULT_MULTIPLIERS:
@@ -500,8 +502,6 @@ def _transform_displacement(
     the averaging diverges (``AveragingDivergenceError``) or the localized
     domain is too tight (``DomainError``).  Any other error propagates."""
     mu_j = mu_schedule[-1]
-    T_j = float(frame.vectors[-1].period)
-    fallback = T_j * mu_j * mu_j
     cfg = NormalFormConfig(m=min(budget.m, 2), lie_order=3)
     try:
         nf = local_normal_form(
@@ -509,8 +509,8 @@ def _transform_displacement(
             theta_grid=6, action_grid=5,
         )
     except (AveragingDivergenceError, DomainError):
-        return fallback
-    return float(nf.certificates.get("displacement_sup", fallback))
+        return float(frame.vectors[-1].period) * mu_j * mu_j
+    return nf.certificates["displacement_sup"]
 
 
 # -- consequences ---------------------------------------------------------------------

@@ -302,6 +302,18 @@ class TestRestrain:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and name in err
 
+    @pytest.mark.parametrize("t_cap", ["0", "-8"], ids=["zero", "backward"])
+    def test_degenerate_horizon_is_error(self, capsys, tmp_path, t_cap):
+        # a zero or negative cap leaves no forward horizon to certify
+        path = tmp_path / "cert.txt"
+        code, out, err = run(
+            capsys, "restrain", "--system", "quasiconvex", "--eps", "1e-6",
+            "--seed", "12", "--mu0", "0.05", "--t-cap", t_cap, "--out", str(path),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "two samples at increasing times" in err
+        assert not path.exists()
+
     def test_series_without_eps_uses_perturbation_norm(self, capsys, tmp_path):
         # without --eps the time budget reads epsilon = |f|, as every other
         # --series command does; the run must equal one given that value
@@ -375,6 +387,16 @@ class TestScaling:
         path = tmp_path / "s.csv"
         code, _, err = run(capsys, *args, "--out", str(path))
         assert code == 1 and err.startswith("error:") and "threshold_scale" in err
+        assert not path.exists()
+
+    def test_negative_t_cap_is_error(self, capsys, tmp_path):
+        # a negative cap would run every row backward
+        args = list(self.ARGS)
+        args[args.index("--t-cap") + 1] = "-10"
+        path = tmp_path / "s.csv"
+        code, out, err = run(capsys, *args, "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: t_cap must be finite and positive")
         assert not path.exists()
 
     def test_resume_skips_finished_rows(self, capsys, tmp_path):

@@ -75,6 +75,12 @@ class TestRunRow:
         with pytest.raises(ValueError, match="tau must be finite and >= 2"):
             ExperimentConfig(**{**FAST, "tau": tau})
 
+    @pytest.mark.parametrize("t_cap", [-10.0, 0.0, math.nan, math.inf])
+    def test_t_cap_must_be_finite_and_positive(self, t_cap):
+        # a row integrates to min(tau_m, t_cap), which must be a forward time
+        with pytest.raises(ValueError, match="t_cap must be finite and positive"):
+            ExperimentConfig(**{**FAST, "t_cap": t_cap})
+
 
 class TestFit:
     def _records(self, times):

@@ -1,18 +1,19 @@
 import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_series
 from driftbench import normalform
 from driftbench import series as series_module
-from driftbench.diophantine import ResonanceFrame, period_of
+from driftbench.diophantine import ResonanceFrame, period_of, resonance_module
 from driftbench.normalform import (
     AveragingDivergenceError,
     NormalFormConfig,
@@ -472,6 +473,59 @@ class TestVerifySymmetry:
     def test_nonresonant_mode_false(self):
         g = FourierTaylorSeries.cosine(D2, (1, 0), 1.0, k_max=1, d_max=0)
         assert not verify_resonant_symmetry(g, ResonanceFrame.build([W10]))
+
+    def test_tiny_nonresonant_mode_false(self):
+        # the verdict is exact: a mode counts whatever its size
+        g = (FourierTaylorSeries.monomial(D2, (2, 0), 0.5, k_max=1, d_max=2)
+             + FourierTaylorSeries.cosine(D2, (1, 0), 1e-20, k_max=1, d_max=2))
+        assert not verify_resonant_symmetry(g, ResonanceFrame.build([W10]))
+
+    def test_empty_frame_true(self):
+        g = FourierTaylorSeries.cosine(D2, (1, 2), 1.0, k_max=2, d_max=0)
+        assert verify_resonant_symmetry(g, ResonanceFrame.build([], n=2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_verdict_is_the_exact_rule(self, data):
+        n = data.draw(st.integers(2, 3))
+        entry = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+        vectors = data.draw(st.lists(
+            st.lists(entry, min_size=n, max_size=n).filter(any), min_size=1, max_size=2,
+        ))
+        try:
+            frame = ResonanceFrame.build([period_of(v) for v in vectors])
+        except ValueError:          # dependent vectors
+            assume(False)
+        basis = resonance_module(frame.vectors)
+        resonant = [
+            tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n))
+            for cs in data.draw(st.lists(
+                st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)),
+                min_size=1, max_size=4,
+            ))
+        ]
+        modes = [(k, 1.0) for k in resonant]
+        stray = data.draw(st.none() | st.tuples(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+            st.integers(-30, 0).map(lambda e: 10.0 ** e),
+        ))
+        if stray is not None:
+            assume(any(sum(map(operator.mul, stray[0], pv.omega)) for pv in frame.vectors))
+            modes.append(stray)
+        center = tuple(data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+        coeffs = {}
+        for k, amp in modes:
+            l = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            neg = tuple(-x for x in k)
+            coeffs[(k, l)] = coeffs[(neg, l)] = amp if k == neg else amp / 2
+        k_max = max(max(map(abs, k)) for k, _ in modes)
+        g = FourierTaylorSeries(Domain(n, 1.0), coeffs, k_max, n, center)
+        exact = all(
+            sum(map(operator.mul, k, pv.omega)) == 0
+            for (k, _), _c in g.items() for pv in frame.vectors
+        )
+        assert exact == (stray is None)
+        assert verify_resonant_symmetry(g, frame) == exact
 
 
 class TestLocalization:

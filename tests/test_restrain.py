@@ -204,6 +204,20 @@ class TestTryRestrain:
             try_restrain(quasi_convex(eps), traj, 0.05,
                          TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
 
+    @pytest.mark.parametrize("times, actions", [
+        ([0.0], [[0.1, 0.2]]),                              # a zero horizon
+        ([0.0, -4.0, -8.0], [[0.1, 0.2]] * 3),              # integrated backward
+    ], ids=["one-sample", "backward"])
+    def test_degenerate_horizon_rejected(self, times, actions):
+        # a certificate needs a forward horizon, and the ladder searches the
+        # sample times in increasing order
+        from test_dynamics import synthetic_record
+
+        traj = synthetic_record(times, actions)
+        with pytest.raises(ValueError, match="two samples at increasing times"):
+            try_restrain(quasi_convex(1e-6), traj, 0.05,
+                         TimeBudget.for_m(2, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
+
 
 class TestWitnessSearch:
     def test_dirichlet_error_ends_the_stage(self, monkeypatch):
