@@ -12,12 +12,13 @@ matrices).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations, islice, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,8 +68,17 @@ class PeriodicVector:
         return len(self.omega)
 
     def integer_vector(self) -> tuple[int, ...]:
-        """T*omega, exactly."""
-        return tuple(int(self.period * w) for w in self.omega)
+        """T*omega, exactly; computed on the first read."""
+        try:
+            return self._ints
+        except AttributeError:
+            ints = tuple(int(self.period * w) for w in self.omega)
+            object.__setattr__(self, "_ints", ints)
+            return ints
+
+    def __getstate__(self) -> dict:
+        # the cached integer vector stays out of pickles and copies
+        return {"omega": self.omega, "period": self.period}
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(w) for w in self.omega])
@@ -116,81 +126,113 @@ class DirichletResult:
         }
 
 
+def _q_fraction(Q: float, v: tuple) -> Fraction:
+    if not math.isfinite(Q):
+        raise ValueError(f"Q and v must be finite, got Q={Q}, v={v}")
+    if Q <= 1:
+        raise ValueError("Q must exceed 1")
+    return Fraction(Q)
+
+
+class DirichletScan:
+    """The Dirichlet scan of v up to Q, in integers.
+
+    v = V/D (D the lcm of the denominators), V_n = max|V_i| and Q = P/S.
+    For integer q the scale T = q/|v| makes the largest component of T*v
+    exactly an integer, and the Dirichlet witness is always a floor/ceil
+    rounding of the remaining components, so shells q = 1..P//S hold every
+    candidate.  A rounding w of shell q with g = gcd(w) has T = q*D/(V_n*g)
+    and |v - omega| = E/(q*D) with E = max|q*V_i - w_i*V_n|.  The period
+    range |v|^{-1} <= T <= Q |v|^{-1} holds for every rounding: the largest
+    component rounds exactly to w_i = +-q, so w != 0, g divides q, and
+    q <= P // S.
+    """
+
+    def __init__(self, v: Sequence[float], Q: float) -> None:
+        """ValueError for n < 2, a non-finite input, Q <= 1, v = 0, or a
+        period bound Q/|v| beyond the float range."""
+        v = tuple(v)
+        if len(v) < 2:
+            raise ValueError("dirichlet approximation needs dimension n >= 2")
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"Q and v must be finite, got Q={Q}, v={v}")
+        Qf = _q_fraction(Q, v)
+        vf = _to_fraction_vector(v)
+        self.v = v
+        self.D = math.lcm(*(x.denominator for x in vf))
+        self.V = tuple(x.numerator * (self.D // x.denominator) for x in vf)
+        self.Vn = max(map(abs, self.V))
+        self._bound(Qf)
+
+    def at(self, Q: float) -> "DirichletScan":
+        """The scan of the same v up to another Q, with the same checks."""
+        other = copy.copy(self)
+        other._bound(_q_fraction(Q, self.v))
+        return other
+
+    def _bound(self, Qf: Fraction) -> None:
+        vnorm = Fraction(self.Vn, self.D)
+        try:
+            self.period_lower, self.period_upper = float(1 / vnorm), float(Qf / vnorm)
+        except OverflowError:
+            raise ValueError(f"|v| = {float(vnorm):.3g} is too small: the period "
+                             "bound Q/|v| does not fit in a float") from None
+        self.Q, self.P, self.S = Qf, Qf.numerator, Qf.denominator
+        self.shells = self.P // self.S
+
+    def roundings(self, q: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Shell q's floor/ceil roundings w of q*V/V_n in lexicographic
+        order, each with g = gcd(w) and E = max|q*V_i - w_i*V_n|."""
+        Vn = self.Vn
+        qV = [q * x for x in self.V]
+        choices = []
+        for x in qV:
+            fl, r = divmod(x, Vn)
+            choices.append((fl,) if r == 0 else (fl, fl + 1))
+        for w in product(*choices):
+            yield w, math.gcd(*w), max(abs(a - c * Vn) for a, c in zip(qV, w))
+
+    def feasible(self, g: int, E: int) -> bool:
+        """|v - omega| <= T^{-1} Q^{-1/(n-1)}, i.e. (E/(V_n g))^{n-1} P/S <= 1."""
+        k = len(self.V) - 1
+        return E ** k * self.P <= self.S * (self.Vn * g) ** k
+
+    def result(self, q: int, w: tuple[int, ...], g: int, E: int,
+               examined: int) -> DirichletResult:
+        """The candidate of rounding w (gcd g, error E) in shell q."""
+        T = Fraction(q * self.D, self.Vn * g)
+        return DirichletResult(
+            vector=PeriodicVector(tuple(Fraction(c // g) / T for c in w), T),
+            error=Fraction(E, q * self.D),
+            error_bound=float(1 / T) * float(self.Q) ** (-1.0 / (len(w) - 1)),
+            period_lower=self.period_lower,
+            period_upper=self.period_upper,
+            candidates_examined=examined,
+        )
+
+
 def dirichlet_candidates(
     v: Sequence[float], Q: float, search_cap: int | None = None
 ) -> list[DirichletResult]:
     """All feasible Dirichlet approximations, sorted by (T, T*omega).
 
     A candidate is a T-periodic omega with |v - omega| <= T^{-1} Q^{-1/(n-1)}
-    and |v|^{-1} <= T <= Q |v|^{-1} (supremum norms, decided exactly).
-    Candidates are enumerated shell by shell: for integer q the scale
-    T = q/|v| makes the largest component of T*v exactly an integer, and the
-    Dirichlet witness is always a floor/ceil rounding of the remaining
-    components, so the scan is exhaustive and existence is guaranteed.
-
-    In integers: v = V/D (D the lcm of the denominators), V_n = max|V_i|,
-    Q = P/S.  Shell q rounds by ``divmod(q*V_i, V_n)``; a rounding w with
-    g = gcd(w) has T = q*D/(V_n*g) and |v - omega| = E/(q*D) with
-    E = max|q*V_i - w_i*V_n|, so the test reads E^{n-1}*P <= S*(V_n*g)^{n-1}.
-    The period range holds for every rounding (see the scan), so it is never
-    tested.  Only feasible candidates become Fractions.
+    and |v|^{-1} <= T <= Q |v|^{-1} (supremum norms, decided exactly).  The
+    scan visits every rounding of every shell of ``DirichletScan`` (at most
+    ``search_cap`` of them); a rounding with gcd g > 1 repeats the candidate
+    of shell q/g.  Only feasible candidates become Fractions.
     """
-    n = len(v)
-    if n < 2:
-        raise ValueError("dirichlet approximation needs dimension n >= 2")
-    if not all(map(math.isfinite, (Q, *v))):
-        raise ValueError(f"Q and v must be finite, got Q={Q}, v={tuple(v)}")
-    if Q <= 1:
-        raise ValueError("Q must exceed 1")
-    vf = _to_fraction_vector(v)
-    Qf = Fraction(Q)
-    P, S = Qf.numerator, Qf.denominator
-    D = math.lcm(*(x.denominator for x in vf))
-    V = [x.numerator * (D // x.denominator) for x in vf]
-    Vn = max(abs(x) for x in V)
-    vnorm = Fraction(Vn, D)
-    try:
-        period_lower, period_upper = float(1 / vnorm), float(Qf / vnorm)
-    except OverflowError:
-        raise ValueError(f"|v| = {float(vnorm):.3g} is too small: the period "
-                         "bound Q/|v| does not fit in a float") from None
-    shells = P // S
-    cap = search_cap if search_cap is not None else shells * 2 ** n
+    scan = DirichletScan(v, Q)
+    cap = search_cap if search_cap is not None else scan.shells * 2 ** len(scan.V)
+    roundings = ((q, *r) for q in range(1, scan.shells + 1) for r in scan.roundings(q))
     examined = 0
-    feasible: dict[tuple[Fraction, tuple[int, ...]], Fraction] = {}
-    for q in range(1, shells + 1):
-        qV = [q * x for x in V]
-        choices = []
-        for x in qV:
-            fl, r = divmod(x, Vn)
-            choices.append((fl,) if r == 0 else (fl, fl + 1))
-        for w in product(*choices):
-            if examined >= cap:
-                break
-            examined += 1
-            # |v|^{-1} <= T <= Q |v|^{-1}  <=>  1 <= q/g <= P/S, always: the
-            # largest component rounds exactly to w_i = +-q, so w != 0, g
-            # divides q, and q <= P // S
-            g = math.gcd(*w)
-            # |v - omega| <= T^{-1} Q^{-1/(n-1)}  <=>  (E/(V_n g))^{n-1} P/S <= 1
-            E = max(abs(a - c * Vn) for a, c in zip(qV, w))
-            if E ** (n - 1) * P > S * (Vn * g) ** (n - 1):
-                continue
-            key = (Fraction(q * D, Vn * g), tuple(c // g for c in w))
-            if key not in feasible:
-                feasible[key] = Fraction(E, q * D)
-    results = [
-        DirichletResult(
-            vector=PeriodicVector(tuple(Fraction(c) / T for c in w_red), T),
-            error=err,
-            error_bound=float(1 / T) * float(Qf) ** (-1.0 / (n - 1)),
-            period_lower=period_lower,
-            period_upper=period_upper,
-            candidates_examined=examined,
-        )
-        for (T, w_red), err in sorted(feasible.items())
-    ]
-    return results
+    first: dict[tuple[Fraction, tuple[int, ...]], tuple] = {}
+    for q, w, g, E in islice(roundings, max(cap, 0)):
+        examined += 1
+        if scan.feasible(g, E):
+            key = (Fraction(q * scan.D, scan.Vn * g), tuple(c // g for c in w))
+            first.setdefault(key, (q, w, g, E))
+    return [scan.result(*first[key], examined) for key in sorted(first)]
 
 
 def dirichlet_approx(

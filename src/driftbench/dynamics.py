@@ -192,10 +192,15 @@ class _SplitFlow:
         drift = [f"t{j} = (t{j} + half * g{j}) % 1.0" for j in range(n)]
         ts = "".join(f"t{j}, " for j in range(n))
         xs = "".join(f"x{j}, " for j in range(n))
+        # read i of grad A serves step i's closing half-drift and step
+        # i + 1's opening one; the source holds it once
         self.run_block = _generate(
-            [f"{ts}= theta", f"{xs}= action", "half = 0.5 * dt"] + grad
-            + ["for _ in range(nsteps):"]
-            + ["    " + line for line in drift + kick + grad + drift]
+            [f"{ts}= theta", f"{xs}= action", "half = 0.5 * dt",
+             "for i in range(nsteps + 1):"]
+            + ["    " + line for line in grad]
+            + ["    if i:"] + ["        " + line for line in drift]
+            + ["    if i == nsteps:", "        break"]
+            + ["    " + line for line in drift + kick]
             + [f"return [{ts}], [{xs}]"],
             env,
         )

@@ -67,6 +67,10 @@ class ExperimentConfig:
             raise ValueError("epsilon ladder must be sorted descending")
         if not (math.isfinite(self.t_cap) and self.t_cap > 0):
             raise ValueError(f"t_cap must be finite and positive, got {self.t_cap}")
+        if not (math.isfinite(self.m_multiplier) and self.m_multiplier > 0):
+            raise ValueError(
+                f"m_multiplier must be finite and positive, got {self.m_multiplier}"
+            )
         if self.threshold_mode not in ("theorem", "sqrt"):
             raise ValueError("threshold_mode must be 'theorem' or 'sqrt'")
         if not (math.isfinite(self.threshold_scale) and self.threshold_scale > 0):

@@ -32,8 +32,8 @@ import numpy as np
 
 from .diophantine import (
     DirichletResult,
+    DirichletScan,
     ResonanceFrame,
-    dirichlet_candidates,
     frequency_gap,
     projections,
     rational_rank,
@@ -89,6 +89,8 @@ def time_budget(
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not (math.isfinite(m_multiplier) and m_multiplier > 0):
+        raise ValueError(f"m_multiplier must be finite and positive, got {m_multiplier}")
     m = max(1, math.floor(m_multiplier * epsilon ** float(-exps.a)))
     return TimeBudget.for_m(m, regularity)
 
@@ -471,22 +473,47 @@ def _witness(
 ) -> tuple[DirichletResult, ResonanceFrame] | None:
     """The next stage's witness and extended frame, or None.
 
-    Scans the Dirichlet candidates of grad h (smallest period first) for one
-    that is independent of the frame and meets the T-dependent parts of
-    (B_{j+1}) for mu = scale/T: error below mu, eps < mu^2, 2 mu <= mu_j and,
-    for j >= 1, a frequency gap of at most gap_cap.  Each of the
-    INDEPENDENCE_RETRIES searches doubles Q.
+    The witness is the first Dirichlet candidate of grad h (smallest period
+    first) that is independent of the frame and meets the T-dependent parts
+    of (B_{j+1}) for mu = scale/T: error below mu, eps < mu^2, 2 mu <= mu_j
+    and, for j >= 1, a frequency gap of at most gap_cap.  The candidates are
+    those of INDEPENDENCE_RETRIES searches at Q, 2Q, 4Q, ..., the first
+    search that holds an accepted one deciding.  One pass over the shells
+    finds it (notes/decisions.md, "The witness search is one pass over the
+    shells"): a shell's gcd-1 roundings are its candidates, in (T, T*omega)
+    order; each is judged by the first search whose shells reach it; and
+    only shells with 2 scale/mu_j <= T < scale/sqrt(eps) can hold it.
     """
-    for _ in range(INDEPENDENCE_RETRIES):
-        for cand in dirichlet_candidates(grad, Q):
-            mu_c = scale / float(cand.vector.period)
-            if (float(cand.error) >= mu_c or not eps < mu_c ** 2 or 2 * mu_c > mu_j
-                    or frame.j and frequency_gap(cand.vector, frame.vectors[-1]) > gap_cap):
-                continue
-            vecs = frame.vectors + (cand.vector,)
-            if rational_rank([pv.omega for pv in vecs]) == frame.j + 1:
-                return cand, ResonanceFrame.build(vecs)
-        Q *= 2
+    first = scan = DirichletScan(grad, Q)
+    D, Vn = scan.D, scan.Vn
+    # the window's first shell, rounded down; every shell is still tested
+    lo = 2 * scale / mu_j * (Vn / D) * (1 - 1e-9)
+    q = int(lo) if 1 < lo < math.inf else 1
+    r = examined = 0        # r: the first search whose shells reach q
+    while True:
+        while q > scan.shells:
+            r += 1
+            if r == INDEPENDENCE_RETRIES:
+                return None
+            scan = first.at(Q * 2 ** r)
+        mu_c = scale / (q * D / Vn)
+        if 2 * mu_c <= mu_j:
+            if not eps < mu_c ** 2:
+                break       # and in every later shell, as mu_c only falls
+            for w, g, E in scan.roundings(q):
+                examined += 1
+                if g != 1 or not scan.feasible(1, E) or E / (q * D) >= mu_c:
+                    continue
+                cand = scan.result(q, w, 1, E, examined)
+                if frame.j and frequency_gap(cand.vector, frame.vectors[-1]) > gap_cap:
+                    continue
+                vecs = frame.vectors + (cand.vector,)
+                if rational_rank([pv.omega for pv in vecs]) == frame.j + 1:
+                    return cand, ResonanceFrame.build(vecs)
+        q += 1
+    # the searches not yet reached find nothing, but may still raise
+    for later in range(r + 1, INDEPENDENCE_RETRIES):
+        first.at(Q * 2 ** later)
     return None
 
 

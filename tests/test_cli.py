@@ -314,6 +314,18 @@ class TestRestrain:
         assert err.startswith("error: ") and "two samples at increasing times" in err
         assert not path.exists()
 
+    def test_non_positive_m_multiplier_is_error(self, capsys, tmp_path):
+        # rejected, not clamped to m = 1 (this run would certify at m = 1)
+        path = tmp_path / "cert.txt"
+        code, out, err = run(
+            capsys, "restrain", "--system", "quasiconvex", "--eps", "1e-6",
+            "--seed", "12", "--mu0", "0.05", "--t-cap", "8", "--m-multiplier", "-1",
+            "--out", str(path),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: m_multiplier must be finite and positive")
+        assert not path.exists()
+
     def test_series_without_eps_uses_perturbation_norm(self, capsys, tmp_path):
         # without --eps the time budget reads epsilon = |f|, as every other
         # --series command does; the run must equal one given that value
@@ -397,6 +409,14 @@ class TestScaling:
         code, out, err = run(capsys, *args, "--out", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: t_cap must be finite and positive")
+        assert not path.exists()
+
+    def test_non_positive_m_multiplier_is_error(self, capsys, tmp_path):
+        # rejected before any row runs or any line is written
+        path = tmp_path / "s.csv"
+        code, out, err = run(capsys, *self.ARGS, "--m-multiplier", "0", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: m_multiplier must be finite and positive")
         assert not path.exists()
 
     def test_resume_skips_finished_rows(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -101,8 +102,9 @@ def _dirichlet_input(draw):
         v[draw(st.integers(0, n - 1))] = draw(st.floats(0.05, 1))
     # the reference costs ~50 us per candidate, Q * 2^n candidates in all
     Q = draw(st.floats(1.0, {2: 700.0, 3: 200.0, 4: 60.0}[n], exclude_min=True))
-    # a small cap stops the scan inside a shell (2^n candidates per shell)
-    cap = draw(st.one_of(st.none(), st.integers(1, 6 * 2 ** n)))
+    # a small cap stops the scan inside a shell (2^n candidates per shell),
+    # and a cap below 1 examines nothing
+    cap = draw(st.one_of(st.none(), st.integers(-1, 6 * 2 ** n)))
     return v, Q, cap
 
 
@@ -117,6 +119,10 @@ class TestPeriodOf:
     def test_gcd_adjustment(self):
         pv = period_of((F(2, 3), F(1, 6)))
         assert pv.period == 6
+        before = pickle.dumps(pv)
+        assert pv.integer_vector() == (4, 1)
+        # the first read caches T*omega off the pickled state
+        assert pickle.dumps(pv) == before
         assert pv.integer_vector() == (4, 1)
 
     def test_rational_period(self):

@@ -478,6 +478,35 @@ def test_split_block_matches_two_gradient_reference(case):
         assert th == ref_th and ac == ref_ac
 
 
+def test_split_source_reads_the_gradient_once(monkeypatch):
+    # the statements of dA/dI_j appear once in the generated source, so a
+    # large A compiles once
+    sources = []
+    compile_step = dynamics._compile.__wrapped__
+
+    def record(source):
+        sources.append(source)
+        return compile_step(source)
+
+    monkeypatch.setattr(dynamics, "_compile", record)
+    H = quasi_convex(1e-2).hamiltonian
+    dynamics._SplitFlow(H.integrable, H.perturbation)
+    (source,) = sources
+    assert [source.count(f"g{j} = 0.0") for j in range(2)] == [1, 1]
+
+
+def test_split_trajectory_is_pinned():
+    # the end point of 4,000 split steps, as the step with two gradient
+    # reads in its source gave it (sin and cos from the platform's libm)
+    rec = integrate(quasi_convex(1e-2), ((0.1, 0.7), (0.2, -0.1)), 40.0,
+                    IntegratorConfig(step=0.01, sample_stride=1000))
+    assert rec.metadata["scheme"] == "split"
+    assert [x.hex() for x in (*rec.thetas[-1], *rec.actions[-1], rec.energy[-1])] == [
+        "0x1.b5dea8b9d10b3p-4", "0x1.69ef084a6d4f6p-1",
+        "0x1.87566bf1e843cp-3", "-0x1.be1ff4e8fc465p-4", "0x1.cc3abb211562bp-6",
+    ]
+
+
 def _off_center_system():
     """A twist and two kicked modes, expanded around I = (3.0, -1.5)."""
     d, c = Domain(2, 0.5), (3.0, -1.5)

@@ -81,6 +81,12 @@ class TestRunRow:
         with pytest.raises(ValueError, match="t_cap must be finite and positive"):
             ExperimentConfig(**{**FAST, "t_cap": t_cap})
 
+    @pytest.mark.parametrize("mult", [-1.0, 0.0, math.nan])
+    def test_m_multiplier_must_be_finite_and_positive(self, mult):
+        # rejected before any row is written, as run_row's time_budget would
+        with pytest.raises(ValueError, match="m_multiplier must be finite and positive"):
+            ExperimentConfig(**{**FAST, "m_multiplier": mult})
+
 
 class TestFit:
     def _records(self, times):

@@ -4,11 +4,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftbench import restrain
-from driftbench.diophantine import ResonanceFrame, dirichlet_candidates, period_of
+from driftbench.diophantine import (
+    ResonanceFrame,
+    dirichlet_candidates,
+    frequency_gap,
+    period_of,
+    rational_rank,
+)
 from driftbench.dynamics import SENTINEL, IntegratorConfig, TimeBudget, drift_time, integrate
 from driftbench.normalform import AveragingDivergenceError
 from driftbench.restrain import (
@@ -85,6 +91,12 @@ class TestTimeBudget:
         assert time_budget(0.99, Gevrey(1.0, 0.5), exps).m == 1
         with pytest.raises(ValueError):
             time_budget(1.5, Gevrey(1.0, 0.5), exps)
+
+    @pytest.mark.parametrize("mult", [-1.0, 0.0, math.nan, math.inf])
+    def test_multiplier_must_be_finite_and_positive(self, mult):
+        # rejected, not clamped to m = 1
+        with pytest.raises(ValueError, match="m_multiplier must be finite and positive"):
+            time_budget(1e-3, Gevrey(1.0, 0.5), exponents(2, 2), mult)
 
 
 class TestCheckConditions:
@@ -219,39 +231,120 @@ class TestTryRestrain:
                          TimeBudget.for_m(2, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
 
 
+def _loop_witness(grad, Q, frame, scale, eps, mu_j, gap_cap):
+    """Reference: the retry loop that restrain._witness replaced."""
+    for _ in range(restrain.INDEPENDENCE_RETRIES):
+        for cand in dirichlet_candidates(grad, Q):
+            mu_c = scale / float(cand.vector.period)
+            if (float(cand.error) >= mu_c or not eps < mu_c ** 2 or 2 * mu_c > mu_j
+                    or frame.j and frequency_gap(cand.vector, frame.vectors[-1]) > gap_cap):
+                continue
+            vecs = frame.vectors + (cand.vector,)
+            if rational_rank([pv.omega for pv in vecs]) == frame.j + 1:
+                return cand, ResonanceFrame.build(vecs)
+        Q *= 2
+    return None
+
+
+def _search_outcome(search, grad, Q, frame, *bounds):
+    """The error message, None, or the witness (all DirichletResult fields but
+    candidates_examined) with the extended frame's data."""
+    try:
+        found = search(np.array(grad), Q, frame, *bounds)
+    except ValueError as exc:
+        return str(exc)
+    if found is None:
+        return None
+    dr, ext = found
+    return (dataclasses.replace(dr, candidates_examined=0), ext.vectors, ext.module_basis,
+            ext.lambda_basis.tolist(), ext.l_index)
+
+
+@st.composite
+def _witness_case(draw):
+    """A gradient (zero, tiny enough to overflow the period bound at some Q,
+    or ordinary), a Q, an empty frame or one vector near the gradient, and
+    the (B) bounds scale, eps, mu_j and the frequency-gap cap."""
+    n = draw(st.integers(2, 3))
+    component = st.one_of(st.floats(-1, 1), st.integers(-999, 999).map(lambda i: i / 1000))
+    grad = draw(st.lists(component, min_size=n, max_size=n))
+    grad = [x * draw(st.sampled_from([1.0, 1.0, 1.0, 1e-307])) for x in grad]
+    Q = draw(st.floats(2.0, {2: 6.0, 3: 3.0}[n]))
+    if draw(st.booleans()):
+        frame = ResonanceFrame.build([], n=n)
+    else:
+        k = draw(st.integers(1, 8))
+        near = [F(round(x * k) + draw(st.integers(-1, 1)), k) for x in grad]
+        frame = ResonanceFrame.build([period_of(near if any(near) else [1] + [0] * (n - 1))])
+    scale = draw(st.floats(0.05, 1.0))
+    eps = 10 ** draw(st.floats(-9, -3))
+    mu_j = draw(st.floats(0.02, 0.5))
+    gap_cap = draw(st.floats(0.01, 0.5))
+    return grad, Q, frame, scale, eps, mu_j, gap_cap
+
+
 class TestWitnessSearch:
-    def test_dirichlet_error_ends_the_stage(self, monkeypatch):
-        # grad h = 0 has no Dirichlet approximation at any Q: one call, and
-        # the failure names the reason
+    def test_dirichlet_error_ends_the_stage(self):
+        # grad h = 0 has no Dirichlet approximation at any Q, and the failure
+        # names the reason
         from test_dynamics import synthetic_record
 
-        searched = []
-
-        def counted(v, Q):
-            searched.append(Q)
-            return dirichlet_candidates(v, Q)
-
-        monkeypatch.setattr(restrain, "dirichlet_candidates", counted)
         traj = synthetic_record([0.0, 1.0, 2.0], np.zeros((3, 2)))
         res = try_restrain(quasi_convex(1e-6), traj, 0.05,
                            TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
-        assert len(searched) == 1
         assert res.failure.stage == 0
         assert res.failure.condition == "independence / (B_(j+1)) witness search"
         assert "zero vector has no period" in res.failure.detail
 
-    def test_failed_search_reports_largest_q_searched(self, monkeypatch):
-        searched = []
+    def test_failed_search_reports_largest_q_searched(self):
+        # mu_0 = 0.0015 <= 2 sqrt(eps) leaves stage 0 no period window at all;
+        # mu_0 = 0.003 passes stage 0 and finds no witness at stage 1
+        from test_dynamics import synthetic_record
 
-        def none_found(v, Q):
-            searched.append(Q)
-            return []
+        eps = 1e-6
+        traj = synthetic_record([0.0, 1.0, 2.0], [[0.31, 0.31 / PHI]] * 3)
+        for mu0, stage in [(0.0015, 0), (0.003, 1)]:
+            res = try_restrain(quasi_convex(eps), traj, mu0,
+                               TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
+            a = float(exponents(2, 2).a_list[stage])
+            Q = max(2.0, restrain.DEFAULT_MULTIPLIERS["q_safety"] * eps ** -a)
+            largest = Q * 2 ** (restrain.INDEPENDENCE_RETRIES - 1)
+            assert res.failure.stage == stage
+            assert res.failure.condition == "independence / (B_(j+1)) witness search"
+            assert res.failure.detail.endswith(f"meeting the (B) bounds up to Q={largest}")
 
-        monkeypatch.setattr(restrain, "dirichlet_candidates", none_found)
-        failure = _certified_setup()[-1].failure
-        assert searched == [searched[0] * 2 ** i for i in range(restrain.INDEPENDENCE_RETRIES)]
-        assert failure.stage == 0
-        assert failure.detail.endswith(f"meeting the (B) bounds up to Q={searched[-1]}")
+    @given(_witness_case())
+    @example(((0.0, 0.0), 2.0, ResonanceFrame.build([], n=2), 0.5, 1e-6, 0.1, 0.1))
+    # the winner is at shell 8, beyond Q = 2.56 and 5.12, so the third search
+    # decides; two gcd-1 roundings of smaller T pass every other test but
+    # are not Dirichlet-feasible at their first search
+    @example(((-0.681, 0.594), 2.56, ResonanceFrame.build([period_of((F(-3, 5), F(3, 5)))]),
+              0.3, 1e-8, 0.262, 0.11))
+    # the first search decides, with three such roundings of smaller T
+    @example(((0.192, 0.128), 5.83, ResonanceFrame.build([], n=2), 0.69, 5.7e-07, 0.269, 0.01))
+    # n = 3, the third search decides past eight such roundings
+    @example(((-0.489, -0.283, 0.381), 5.37, ResonanceFrame.build([], n=3),
+              0.87, 7.6e-05, 0.078, 0.04))
+    # Q/|v| fits in a float for the first four searches only
+    @example(((1e-307, 5e-308), 2.0, ResonanceFrame.build([], n=2), 0.5, 1e-6, 0.1, 0.1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_retry_loop(self, case):
+        grad, Q, frame, *bounds = case
+        assert (_search_outcome(restrain._witness, grad, Q, frame, *bounds)
+                == _search_outcome(_loop_witness, grad, Q, frame, *bounds))
+
+    def test_witness_before_an_overflowing_q_is_returned(self):
+        # Q/|v| = 2^1021 * 2^r overflows from the fourth search on; the exact
+        # T = 4 vector wins in the first search, whose 2^1020 shells the
+        # retry loop could not have scanned
+        grad, Q, frame = np.array([0.5, 0.25]), 2.0 ** 1020, ResonanceFrame.build([], n=2)
+        dr, ext = restrain._witness(grad, Q, frame, 0.5, 1e-6, 0.3, 0.1)
+        assert dr.vector == period_of((F(1, 2), F(1, 4))) and dr.error == 0
+        assert dr.period_upper == float(F(Q) / F(1, 2)) and ext.vectors == (dr.vector,)
+        # with T = 4 below the window, the search ends at T = scale/sqrt(eps)
+        # and raises the fourth search's error
+        with pytest.raises(ValueError, match="does not fit in a float"):
+            restrain._witness(grad, Q, frame, 0.5, 1e-6, 0.2, 0.1)
 
 
 def _quasi_convex_at(center, eps):
