@@ -223,16 +223,21 @@ def dirichlet_candidates(
     of shell q/g.  Only feasible candidates become Fractions.
     """
     scan = DirichletScan(v, Q)
-    cap = search_cap if search_cap is not None else scan.shells * 2 ** len(scan.V)
-    roundings = ((q, *r) for q in range(1, scan.shells + 1) for r in scan.roundings(q))
     examined = 0
     first: dict[tuple[Fraction, tuple[int, ...]], tuple] = {}
-    for q, w, g, E in islice(roundings, max(cap, 0)):
+    for q, w, g, E in _capped_roundings(scan, search_cap):
         examined += 1
         if scan.feasible(g, E):
             key = (Fraction(q * scan.D, scan.Vn * g), tuple(c // g for c in w))
             first.setdefault(key, (q, w, g, E))
     return [scan.result(*first[key], examined) for key in sorted(first)]
+
+
+def _capped_roundings(scan: DirichletScan, search_cap: int | None) -> Iterator[tuple]:
+    """(q, w, g, E) of each rounding of each shell in scan order, at most search_cap."""
+    cap = search_cap if search_cap is not None else scan.shells * 2 ** len(scan.V)
+    roundings = ((q, *r) for q in range(1, scan.shells + 1) for r in scan.roundings(q))
+    return islice(roundings, max(cap, 0))
 
 
 def dirichlet_approx(
@@ -243,15 +248,19 @@ def dirichlet_approx(
     Among all feasible candidates the one with smallest T is returned, ties
     broken by lexicographically smallest T*omega (small T keeps |T*omega|
     and hence the resonance L-index small, which loosens the downstream
-    smallness conditions).
+    smallness conditions).  That is the scan's first feasible rounding: a
+    feasible rounding of gcd g in shell q repeats one of shell q/g, and a
+    shell lists its roundings in T*omega order.  ``candidates_examined``
+    counts the roundings up to it.
     """
-    results = dirichlet_candidates(v, Q, search_cap)
-    if not results:
-        cap = search_cap if search_cap is not None else math.floor(Q) * 2 ** len(v)
-        raise DirichletSearchError(
-            f"no feasible candidate within cap={cap} (Q={Q}, n={len(v)}); raise the cap"
-        )
-    return results[0]
+    scan = DirichletScan(v, Q)
+    for examined, (q, w, g, E) in enumerate(_capped_roundings(scan, search_cap), 1):
+        if scan.feasible(g, E):
+            return scan.result(q, w, g, E, examined)
+    cap = search_cap if search_cap is not None else math.floor(Q) * 2 ** len(v)
+    raise DirichletSearchError(
+        f"no feasible candidate within cap={cap} (Q={Q}, n={len(v)}); raise the cap"
+    )
 
 
 # -- exact linear algebra: one RREF over Q, one HNF over Z ---------------------

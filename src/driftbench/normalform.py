@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -101,7 +100,7 @@ def homological_solve(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylo
     Every divided mode has k.omega = m/T with m = k.(T omega) a nonzero
     integer, so |k.omega| >= 1/T holds exactly and no small divisor occurs.
     """
-    Tw = w.integer_vector()
+    Tw, T = w.integer_vector(), w.period
     divisor: dict[int, complex] = {}  # 2*pi*i*m/T per distinct m, formed once
     out = {}
     for (k, l), c in f.items():
@@ -110,7 +109,7 @@ def homological_solve(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylo
             continue
         d = divisor.get(m)
         if d is None:
-            d = divisor[m] = 2j * math.pi * float(Fraction(m) / w.period)
+            d = divisor[m] = 2j * math.pi * (m * T.denominator / T.numerator)
         out[(k, l)] = c / d
     return f._derive(out)
 
@@ -545,43 +544,22 @@ def local_normal_form(
     measured sup of |d_theta remainder| is compared against the regularity
     target mu_j / tau_m.
     """
-    j = frame.j
-    if j == 0 or len(mu_schedule) != j:
-        raise ValueError("mu_schedule must supply one radius per frame vector")
-    eps = system.epsilon
-    for i, mu_i in enumerate(mu_schedule, start=1):
-        if not eps < mu_i ** 2:
-            raise ValueError(
-                f"condition epsilon < mu_{i}^2 fails: {eps} >= {mu_i ** 2}"
-            )
-    mu_j = float(mu_schedule[-1])
-    rho_j = cfg.rho(j)
-    loc = localize_and_scale(system, I_center, mu_j, frame.vectors[-1], rho_j)
-    # g is checked for symmetry once, after scaling back
-    result = _composed(loc.total(), frame, cfg)
-
-    s_tilde = result.g - loc.h_tilde
-    back_domain = Domain(system.domain.n, 3 * rho_j * mu_j)
-    g_back = _unscale(s_tilde, loc.sigma, back_domain)
+    loc, result, disp_sup = _localized_form(system, I_center, frame, mu_schedule, cfg,
+                                            theta_grid, action_grid)
+    mu_j = loc.sigma.mu
+    back_domain = Domain(system.domain.n, 3 * cfg.rho(frame.j) * mu_j)
+    g_back = _unscale(result.g - loc.h_tilde, loc.sigma, back_domain)
     rem_back = _unscale(result.remainder, loc.sigma, back_domain)
 
     # measured remainder angle-derivative sup over T^n x B(center, 2*rho_1*mu_j)
     n = system.domain.n
-    theta_pts = _theta_points(theta_grid, n)
     action_pts = _action_points(action_grid, 2 * cfg.rho(1) * mu_j,
                                 np.asarray(I_center, dtype=float))
     dtheta_sup = float(np.max(np.abs(SeriesStack(
         [rem_back.partial_theta(jj) for jj in range(n)]
-    ).grid_values(theta_pts, action_pts))))
+    ).grid_values(_theta_points(theta_grid, n), action_pts))))
     tau_m = tau_m_value(cfg.m, system.regularity)
     target = mu_j / tau_m
-
-    disp = result.transform.action_displacement(result.g.k_max, result.g.d_max)
-    disp_sup = 0.0
-    if disp:
-        ac = _action_points(action_grid, 2 * cfg.rho(1), np.zeros(disp[0].domain.n))
-        disp_sup = float(np.max(np.abs(SeriesStack(disp).grid_values(theta_pts, ac))))
-    disp_sup *= mu_j  # scaled back through sigma
 
     mismatch_margins = _b_condition_margins(system, frame, mu_schedule, cfg, loc)
     result.g = g_back
@@ -601,6 +579,35 @@ def local_normal_form(
     result.certificates.update(mismatch_margins)
     result.symmetry_checked = verify_resonant_symmetry(result.g, frame)
     return result
+
+
+def _localized_form(
+    system: HamiltonianSystem, I_center: Sequence[float], frame: ResonanceFrame,
+    mu_schedule: Sequence[float], cfg: NormalFormConfig, theta_grid: int, action_grid: int,
+) -> tuple[LocalizedHamiltonian, NormalFormResult, float]:
+    """The checks, localization and averaging of ``local_normal_form`` (in the
+    scaled variables) and its displacement sup, all that restrain reads."""
+    j = frame.j
+    if j == 0 or len(mu_schedule) != j:
+        raise ValueError("mu_schedule must supply one radius per frame vector")
+    eps = system.epsilon
+    for i, mu_i in enumerate(mu_schedule, start=1):
+        if not eps < mu_i ** 2:
+            raise ValueError(
+                f"condition epsilon < mu_{i}^2 fails: {eps} >= {mu_i ** 2}"
+            )
+    mu_j = float(mu_schedule[-1])
+    loc = localize_and_scale(system, I_center, mu_j, frame.vectors[-1], cfg.rho(j))
+    # g is checked for symmetry once, after scaling back
+    result = _composed(loc.total(), frame, cfg)
+
+    disp = result.transform.action_displacement(result.g.k_max, result.g.d_max)
+    disp_sup = 0.0
+    if disp:
+        theta_pts = _theta_points(theta_grid, system.domain.n)
+        ac = _action_points(action_grid, 2 * cfg.rho(1), np.zeros(disp[0].domain.n))
+        disp_sup = float(np.max(np.abs(SeriesStack(disp).grid_values(theta_pts, ac))))
+    return loc, result, disp_sup * mu_j
 
 
 def _b_condition_margins(

@@ -39,7 +39,7 @@ from .diophantine import (
     rational_rank,
 )
 from .dynamics import TimeBudget, TrajectoryRecord
-from .normalform import AveragingDivergenceError, NormalFormConfig, local_normal_form
+from .normalform import AveragingDivergenceError, NormalFormConfig, _localized_form
 from .series import DomainError, Regularity
 from .steepness import MorseParams, SteepnessQuery, steepness_escape
 from .systems import System
@@ -524,20 +524,19 @@ def _transform_displacement(
     mu_schedule: list[float],
     budget: TimeBudget,
 ) -> float:
-    """Measured action displacement of the normalizing transform Psi_j; falls
-    back to the first-order bound T*mu*mu when the normal form is unavailable:
-    the averaging diverges (``AveragingDivergenceError``) or the localized
-    domain is too tight (``DomainError``).  Any other error propagates."""
+    """Measured action displacement of the normalizing transform Psi_j, read
+    from the core of ``local_normal_form``; falls back to the first-order bound
+    T*mu*mu when the averaging diverges (``AveragingDivergenceError``) or the
+    localized domain is too tight (``DomainError``).  Other errors propagate."""
     mu_j = mu_schedule[-1]
     cfg = NormalFormConfig(m=min(budget.m, 2), lie_order=3)
     try:
-        nf = local_normal_form(
+        return _localized_form(
             system.hamiltonian, tuple(center), frame, mu_schedule, cfg,
             theta_grid=6, action_grid=5,
-        )
+        )[2]
     except (AveragingDivergenceError, DomainError):
         return float(frame.vectors[-1].period) * mu_j * mu_j
-    return nf.certificates["displacement_sup"]
 
 
 # -- consequences ---------------------------------------------------------------------

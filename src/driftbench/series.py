@@ -26,7 +26,7 @@ import os
 import stat
 import weakref
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -143,10 +143,10 @@ class FourierTaylorSeries:
     classmethods, tests): it converts each index and coefficient, drops zero
     terms, checks every index against the dimension and the bounds, and
     checks the reality invariant c_{-k,l} = conj(c_{k,l}).  Results of the
-    algebra come from the private ``_derive``, which trusts terms taken from
-    already-checked series: it keeps the ``complex`` conversion, the dropping
-    of zero terms and the term order, and skips the per-term checks.  Every
-    operation preserves the reality invariant.
+    algebra come from the private ``_derive``, which trusts terms computed
+    from already-checked series: it keeps their values as given (Python
+    ``complex``), drops zero terms and keeps the term order, and skips every
+    conversion and check.  Every operation preserves the reality invariant.
     """
 
     # __weakref__ lets _moments cache per series outside the pickled state
@@ -207,9 +207,9 @@ class FourierTaylorSeries:
     ) -> "FourierTaylorSeries":
         """A series whose terms come from already-checked series.
 
-        Domain, center and bounds default to this series'.  Coefficients are
-        converted to ``complex`` and zero terms dropped, in order; indices
-        are taken as they are and neither bounds nor reality are checked.
+        Domain, center and bounds default to this series'.  Zero terms are
+        dropped, in order; indices and values (which must be ``complex``) are
+        taken as they are, and neither bounds nor reality are checked.
         """
         out = object.__new__(FourierTaylorSeries)
         out._set_geometry(
@@ -219,9 +219,7 @@ class FourierTaylorSeries:
             self.d_max if d_max is None else d_max,
             trunc_loss,
         )
-        out._coeffs = {
-            idx: c for idx, c in zip(coeffs, map(complex, coeffs.values())) if c != 0
-        }
+        out._coeffs = {idx: c for idx, c in coeffs.items() if c}
         return out
 
     # -- construction helpers -------------------------------------------------
@@ -269,14 +267,12 @@ class FourierTaylorSeries:
         center: Sequence[float] | None = None,
     ) -> "FourierTaylorSeries":
         """Linear integrable Hamiltonian omega . (I - center)."""
-        coeffs: dict[MultiIndex, complex] = {}
-        zero_k = (0,) * domain.n
-        for j, w in enumerate(omega):
-            if w == 0:
-                continue
-            l = tuple(1 if i == j else 0 for i in range(domain.n))
-            coeffs[(zero_k, l)] = complex(w)
-        return cls(domain, coeffs, k_max, max(d_max, 1), center)
+        n = domain.n
+        # each term gets index tuples of its own: pickles record shared objects
+        return cls.zero(domain, k_max, max(d_max, 1), center)._derive({
+            ((0,) * n, tuple(int(i == j) for i in range(n))): complex(float(w))
+            for j, w in enumerate(omega) if w != 0
+        })
 
     @classmethod
     def cosine(
@@ -425,23 +421,28 @@ class FourierTaylorSeries:
     def scaled(self, factor: float) -> "FourierTaylorSeries":
         if factor == 0:
             return FourierTaylorSeries.zero(self.domain, self.k_max, self.d_max, self.center)
+        factor = float(factor)  # an np.float64 factor would give numpy terms
         return self._derive(
             {idx: factor * c for idx, c in self._coeffs.items()},
             trunc_loss=self.trunc_loss.scaled(factor),
         )
 
     def __add__(self, other: "FourierTaylorSeries") -> "FourierTaylorSeries":
+        return self._merged(other, add)
+
+    def __sub__(self, other: "FourierTaylorSeries") -> "FourierTaylorSeries":
+        # a - b is a + (-b) bit for bit, signed zeros included
+        return self._merged(other, sub)
+
+    def _merged(self, other: "FourierTaylorSeries", op) -> "FourierTaylorSeries":
         self._same_geometry(other)
         merged = dict(self._coeffs)
         for idx, c in other._coeffs.items():
-            merged[idx] = merged.get(idx, 0j) + c
+            merged[idx] = op(merged.get(idx, 0j), c)
         return self._derive(
             merged, max(self.k_max, other.k_max), max(self.d_max, other.d_max),
             trunc_loss=self.trunc_loss + other.trunc_loss,
         )
-
-    def __sub__(self, other: "FourierTaylorSeries") -> "FourierTaylorSeries":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):

@@ -6,6 +6,7 @@ import pytest
 from driftbench import experiments
 
 from driftbench.cli import main, read_config_file
+from driftbench.diophantine import DirichletScan
 from driftbench.experiments import data_section
 from driftbench.series import (
     Domain, FourierTaylorSeries, Gevrey, load_series, save_series, split_by_modes,
@@ -54,6 +55,17 @@ class TestApprox:
     def test_margins_printed(self, capsys):
         _, out, _ = run(capsys, "approx", "--v", "1,0.41421356", "--Q", "10")
         assert "error_margin" in out and "period_upper_margin" in out
+
+    def test_stops_at_the_first_feasible_shell(self, capsys, monkeypatch):
+        # T = 1000 sits in shell 737 of 1,000,000: no later shell is read
+        shells = []
+        roundings = DirichletScan.roundings
+        monkeypatch.setattr(DirichletScan, "roundings",
+                            lambda scan, q: shells.append(q) or roundings(scan, q))
+        code, out, _ = run(capsys, "approx", "--v", "0.737,0.191", "--Q", "1000000")
+        assert code == 0
+        assert "T = 6638305850744111104/6638305850744111 = 1000\n" in out
+        assert shells == list(range(1, 738))
 
     def test_subnormal_vector_is_error(self, capsys):
         code, out, err = run(capsys, "approx", "--v", "0,1e-320", "--Q", "2")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from fractions import Fraction as F
@@ -238,6 +239,36 @@ class TestDirichlet:
 
         assert outcome(dirichlet_candidates) == outcome(_candidates_by_fraction)
 
+
+    @given(_dirichlet_input())
+    @example(((0.737, 0.191), 50.0, 1))
+    @example(((0.3, -0.7, 0.11, 0.0), 30.0, 2 * 16 + 5))
+    @example(((0.0, 2.2e-311), 2.0, None))
+    @settings(max_examples=80, deadline=None)
+    def test_approx_is_the_first_candidate(self, case):
+        # dirichlet_approx stops at the first feasible rounding; only its
+        # count of examined roundings may differ from the full scan's
+        def outcome(search):
+            try:
+                return dataclasses.replace(search(*case), candidates_examined=0)
+            except (ValueError, DirichletSearchError) as exc:
+                return type(exc)
+
+        def first_candidate(v, Q, cap):
+            cands = dirichlet_candidates(v, Q, cap)
+            if not cands:
+                raise DirichletSearchError
+            return cands[0]
+
+        assert outcome(dirichlet_approx) == outcome(first_candidate)
+
+    def test_approx_counts_up_to_its_candidate(self):
+        # (0.737, 0.191) at Q = 1e4: T = 1000 sits in shell 737 of 10,000;
+        # every earlier shell holds two roundings, none feasible
+        r = dirichlet_approx((0.737, 0.191), 1e4)
+        assert float(r.vector.period) == 1000
+        assert r.candidates_examined == 736 * 2 + 1
+        assert dirichlet_candidates((0.737, 0.191), 1e4)[0].candidates_examined == 20000
 
     @given(_dirichlet_input())
     @settings(max_examples=60, deadline=None)

@@ -98,6 +98,15 @@ class TestHomologicalSolve:
     def test_zero_input(self):
         assert homological_solve(FourierTaylorSeries.zero(D2, 1, 1), W10).is_zero
 
+    @given(st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6, max_denominator=10 ** 9),
+           st.integers(-10 ** 12, 10 ** 12).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_divisor_is_the_fraction_divisor(self, T, m):
+        # homological_solve forms m/T by one int true division; it and the
+        # Fraction's float are both correctly rounded, so the bits agree
+        assume(T > 0)
+        assert (m * T.denominator / T.numerator).hex() == float(F(m) / T).hex()
+
     @given(f=small_series(n=2, k_max=3, d_max=2), w=small_period_vector())
     @settings(max_examples=40, deadline=None)
     def test_homological_identity(self, f, w):

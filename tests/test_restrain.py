@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftbench import restrain
@@ -16,7 +16,11 @@ from driftbench.diophantine import (
     rational_rank,
 )
 from driftbench.dynamics import SENTINEL, IntegratorConfig, TimeBudget, drift_time, integrate
-from driftbench.normalform import AveragingDivergenceError
+from driftbench.normalform import (
+    AveragingDivergenceError,
+    NormalFormConfig,
+    local_normal_form,
+)
 from driftbench.restrain import (
     ConditionParams,
     RestrainFrame,
@@ -375,7 +379,7 @@ class TestTransformFallback:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(restrain, "local_normal_form", fail)
+        monkeypatch.setattr(restrain, "_localized_form", fail)
         failure = _certified_setup()[-1].failure
         assert failure.stage == 1 and failure.condition.startswith("(C_1)")
         assert f"(+budget {T1 * mu1 * mu1})" in failure.detail
@@ -384,9 +388,102 @@ class TestTransformFallback:
         def broken(*args, **kwargs):
             raise TypeError("unexpected argument")
 
-        monkeypatch.setattr(restrain, "local_normal_form", broken)
+        monkeypatch.setattr(restrain, "_localized_form", broken)
         with pytest.raises(TypeError, match="unexpected argument"):
             _certified_setup()
+
+
+def _displacement_by_full_form(system, center, frame, mus, budget):
+    """``_transform_displacement`` as it was: ``displacement_sup`` read off
+    the whole local normal form, with the same fallback."""
+    cfg = NormalFormConfig(m=min(budget.m, 2), lie_order=3)
+    try:
+        nf = local_normal_form(system.hamiltonian, tuple(center), frame, mus, cfg,
+                               theta_grid=6, action_grid=5)
+    except (AveragingDivergenceError, DomainError):
+        return float(frame.vectors[-1].period) * mus[-1] * mus[-1]
+    return nf.certificates["displacement_sup"]
+
+
+def _displacement_case(eps, center, omegas, mus, m=2):
+    frame = ResonanceFrame.build([period_of(w) for w in omegas])
+    return (quasi_convex(eps), np.array(center), frame, list(mus),
+            TimeBudget.for_m(m, Gevrey(1.0, 0.5)))
+
+
+@st.composite
+def _displacement_inputs(draw):
+    """A point of the quasi-convex system, a frame of one or two periodic
+    vectors, one radius per vector (some violate epsilon < mu^2) and m."""
+    comp = st.fractions(min_value=-1, max_value=1, max_denominator=20)
+    omegas = [draw(st.lists(comp, min_size=2, max_size=2).filter(any))
+              for _ in range(draw(st.integers(1, 2)))]
+    assume(rational_rank(omegas) == len(omegas))
+    mus = [draw(st.floats(0.002, 0.2))]
+    mus += [mus[0] * draw(st.floats(0.1, 0.5)) for _ in omegas[1:]]
+    return _displacement_case(
+        draw(st.sampled_from([1e-9, 1e-7, 1e-5])),
+        [draw(st.floats(-0.8, 0.8)) for _ in range(2)], omegas, mus,
+        draw(st.integers(1, 3)),
+    )
+
+
+# (case, what local_normal_form gives): a value for a one- and a
+# two-vector frame, and both errors that fall back to T*mu*mu
+_DISPLACEMENT_CASES = [
+    ((1e-12, (0.5, 0.0), [(F(1, 2), F(0))], [0.01]), float),
+    ((1e-9, (0.5, 0.25), [(F(1, 2), F(1, 4)), (F(1, 2), F(11, 40))], [0.02, 0.01]), float),
+    ((1e-5, (0.9, 0.3), [(F(9, 10), F(3, 10))], [0.05]), DomainError),
+    ((1e-6, (0.3, 0.3), [(F(1, 20), F(1, 20))], [0.02]), AveragingDivergenceError),
+]
+
+
+class TestTransformDisplacement:
+    """The restrain ladder reads only the displacement core of the local
+    normal form; it must give what the whole form gives."""
+
+    @staticmethod
+    def _outcome(displacement, case):
+        try:
+            return displacement(*case)
+        except Exception as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("args, full_form", _DISPLACEMENT_CASES,
+                             ids=["j1", "j2", "domain", "divergence"])
+    def test_fixed_cases(self, args, full_form):
+        case = _displacement_case(*args)
+        system, center, frame, mus, _ = case
+        got = restrain._transform_displacement(*case)
+        assert got == _displacement_by_full_form(*case)
+
+        def full():
+            return local_normal_form(system.hamiltonian, tuple(center), frame, mus,
+                                     NormalFormConfig(m=2, lie_order=3))
+
+        if full_form is float:
+            assert full().certificates["displacement_sup"] > 0
+            assert got > 0 and got != float(frame.vectors[-1].period) * mus[-1] ** 2
+        else:
+            with pytest.raises(full_form):
+                full()
+
+    def test_tau_is_not_computed(self):
+        # the one difference: tau_m = 2^1100 of a C^k tag with k* = 1100
+        # overflows a float in the full form's d_theta target, which the
+        # displacement never read
+        system = quasi_convex(1e-12, regularity=FiniteDiff(2201, 1100))
+        case = (system,) + _displacement_case(*_DISPLACEMENT_CASES[0][0])[1:]
+        with pytest.raises(OverflowError):
+            _displacement_by_full_form(*case)
+        assert restrain._transform_displacement(*case) == _displacement_by_full_form(
+            *_displacement_case(*_DISPLACEMENT_CASES[0][0]))
+
+    @given(_displacement_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_full_form(self, case):
+        assert (self._outcome(restrain._transform_displacement, case)
+                == self._outcome(_displacement_by_full_form, case))
 
 
 class TestOffOriginBall:

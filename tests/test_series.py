@@ -548,6 +548,18 @@ def derived_inputs(draw):
     return ops[0], ops[1], period_of(comps), factor
 
 
+def _linears(factor, center):
+    """``linear`` for n = 1, 2, 3, one of them at ``center``, with a zero and
+    an np.float64 frequency."""
+    return [
+        FourierTaylorSeries.linear(
+            Domain(n, 1.0), [factor, 0.0, np.float64(-2.5)][:n], k_max=1, d_max=2,
+            center=center if len(center) == n else None,
+        )
+        for n in (1, 2, 3)
+    ]
+
+
 class TestDerivedSeries:
     @given(derived_inputs())
     @settings(max_examples=60, deadline=None)
@@ -569,9 +581,22 @@ class TestDerivedSeries:
             h, osc, *resonant_split(f, w), homological_solve(f, w),
             _unscale(f, ScaleMap((0.2,) * n, 0.05), Domain(n, 0.6)),
             loc.h_tilde, loc.f_scaled, loc.f_tilde,
+            *_linears(factor, f.center),
         ]
         for r in results:
             _assert_public_form(r)
+
+    @given(derived_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_constructions_pickle_as_public_ones(self, inputs):
+        # pickles record shared index objects and every bit of a value, so
+        # equal bytes rule out shared tuples and signed-zero drift
+        f, g, _, factor = inputs
+        assert pickle.dumps(f - g) == pickle.dumps(f + (-g))
+        assert pickle.dumps(g - f) == pickle.dumps(g + (-f))
+        for s in _linears(factor, f.center):
+            public = FourierTaylorSeries(s.domain, s.coeffs, s.k_max, s.d_max, s.center)
+            assert pickle.dumps(s) == pickle.dumps(public)
 
     @given(derived_inputs())
     @settings(max_examples=40, deadline=None)
