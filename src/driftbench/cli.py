@@ -301,7 +301,7 @@ def cmd_scaling(args) -> int:
         defaults = {f.name: f.default for f in dataclasses.fields(experiments.ExperimentConfig)}
         kwargs = {}
         for key, val in read_config_file(args.config).items():
-            if key not in defaults or key == "system_kwargs":
+            if key not in defaults:
                 raise CliError(f"unknown config key {key!r}")
             default = defaults[key]
             if isinstance(default, bool):
@@ -319,9 +319,7 @@ def cmd_scaling(args) -> int:
             t_cap=args.t_cap, threshold_mode=args.threshold_mode,
             threshold_scale=args.threshold_scale, run_restrain=args.run_restrain,
         )
-    records, fit = experiments.run_scaling(
-        cfg, args.out, workers=args.workers, resume=not args.no_resume
-    )
+    records, fit = experiments.run_scaling(cfg, args.out, resume=not args.no_resume)
     finite = [r for r in records if math.isfinite(r.drift_time)]
     print(f"scaling: {len(records)} rows ({len(finite)} finite crossings) -> {args.out}")
     print(fit.describe())
@@ -426,7 +424,6 @@ def build_parser() -> _Parser:
                    default="theorem", choices=("theorem", "sqrt"))
     q.add_argument("--threshold-scale", dest="threshold_scale", type=float, default=1.0)
     q.add_argument("--run-restrain", dest="run_restrain", action="store_true")
-    q.add_argument("--workers", type=int, default=1)
     q.add_argument("--no-resume", dest="no_resume", action="store_true")
     q.add_argument("--out", type=str, required=True)
     q.set_defaults(func=cmd_scaling)

@@ -47,10 +47,16 @@ SENTINEL = math.inf
 
 
 def tau_m_value(m: int, regularity: Regularity) -> float:
-    """Stability-time scale: exp(m^(1/alpha)) for Gevrey, m^k* for C^k."""
-    if isinstance(regularity, Gevrey):
-        return math.exp(m ** (1.0 / regularity.alpha))
-    return float(m) ** regularity.k_star
+    """Stability-time scale: exp(m^(1/alpha)) for Gevrey, m^k* for C^k.
+
+    A scale beyond the float range is a ``ValueError`` naming m and the tag.
+    """
+    try:
+        if isinstance(regularity, Gevrey):
+            return math.exp(m ** (1.0 / regularity.alpha))
+        return float(m) ** regularity.k_star
+    except OverflowError:
+        raise ValueError(f"tau_m overflows a float at m={m} for {regularity}") from None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import csv
 import math
 import os
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -52,7 +51,6 @@ class ExperimentConfig:
     run_restrain: bool = False
     mu0: float = 0.05
     gamma: float = 0.9
-    system_kwargs: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.eps_ladder:
@@ -77,9 +75,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"threshold_scale must be finite and positive, got {self.threshold_scale}"
             )
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(step=self.step, sample_stride=self.sample_stride)
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ def run_row(
     cfg: ExperimentConfig, eps_index: int, ic_index: int
 ) -> ScalingRecord:
     eps = cfg.eps_ladder[eps_index]
-    system = make_system(cfg.system, eps, **dict(cfg.system_kwargs))
+    system = make_system(cfg.system, eps)
     n = system.domain.n
     exps = exponents(n, Fraction(cfg.tau))
     budget = time_budget(eps, system.hamiltonian.regularity, exps, cfg.m_multiplier)
@@ -159,7 +154,7 @@ def run_row(
     theta0, I0 = initial_condition(
         system, np.random.default_rng([cfg.seed, eps_index, ic_index])
     )
-    icfg = cfg.integrator()
+    icfg = IntegratorConfig(step=cfg.step, sample_stride=cfg.sample_stride)
     t0 = time.monotonic()
     deadline = t0 + cfg.wall_cap_s
     censored = False
@@ -235,24 +230,23 @@ def fit_scaling(
 
 
 def run_scaling(
-    cfg: ExperimentConfig, out_path, workers: int = 1, resume: bool = True,
+    cfg: ExperimentConfig, out_path, resume: bool = True,
 ) -> tuple[list[ScalingRecord], FitSummary]:
     """Run the ladder; stream rows to the CSV; return records and the fit.
 
     The CSV data section (everything outside '#' comment lines) is a pure
     function of the config and seed.  Rows are computed by ``run_row`` in this
-    process or, with workers > 1, in a pool of spawned processes (forking a
-    process that may hold BLAS threads is unsafe), and each is written and
-    flushed in canonical order as soon as it and every row before it are
-    done, so an interrupted run keeps its finished rows.  Every line ends in
-    ``"\n"``; the fit line comes last.  On resume, rows already in the file
-    are read back (with either line ending), so the records and the fit cover
-    the whole ladder, and the file is first rewritten without its fit line:
-    to ``<name>.tmp``, then the old file is unlinked and the ``.tmp`` renamed
-    into place; a crash between the two steps leaves only the complete
-    ``.tmp``, which the next resume renames into place.  A file whose
-    ``# config:`` line differs from ``cfg`` is refused.  Files are written as
-    new inodes (``series.open_new``); a symlinked ``out_path`` keeps its link.
+    process, in canonical order, and each is written and flushed as soon as
+    it is done, so an interrupted run keeps its finished rows.  Every line
+    ends in ``"\n"``; the fit line comes last.  On resume, rows already in
+    the file are read back (with either line ending), so the records and the
+    fit cover the whole ladder, and the file is first rewritten without its
+    fit line: to ``<name>.tmp``, then the old file is unlinked and the
+    ``.tmp`` renamed into place; a crash between the two steps leaves only
+    the complete ``.tmp``, which the next resume renames into place.  A file
+    whose ``# config:`` line differs from ``cfg`` is refused.  Files are
+    written as new inodes (``series.open_new``); a symlinked ``out_path``
+    keeps its link.
     """
     out_path = Path(os.path.realpath(out_path))
     tmp = out_path.with_name(out_path.name + ".tmp")
@@ -283,39 +277,25 @@ def run_scaling(
         return format(cfg.eps_ladder[ei], ".17g"), str(ii)
 
     todo = [(ei, ii) for ei, ii in pairs if key(ei, ii) not in done]
-    jobs = [(cfg, ei, ii) for ei, ii in todo]
     fresh = not (resume and out_path.exists())
-    with ExitStack() as stack:
-        if workers > 1:
-            from multiprocessing import get_context
-
-            pool = stack.enter_context(get_context("spawn").Pool(workers))
-            rows = pool.imap(_run_job, jobs)
-        else:
-            rows = map(_run_job, jobs)
-        fh = stack.enter_context(
-            open_new(out_path) if fresh else open(out_path, "a", newline="")
-        )
+    with open_new(out_path) if fresh else open(out_path, "a", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if fresh:
             fh.write(f"# driftbench scaling run; local time {time.ctime()}\n")
             fh.write(f"# config: {cfg}\n")
             writer.writerow(ScalingRecord.CSV_FIELDS)
             fh.flush()
-        for (ei, ii), rec in zip(todo, rows):
+        for ei, ii in todo:
+            rec = run_row(cfg, ei, ii)
             done[key(ei, ii)] = rec
             writer.writerow(rec.csv_row())
             fh.flush()
         records = [done[key(*p)] for p in pairs]
-        system = make_system(cfg.system, cfg.eps_ladder[0], **dict(cfg.system_kwargs))
+        system = make_system(cfg.system, cfg.eps_ladder[0])
         exps = exponents(system.domain.n, Fraction(cfg.tau))
         fit = fit_scaling(records, system.hamiltonian.regularity, exps)
         fh.write(f"# {fit.describe()}\n")
     return records, fit
-
-
-def _run_job(job: tuple[ExperimentConfig, int, int]) -> ScalingRecord:
-    return run_row(*job)
 
 
 def data_section(path) -> str:

@@ -182,15 +182,6 @@ class AveragingOutcome:
         return [s.generator for s in self.steps]
 
 
-def _linear_series(
-    domain: Domain, w: PeriodicVector, k_max: int, d_max: int,
-    center: Sequence[float],
-) -> FourierTaylorSeries:
-    return FourierTaylorSeries.linear(
-        domain, [float(x) for x in w.omega], k_max=k_max, d_max=d_max, center=center
-    )
-
-
 def periodic_averaging(
     H: FourierTaylorSeries,
     w: PeriodicVector,
@@ -203,7 +194,7 @@ def periodic_averaging(
     remainder norms are recorded; growth raises ``AveragingDivergenceError``
     with the trace.  The decay rate is measured, never assumed.
     """
-    l_w = _linear_series(H.domain, w, H.k_max, H.d_max, H.center)
+    l_w = FourierTaylorSeries.linear(H.domain, w.omega, H.k_max, H.d_max, H.center)
     f = H - l_w
     mu = f.coefficient_norm()
     T = float(w.period)
@@ -412,8 +403,8 @@ def _composed_rec(
     if len(freqs) == 1:
         return outcome.g, outcome.remainder, [outcome.steps], outcome.generators, margins
     w_prev = freqs[-2]
-    l_w = _linear_series(H.domain, w, H.k_max, H.d_max, H.center)
-    l_prev = _linear_series(H.domain, w_prev, H.k_max, H.d_max, H.center)
+    l_w = FourierTaylorSeries.linear(H.domain, w.omega, H.k_max, H.d_max, H.center)
+    l_prev = FourierTaylorSeries.linear(H.domain, w_prev.omega, H.k_max, H.d_max, H.center)
     gap = frequency_gap(w, w_prev)
     mu_prev = (H - l_w).coefficient_norm()
     margins[f"A{stage}:|w-w_prev|/mu_prev"] = gap / mu_prev if mu_prev else math.inf
@@ -495,8 +486,9 @@ def localize_and_scale(
     zero_idx = ((0,) * domain.n, (0,) * domain.n)
     h_loc = h_loc._derive({idx: c for idx, c in h_loc.items() if idx != zero_idx})
     h_scaled = h_loc.scaled(1.0 / mu)
-    l_series = _linear_series(
-        scaled_domain, omega, h_scaled.k_max, max(h_scaled.d_max, 1), (0.0,) * domain.n
+    l_series = FourierTaylorSeries.linear(
+        scaled_domain, omega.omega, h_scaled.k_max, max(h_scaled.d_max, 1),
+        (0.0,) * domain.n,
     )
     h_tilde = h_scaled - l_series
     f_scaled = recenter_scale(

@@ -268,6 +268,8 @@ class FourierTaylorSeries:
     ) -> "FourierTaylorSeries":
         """Linear integrable Hamiltonian omega . (I - center)."""
         n = domain.n
+        if len(omega) != n:
+            raise ValueError(f"linear needs {n} frequencies, got {len(omega)}")
         # each term gets index tuples of its own: pickles record shared objects
         return cls.zero(domain, k_max, max(d_max, 1), center)._derive({
             ((0,) * n, tuple(int(i == j) for i in range(n))): complex(float(w))

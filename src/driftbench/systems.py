@@ -136,11 +136,11 @@ BUILTIN_SYSTEMS: dict[str, Callable[..., System]] = {
 }
 
 
-def make_system(name: str, eps: float, **kwargs) -> System:
+def make_system(name: str, eps: float) -> System:
     try:
         factory = BUILTIN_SYSTEMS[name]
     except KeyError:
         raise ValueError(
             f"unknown system {name!r}; builtins: {sorted(BUILTIN_SYSTEMS)}"
         ) from None
-    return factory(eps, **kwargs)
+    return factory(eps)

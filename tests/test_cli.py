@@ -9,7 +9,8 @@ from driftbench.cli import main, read_config_file
 from driftbench.diophantine import DirichletScan
 from driftbench.experiments import data_section
 from driftbench.series import (
-    Domain, FourierTaylorSeries, Gevrey, load_series, save_series, split_by_modes,
+    Domain, FiniteDiff, FourierTaylorSeries, Gevrey, load_series, save_series,
+    split_by_modes,
 )
 
 
@@ -473,7 +474,7 @@ class TestScaling:
     def test_config_values_cast_by_field_type(self, capsys, tmp_path, monkeypatch):
         seen = {}
 
-        def fake_run_scaling(cfg, out, workers, resume):
+        def fake_run_scaling(cfg, out, resume):
             seen["cfg"] = cfg
             return [], experiments.FitSummary("empty", math.nan, math.nan, math.nan, 0)
 
@@ -496,6 +497,14 @@ class TestScaling:
         code, _, err = run(capsys, "scaling", "--config", str(cfg),
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1 and "system_kwargs" in err
+
+    def test_workers_flag_is_gone(self, capsys, tmp_path):
+        # rows run in this process only, so there is no worker count to set
+        path = tmp_path / "s.csv"
+        code, out, err = run(capsys, *self.ARGS, "--workers", "2", "--out", str(path))
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --workers 2" in err
+        assert not path.exists()
 
     def test_unknown_config_key_is_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -553,6 +562,23 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: tau must be finite and >= 2")
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("normalform", "--series", "F", "--frame", "3/10,-3/10", "--mu", "0.02",
+         "--center", "0.3,-0.3", "--m", "2"),
+        ("restrain", "--series", "F", "--eps", "1e-6", "--mu0", "0.05", "--t-cap", "8",
+         "--m-multiplier", "2"),
+        ("restrain", "--system", "quasiconvex", "--eps", "1e-6", "--mu0", "0.05",
+         "--t-cap", "8", "--m-multiplier", "1000"),
+    ], ids=["normalform-ck", "restrain-ck", "restrain-gevrey"])
+    def test_tau_m_overflow_is_error(self, capsys, tmp_path, argv):
+        # F is tagged C^k with k* = 1100, so tau_m = m^1100 overflows at m = 2;
+        # the Gevrey tau_m = exp(m) overflows at the m that 1000 x eps^-a gives
+        path = tmp_path / "F.series"
+        save_series(path, _quasi_convex_series(), FiniteDiff(2201, 1100))
+        code, out, err = run(capsys, *(str(path) if a == "F" else a for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: tau_m overflows a float at m=")
 
     def test_series_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "h.series"

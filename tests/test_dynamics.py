@@ -760,3 +760,14 @@ class TestTimeBudget:
     def test_tau_m_value(self):
         assert tau_m_value(1, Gevrey(1.0, 0.1)) == pytest.approx(math.e)
         assert tau_m_value(5, FiniteDiff(3, 2)) == 25.0
+
+    def test_gevrey_overflow_is_value_error(self):
+        # exp(1032) is beyond the float range
+        with pytest.raises(ValueError, match=r"m=1032 for Gevrey\(alpha=1.0, L=0.5\)"):
+            tau_m_value(1032, Gevrey(1.0, 0.5))
+
+    def test_ck_overflow_is_value_error(self):
+        # 2^1100 is beyond the float range
+        with pytest.raises(ValueError,
+                           match=r"m=2 for FiniteDiff\(k=2201, k_star=1100\)"):
+            tau_m_value(2, FiniteDiff(2201, 1100))

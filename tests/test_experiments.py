@@ -24,8 +24,7 @@ FAST = dict(
 
 
 
-def _job_failing_at_third_pair(job):
-    cfg, ei, ii = job
+def _row_failing_at_third_pair(cfg, ei, ii):
     if (ei, ii) == (1, 0):
         raise RuntimeError("run_row failed at the third pair")
     return run_row(cfg, ei, ii)
@@ -209,26 +208,19 @@ class TestRunScaling:
             run_scaling(ExperimentConfig(**{**FAST, "seed": 6}), out, resume=True)
         assert out.read_text() == before
 
-    def test_parallel_matches_sequential(self, tmp_path):
+    def test_interrupted_run_keeps_finished_rows(self, tmp_path, monkeypatch):
+        # run_row fails at the third pair; the rows before it must already be
+        # on disk, and a resume must reach the uninterrupted data section
         cfg = ExperimentConfig(**FAST)
-        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-        run_scaling(cfg, seq, workers=1, resume=False)
-        run_scaling(cfg, par, workers=2, resume=False)
-        assert data_section(seq) == data_section(par)
-
-    def test_interrupted_parallel_run_keeps_finished_rows(self, tmp_path, monkeypatch):
-        # the workers run the job function the pool is handed, which fails at
-        # the third pair; the rows before it must already be on disk
-        cfg = ExperimentConfig(**FAST)
-        seq, cut = tmp_path / "seq.csv", tmp_path / "cut.csv"
-        run_scaling(cfg, seq, workers=1, resume=False)
-        monkeypatch.setattr(experiments, "_run_job", _job_failing_at_third_pair)
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        run_scaling(cfg, full, resume=False)
+        monkeypatch.setattr(experiments, "run_row", _row_failing_at_third_pair)
         with pytest.raises(RuntimeError, match="third pair"):
-            run_scaling(cfg, cut, workers=2, resume=False)
+            run_scaling(cfg, cut, resume=False)
         monkeypatch.undo()
         assert len(data_section(cut).splitlines()) == 1 + 2  # header + 2 rows
-        run_scaling(cfg, cut, workers=2, resume=True)
-        assert data_section(cut) == data_section(seq)
+        run_scaling(cfg, cut, resume=True)
+        assert data_section(cut) == data_section(full)
 
     def test_lines_end_in_newline_only(self, tmp_path):
         cfg = ExperimentConfig(**FAST)

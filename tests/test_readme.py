@@ -1,7 +1,8 @@
 """Every command of README's CLI block runs and exits as documented: 0, and 2
 for ``conditions``, whose example parameters fail a condition on purpose.
 The restrain line's certificate keeps its condition log and reports the
-horizon it covers, the criterion 11 regime keeps failing at (B_1), and the
+horizon it covers, the criterion 11 regime keeps failing at (B_1), the
+pendulum study command given in prose builds the study's config, and the
 Layout table lists every module of the package."""
 
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from driftbench import experiments
 from driftbench.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +89,27 @@ def test_restrain_line_reports_the_covered_horizon(tmp_path, monkeypatch, capsys
     _, horizon, _, tau_m, _, m = row.split()
     assert float(horizon) == pytest.approx(2.7, abs=1e-12)
     assert float(tau_m) == pytest.approx(math.e) and m == "1"
+
+
+def test_pendulum_study_command_builds_the_study_config(tmp_path, monkeypatch):
+    # the scaling study that README gives in prose: the pendulum ladder with
+    # sqrt(eps) thresholds, written out field by field
+    line = re.search(r"`(driftbench scaling [^`\n]+)`", README.read_text()).group(1)
+    seen = {}
+
+    def fake_run_scaling(cfg, out, resume):
+        seen["cfg"] = cfg
+        return [], experiments.FitSummary("empty", math.nan, math.nan, math.nan, 0)
+
+    monkeypatch.setattr(experiments, "run_scaling", fake_run_scaling)
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+    study = experiments.ExperimentConfig(
+        system="pendulum", eps_ladder=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4), num_ic=8,
+        seed=11, step=0.005, sample_stride=20, m_multiplier=6.0, t_cap=400.0,
+        threshold_mode="sqrt", threshold_scale=0.5,
+    )
+    assert seen["cfg"] == study and repr(seen["cfg"]) == repr(study)
 
 
 def test_layout_table_lists_every_module():

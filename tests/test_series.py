@@ -504,6 +504,14 @@ class TestAlgebraMisc:
         assert (avg - h).coefficient_norm() == pytest.approx(0.0, abs=1e-15)
         assert (osc - f).coefficient_norm() == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n, omega", [(1, (3.0, 5.0)), (2, (3.0,))],
+                             ids=["too-many", "too-few"])
+    def test_linear_needs_one_frequency_per_action(self, n, omega):
+        # unchecked, an extra frequency would become a constant term and a
+        # missing one a zero
+        with pytest.raises(ValueError, match=f"linear needs {n} frequencies, got {len(omega)}"):
+            FourierTaylorSeries.linear(Domain(n, 1.0), omega)
+
     def test_hamiltonian_system_validation(self):
         h = FourierTaylorSeries.cosine(D2, (1, 0))
         f = FourierTaylorSeries.zero(D2, 1, 0)
