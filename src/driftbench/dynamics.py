@@ -7,16 +7,18 @@ fallback for non-separable truncations.  Both are symplectic; energy along
 the trajectory is monitored, never corrected.  The splitting runs in leapfrog
 form: only the kick moves the actions, so one gradient read of the average
 part per step serves two half-drifts, bit-identical to drift-kick-drift.  Its
-step is one straight-line Python function generated for each split, with the
-series' floats passed in through the function's globals.
+step is straight-line Python generated for each split, with the series'
+floats passed in through the function's globals, and with no operation that
+returns its operand (``d ** 1``, ``1 * t``, ``w * 1``, a zero cosine term).
 
-The midpoint iterates on z = (theta, I) in a straight-line Python function
-generated the same way: each iteration reads cos/sin once per mode pair and
-each power once, and every field row shares those reads.  Both steppers
-share one ``run_block(theta, action, dt, nsteps, time)`` signature, so the
-sample loop only steps, records and stops; the energy monitor reads H at
-every recorded sample after the loop, in stacked ``SeriesStack`` reads of
-sample blocks.
+The midpoint iterates on z = (theta, I) in straight-line Python generated
+the same way: each iteration reads cos/sin once per mode pair and each power
+once, and every field row shares those reads.  Each scheme's step sits in
+one generated ``run(theta, action, dt, n_steps, stride, stop_when)`` that
+holds the sample loop as well: one call steps a whole trajectory, records
+every ``stride``-th state, rejects a non-finite one and stops at the ball's
+edge or when ``stop_when`` says so.  The energy monitor reads H at every
+recorded sample after it, in stacked ``SeriesStack`` reads of sample blocks.
 A trajectory escapes when its action leaves the ball of radius R around the
 series center.  Escape and crossing times are reported at sample resolution
 with a one-step bracket and no interpolation.
@@ -142,38 +144,74 @@ class TrajectoryRecord:
 
 @functools.lru_cache(maxsize=32)
 def _compile(source: str):
-    """The code object of a generated step, shared by every series with the
-    same structure."""
+    """The code object of a generated ``run``, shared by every series with
+    the same structure."""
     return compile(source, "<generated step>", "exec")
 
 
-def _generate(body: list[str], env: dict) -> Callable:
-    """``run_block(theta, action, dt, nsteps, time)`` with the given body,
-    its free names bound to ``env``."""
-    source = "def run_block(theta, action, dt, nsteps, time):\n" + "".join(
+def _generate(H: FourierTaylorSeries, state: list[str], head: list[str], step: list[str],
+              env: dict) -> Callable:
+    """``run(theta, action, dt, n_steps, stride, stop_when)``: the sample loop
+    of ``integrate`` around one flow's step, its free names bound to ``env``.
+
+    ``state`` names the n angles, then the n actions.  Pass i runs ``head``;
+    when step i closes a block of ``stride`` steps (or the run), the sample is
+    checked finite (else ``FloatingPointError``), recorded, tested against
+    H's sup-norm ball (outside, the run ends escaped) and passed to
+    ``stop_when``.  Then ``step`` takes step i + 1; k is the step that opened
+    its block.  ``run`` returns ``(times, thetas, actions, escaped)``.
+    """
+    n = len(state) // 2
+    env.update((f"c{i}", c) for i, c in enumerate(H.center))
+    env.update(isfinite=math.isfinite, RB=H.domain.R * (1 + 1e-12))
+    ts, xs = ", ".join(state[:n]), ", ".join(state[n:])
+    finite = " and ".join(f"isfinite({v})" for v in state)
+    ball = "".join(f"abs({x} - c{i}), " for i, x in enumerate(state[n:]))
+    body = [f"{ts}, = theta", f"{xs}, = action", "half = 0.5 * dt",
+            "times, thetas, actions = [0.0], [theta], [action]",
+            "k, s = 0, min(stride, n_steps)",
+            # no steps: the start is the only sample
+            "for i in range(n_steps + 1 if n_steps else 0):"]
+    body += ["    " + line for line in head] + [
+        "    if i == s:",
+        "        t = i * dt",
+        f"        if not ({finite}):",
+        '            raise FloatingPointError(f"non-finite state at t={t}")',
+        f"        theta, action = [{ts}], [{xs}]",
+        "        times.append(t); thetas.append(theta); actions.append(action)",
+        f"        if not max(({ball})) <= RB:",
+        "            return times, thetas, actions, True",
+        "        if stop_when is not None and stop_when(t, action):",
+        "            break",
+        "        k, s = s, min(s + stride, n_steps)",
+        "    if i == n_steps:",
+        "        break"]
+    body += ["    " + line for line in step] + ["return times, thetas, actions, False"]
+    source = "def run(theta, action, dt, n_steps, stride, stop_when):\n" + "".join(
         f"    {line}\n" for line in body)
     exec(_compile(source), env)
-    return env["run_block"]
+    return env["run"]
 
 
 class _SplitFlow:
     """Strang splitting for H = A(I) + B(theta): drift-kick-drift.
 
-    Leapfrog form: grad A, read before a block and after each kick, serves a
-    step's closing half-drift and the next one's opening (nsteps + 1 reads).
-    ``run_block`` is generated as straight-line Python for this split: its
-    source holds only the structure (mode vectors, exponents, indices), and
-    every float (the monomial coefficients of dA/dI_j, the center, the kick
-    amplitudes a and b) enters through the function's globals, so one
-    compiled code object serves all splits of the same shape.  It performs
-    the float operations of the two-read drift-kick-drift loop in the same
-    order, so trajectories are bit-identical to it.
+    Leapfrog form: grad A, read before the first step and after each kick,
+    serves a step's closing half-drift and the next one's opening (n_steps
+    + 1 reads).  ``run`` is generated as straight-line Python for this
+    split: its source holds only the structure (mode vectors, exponents,
+    indices), and every float (the monomial coefficients of dA/dI_j, the
+    center, the kick amplitudes a and b) enters through the function's
+    globals, so one compiled code object serves all splits of the same
+    shape.  It performs the float operations of the two-read loop in the
+    same order, less those that return their operand: ``d ** 1``, ``1 * t``,
+    ``w * 1`` and, at b = 0.0, ``- b * cos(phi)`` (this one can flip the
+    sign of an exact zero).
     """
 
     def __init__(self, A: FourierTaylorSeries, B: FourierTaylorSeries) -> None:
         n = A.domain.n
         env = {"sin": math.sin, "cos": math.cos, "TWO_PI": TWO_PI}
-        env.update((f"c{i}", c) for i, c in enumerate(A.center))
         # dA/dI_j: one statement per monomial, factors in index order
         grad, used = [], set()
         for j in range(n):
@@ -182,7 +220,7 @@ class _SplitFlow:
                 env[f"C{j}_{m}"] = c.real
                 used.update(i for i, e in enumerate(l) if e)
                 grad.append(f"g{j} += C{j}_{m}" + "".join(
-                    f" * d{i} ** {e}" for i, e in enumerate(l) if e))
+                    f" * d{i}" + (f" ** {e}" if e != 1 else "") for i, e in enumerate(l) if e))
         grad[:0] = [f"d{i} = x{i} - c{i}" for i in sorted(used)]
         # kicks: one representative per +-k mode pair, c = a + i b
         kick, seen = [], set()
@@ -192,24 +230,18 @@ class _SplitFlow:
             seen.update((k, tuple(-x for x in k)))
             env[f"a{m}"], env[f"b{m}"] = c.real, c.imag
             kick.append("phi = (0.0" + "".join(
-                f" + {kj} * t{j}" for j, kj in enumerate(k)) + ") * TWO_PI")
-            kick.append(f"w = 2.0 * (-a{m} * sin(phi) - b{m} * cos(phi)) * TWO_PI * dt")
-            kick.extend(f"x{j} -= w * {kj}" for j, kj in enumerate(k) if kj)
+                f" + t{j}" if kj == 1 else f" + {kj} * t{j}"
+                for j, kj in enumerate(k) if kj) + ") * TWO_PI")
+            cos_term = f" - b{m} * cos(phi)" if c.imag != 0.0 else ""
+            kick.append(f"w = 2.0 * (-a{m} * sin(phi){cos_term}) * TWO_PI * dt")
+            kick.extend(f"x{j} -= w" + (f" * {kj}" if kj != 1 else "")
+                        for j, kj in enumerate(k) if kj)
         drift = [f"t{j} = (t{j} + half * g{j}) % 1.0" for j in range(n)]
-        ts = "".join(f"t{j}, " for j in range(n))
-        xs = "".join(f"x{j}, " for j in range(n))
+        ts, xs = [f"t{j}" for j in range(n)], [f"x{j}" for j in range(n)]
         # read i of grad A serves step i's closing half-drift and step
         # i + 1's opening one; the source holds it once
-        self.run_block = _generate(
-            [f"{ts}= theta", f"{xs}= action", "half = 0.5 * dt",
-             "for i in range(nsteps + 1):"]
-            + ["    " + line for line in grad]
-            + ["    if i:"] + ["        " + line for line in drift]
-            + ["    if i == nsteps:", "        break"]
-            + ["    " + line for line in drift + kick]
-            + [f"return [{ts}], [{xs}]"],
-            env,
-        )
+        self.run = _generate(A, ts + xs, grad + ["if i:"] + ["    " + line for line in drift],
+                             drift + kick, env)
 
 
 def _stalled(t: float, max_iter: int, *updates: float) -> RuntimeError:
@@ -226,7 +258,7 @@ def _stalled(t: float, max_iter: int, *updates: float) -> RuntimeError:
 class _MidpointFlow:
     """Implicit midpoint by fixed-point iteration; symplectic for any H.
 
-    ``run_block`` is generated like ``_SplitFlow``'s: the source holds the
+    ``run`` is generated like ``_SplitFlow``'s: the source holds the
     mode vectors and exponents of the field dz/dt = (dH/dI, -dH/dtheta), and
     its coefficients and H's center enter through the globals.  Each
     iteration reads cos and sin once per +-k mode pair and d_i ** e once per
@@ -242,7 +274,6 @@ class _MidpointFlow:
         env = {"sin": math.sin, "cos": math.cos, "isnan": math.isnan, "NAN": math.nan,
                "TWO_PI": TWO_PI, "TOL": MIDPOINT_TOL, "MAX_ITER": MIDPOINT_MAX_ITER,
                "stalled": _stalled}
-        env.update((f"c{i}", c) for i, c in enumerate(H.center))
         rows = [H.partial_action(j) for j in range(n)] + [-H.partial_theta(j) for j in range(n)]
         modes: dict[tuple[int, ...], int] = {}   # one representative per +-k pair
         powers: dict[tuple[int, int], str] = {}  # (i, e) -> its variable
@@ -277,18 +308,17 @@ class _MidpointFlow:
             f"w = z{r} + half * v{r}", f"e{r} = abs(w - m{r})", f"m{r} = w")]
         z, m, e = ([f"{x}{r}" for r in range(2 * n)] for x in "zme")
         zs, ms, es = map(", ".join, (z, m, e))
-        self.run_block = _generate(
-            [f"{zs}, = *theta, *action", "half = 0.5 * dt",
-             "for i in range(nsteps):", f"    {ms} = {zs}",
-             "    try:", "        for _ in range(MAX_ITER):"]
-            + ["            " + line for line in reads + field + update]
-            + [f"            if max({es}) < TOL and not isnan({' + '.join(e)}):",
-               "                break", "        else:",
-               f"            raise stalled(time + i * dt, MAX_ITER, {es})",
-               "    except (OverflowError, ValueError):",
-               "        raise stalled(time + i * dt, MAX_ITER, NAN) from None"]
-            + [f"    z{r} = 2.0 * m{r} - z{r}" for r in range(2 * n)]
-            + [f"return [{', '.join(z[:n])}], [{', '.join(z[n:])}]"],
+        # step i + 1 starts at k dt + (i - k) dt: its block's start, then
+        # its place in the block
+        self.run = _generate(
+            H, z, [], [f"{ms} = {zs}", "try:", "    for _ in range(MAX_ITER):"]
+            + ["        " + line for line in reads + field + update]
+            + [f"        if max({es}) < TOL and not isnan({' + '.join(e)}):",
+               "            break", "    else:",
+               f"        raise stalled(k * dt + (i - k) * dt, MAX_ITER, {es})",
+               "except (OverflowError, ValueError):",
+               "    raise stalled(k * dt + (i - k) * dt, MAX_ITER, NAN) from None"]
+            + [f"z{r} = 2.0 * m{r} - z{r}" for r in range(2 * n)],
             env,
         )
 
@@ -326,8 +356,8 @@ def integrate(
     ``escaped``, if the action leaves the domain ball around H's center;
     ``stop_when(t, I)`` is evaluated at sample points for caller-defined
     early exits, with I the sample's actions as a list of floats that it
-    must not modify.  The loop only steps and records; H is read at the
-    recorded samples once the loop has ended.
+    must not modify.  One call of the scheme's generated ``run`` steps,
+    records and stops; H is read at the recorded samples after it.
     """
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
@@ -337,29 +367,12 @@ def integrate(
     H = system.total()
     scheme, avg, osc = _choose_scheme(H)
     stepper = _SplitFlow(avg, osc) if scheme == "split" else _MidpointFlow(H)
-    domain, center = system.domain, H.center
     dt = (1.0 if t_max >= 0 else -1.0) * cfg.step
     n_steps = int(round(abs(t_max) / cfg.step))
     th = (np.asarray(start[0], dtype=float) % 1.0).tolist()
     ac = np.asarray(start[1], dtype=float).tolist()
-    times, thetas, actions = [0.0], [th], [ac]
-    escaped = False
-    k = 0
-    while k < n_steps:
-        block = min(cfg.sample_stride, n_steps - k)
-        th, ac = stepper.run_block(th, ac, dt, block, k * dt)
-        k += block
-        t = k * dt
-        if not all(map(math.isfinite, th + ac)):
-            raise FloatingPointError(f"non-finite state at t={t}")
-        times.append(t)
-        thetas.append(th)  # both steppers return new lists
-        actions.append(ac)
-        if not domain.contains_action(ac, center):
-            escaped = True
-            break
-        if stop_when is not None and stop_when(t, ac):
-            break
+    times, thetas, actions, escaped = stepper.run(th, ac, dt, n_steps, cfg.sample_stride,
+                                                  stop_when)
     # H is read at the angles as stepped, before they are wrapped
     thetas, actions = np.array(thetas), np.array(actions)
     energy = _energy(H, thetas, actions)

@@ -299,7 +299,9 @@ def try_restrain(
     j = 0).  At each escape event the gradient at the current point is
     Dirichlet-approximated to extend the frame; between events the (B)/(C)
     condition margins are verified.  No escape before the budget pins the
-    remaining times at tau_m.  Any violated condition aborts with a trace.
+    remaining times at tau_m, if the projected curve stays in B_R up to
+    tau_m; one that leaves it first fails at "domain".  Any violated
+    condition aborts with a trace.
     """
     if not (math.isfinite(mu0) and mu0 > 0):
         raise ValueError(f"mu0 must be finite and positive, got {mu0}")
@@ -361,8 +363,8 @@ def _ladder(
         curve = I_j + disp @ Pi.T
         inside = np.max(np.abs(curve - center), axis=1) <= R * (1 + 1e-9)
         cut = int(np.argmin(inside)) if not np.all(inside) else len(curve)
-        in_budget = np.searchsorted(traj.times[idx_j:], tau_m, side="right")
-        cut = min(cut, int(in_budget))
+        in_budget = int(np.searchsorted(traj.times[idx_j:], tau_m, side="right"))
+        cut = min(cut, in_budget)
         curve = curve[:cut]
         ctimes = traj.times[idx_j : idx_j + cut]
         if len(curve) < 1:
@@ -395,7 +397,10 @@ def _ladder(
             idx_next = idx_j + er.index
             t_next = float(er.time)
         else:
-            # no escape within the budget: pin the remaining time at tau_m
+            # no escape within the budget: pin the remaining time at tau_m,
+            # unless the curve left B_R before it, unread beyond the exit
+            if cut < in_budget:
+                raise _Failed(j, "domain", "curve left B_R before tau_m")
             idx_next = idx_j + cut - 1
             t_next = tau_m
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -236,6 +237,39 @@ def test_midpoint_matches_reference_loop(n, seed, center):
     assert np.max(np.abs(dth)) <= 1e-12
 
 
+def _reference_run(run_block, H, theta, action, dt, n_steps, stride, stop_when=None):
+    """The Python sample loop that drove one ``run_block(theta, action, dt,
+    nsteps, time)`` call per block of ``stride`` steps, returning what the
+    generated ``run`` returns: ``(times, thetas, actions, escaped)``.  After
+    each block it rejects a non-finite state, records the sample, ends the
+    run escaped when the action leaves H's ball, and asks ``stop_when``."""
+    th, ac = list(theta), list(action)
+    times, thetas, actions = [0.0], [th], [ac]
+    k = 0
+    while k < n_steps:
+        block = min(stride, n_steps - k)
+        th, ac = run_block(th, ac, dt, block, k * dt)
+        k += block
+        t = k * dt
+        if not all(map(math.isfinite, th + ac)):
+            raise FloatingPointError(f"non-finite state at t={t}")
+        times.append(t)
+        thetas.append(th)
+        actions.append(ac)
+        if not H.domain.contains_action(ac, H.center):
+            return times, thetas, actions, True
+        if stop_when is not None and stop_when(t, ac):
+            break
+    return times, thetas, actions, False
+
+
+class _InterpretedMidpointFlow:
+    """``_interpreted_midpoint`` blocks driven by the reference sample loop."""
+
+    def __init__(self, H):
+        self.run = functools.partial(_reference_run, functools.partial(_interpreted_midpoint, H), H)
+
+
 def _interpreted_midpoint(H, theta, action, dt, nsteps, time=0.0):
     """The generated midpoint's arithmetic, one term at a time: every term
     of the field rows (dH/dI_j, then -dH/dtheta_j, in ``items()`` order)
@@ -323,27 +357,22 @@ def _midpoint_case(draw):
 
 
 def _outcome(run, *args):
-    """The states ``run`` returns, or its non-convergence message."""
+    """What ``run`` returns, or the type and message of its error."""
     try:
         return run(*args)
-    except RuntimeError as err:
-        return str(err)
+    except (RuntimeError, FloatingPointError) as err:
+        return type(err), str(err)
 
 
 @given(_midpoint_case())
 @settings(max_examples=150, deadline=None)
 def test_midpoint_block_matches_interpreted_arithmetic(case):
+    # each block length as the stride of one run over all the blocks' steps
     H, theta, action, dt, blocks = case
-    flow = dynamics._MidpointFlow(H)
-    got = want = (list(theta), list(action))
-    k = 0
-    for nsteps in blocks:
-        got = _outcome(flow.run_block, *got, dt, nsteps, k * dt)
-        want = _outcome(_interpreted_midpoint, H, *want, dt, nsteps, k * dt)
-        assert got == want
-        if isinstance(got, str):
-            break
-        k += nsteps
+    flow, ref = dynamics._MidpointFlow(H), _InterpretedMidpointFlow(H)
+    for stride in blocks:
+        args = (list(theta), list(action), dt, sum(blocks), stride, None)
+        assert _outcome(flow.run, *args) == _outcome(ref.run, *args)
 
 
 @pytest.mark.parametrize("step", [1e6, 1e200])
@@ -379,6 +408,7 @@ class _TwoGradientSplit:
     every kick, and each monomial loops over all of its exponents."""
 
     def __init__(self, A, B):
+        self.A = A
         self.n = n = A.domain.n
         self.center = list(A.center)
         self.gradA = [
@@ -427,6 +457,10 @@ class _TwoGradientSplit:
                 theta[j] = (theta[j] + half * g[j]) % 1.0
         return theta, action
 
+    def run(self, theta, action, dt, n_steps, stride, stop_when):
+        return _reference_run(self.run_block, self.A, theta, action, dt, n_steps, stride,
+                              stop_when)
+
 
 @st.composite
 def _split_case(draw):
@@ -466,16 +500,12 @@ def _split_case(draw):
 @given(_split_case())
 @settings(max_examples=60, deadline=None)
 def test_split_block_matches_two_gradient_reference(case):
+    # each block length as the stride of one run over all the blocks' steps
     A, B, theta, action, dt, blocks = case
     flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
-    th, ac = list(theta), list(action)
-    ref_th, ref_ac = list(theta), list(action)
-    k = 0
-    for nsteps in blocks:
-        th, ac = flow.run_block(th, ac, dt, nsteps, k * dt)
-        ref_th, ref_ac = ref.run_block(ref_th, ref_ac, dt, nsteps, k * dt)
-        k += nsteps
-        assert th == ref_th and ac == ref_ac
+    for stride in blocks:
+        args = (list(theta), list(action), dt, sum(blocks), stride, None)
+        assert flow.run(*args) == ref.run(*args)
 
 
 def test_split_source_reads_the_gradient_once(monkeypatch):
@@ -495,6 +525,22 @@ def test_split_source_reads_the_gradient_once(monkeypatch):
     assert [source.count(f"g{j} = 0.0") for j in range(2)] == [1, 1]
 
 
+@pytest.mark.parametrize("make", [quasi_convex, pendulum])
+def test_split_source_emits_no_identity_arithmetic(make, monkeypatch):
+    # d ** 1, 1 * t and w * 1 return their operand, and the kicks of these
+    # systems are real cosines (b = 0), so none of them is emitted
+    sources = []
+    compile_step = dynamics._compile.__wrapped__
+    monkeypatch.setattr(dynamics, "_compile", lambda source: (
+        sources.append(source), compile_step(source))[1])
+    H = make(1e-2).hamiltonian
+    dynamics._SplitFlow(H.integrable, H.perturbation)
+    (source,) = sources
+    assert "sin(" in source
+    for token in ("** 1", "1 *", "* 1", "cos("):
+        assert token not in source, token
+
+
 def test_split_trajectory_is_pinned():
     # the end point of 4,000 split steps, as the step with two gradient
     # reads in its source gave it (sin and cos from the platform's libm)
@@ -505,6 +551,55 @@ def test_split_trajectory_is_pinned():
         "0x1.b5dea8b9d10b3p-4", "0x1.69ef084a6d4f6p-1",
         "0x1.87566bf1e843cp-3", "-0x1.be1ff4e8fc465p-4", "0x1.cc3abb211562bp-6",
     ]
+
+
+def _kicked_small_ball():
+    """A strong kick in a ball of radius 0.05: the action leaves it in a few
+    steps."""
+    d = Domain(1, 0.05)
+    h = FourierTaylorSeries.monomial(d, (2,), 0.5, k_max=1, d_max=2)
+    f = FourierTaylorSeries.cosine(d, (1,), 0.3, k_max=1, d_max=2)
+    return HamiltonianSystem(h, f, 0.3, Gevrey(1.0, 0.5))
+
+
+_MIDPOINT = HamiltonianSystem(*_nonseparable(2, 11), 1e-3, Gevrey(1.0, 0.5))
+_MIDPOINT_START = ((0.3, 0.6), (0.1, -0.2))
+
+
+def _pinned_runs():
+    """The records of four runs: a criterion 11 split run, a pendulum row
+    that ``drift_time`` stops, an escape and a midpoint run."""
+    c11 = integrate(quasi_convex(1e-4), ((0.3, 0.8), (0.1, -0.35)), 2e3,
+                    IntegratorConfig(step=0.05, sample_stride=40))
+    row = drift_time(pendulum(1e-2), ((0.25,), (0.0,)), 0.1, 200.0,
+                     IntegratorConfig(step=0.005, sample_stride=20)).trajectory
+    escape = integrate(_kicked_small_ball(), ((0.13,), (0.0,)), 50.0,
+                       IntegratorConfig(step=0.01, sample_stride=1))
+    mid = integrate(_MIDPOINT, _MIDPOINT_START, 20.0, IntegratorConfig(step=0.05, sample_stride=7))
+    return {"c11": c11, "row": row, "escape": escape, "midpoint": mid}
+
+
+def test_sample_loop_end_states_are_pinned():
+    # sample counts, last times and end states as the Python sample loop
+    # over per-block steps gave them
+    want = {
+        "c11": (1001, "0x1.f400000000000p+10", False, [
+            "0x1.4fbdd312d7759p-1", "0x1.3ef74c4b76a13p-3",
+            "0x1.98e4666f13967p-4", "-0x1.6693b33107e6dp-2"]),
+        "row": (18, "0x1.b333333333333p+0", False, [
+            "0x1.5bfa86a641cfbp-2", "0x1.a7a61d12ffa49p-4"]),
+        "escape": (5, "0x1.47ae147ae147bp-5", True, [
+            "0x1.0c7e59fe5ad3cp-3", "0x1.c32ae27893181p-5"]),
+        "midpoint": (59, "0x1.4000000000000p+4", False, [
+            "0x1.0c50785d02848p-2", "0x1.92d389cd12a70p-2",
+            "0x1.8d48d4de381fcp-4", "-0x1.9f3a06726de2ep-3"]),
+    }
+    got = {
+        name: (len(rec.times), float(rec.times[-1]).hex(), rec.escaped,
+               [float(x).hex() for x in (*rec.thetas[-1], *rec.actions[-1])])
+        for name, rec in _pinned_runs().items()
+    }
+    assert got == want
 
 
 def _off_center_system():
@@ -537,6 +632,66 @@ def test_integrate_matches_two_gradient_reference(system, start, t_max, monkeypa
     for field in ("times", "thetas", "actions", "energy"):
         assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
     assert rec.metadata == ref.metadata
+
+
+def _stop_at_sample(k):
+    """A ``stop_when`` that is true at the k-th sample after the start."""
+    calls = []
+    return lambda t, I: calls.append(t) or len(calls) == k
+
+
+def _overflowing_kick():
+    """A kick of amplitude 1e308: its first step overflows the action."""
+    d = Domain(1, 1.7e308)
+    return HamiltonianSystem(FourierTaylorSeries.monomial(d, (2,), 0.5, 1, 2),
+                             FourierTaylorSeries.cosine(d, (1,), 1e308, 1, 2), 0.5,
+                             Gevrey(1.0, 0.5))
+
+
+@pytest.mark.parametrize("system, start, t_max, step, stride, stop_at, max_iter, outcome", [
+    (_kicked_small_ball(), ((0.13,), (0.0,)), 50.0, 0.01, 3, None, None, "escaped"),
+    (pendulum(1e-2), ((0.25,), (0.05,)), 10.0, 0.01, 7, 4, None, 5),
+    (_MIDPOINT, _MIDPOINT_START, 10.0, 0.05, 3, 6, None, 7),
+    (_MIDPOINT, _MIDPOINT_START, -10.0, 0.05, 7, None, None, 30),
+    # |t_max| below half a step rounds to no steps: the start alone
+    (pendulum(1e-2), ((0.25,), (0.05,)), 0.004, 0.01, 1, None, None, 1),
+    # the overflow happens in the first step and shows at the first sample
+    (_overflowing_kick(), ((0.13,), (0.0,)), 40.0, 0.1, 3, None, None,
+     (FloatingPointError, "non-finite state at t=0.30000000000000004")),
+    # step 6 stalls; it is step 1 of the block opened at step 5, so its time
+    # is 5 dt + 1 dt = 1.8, where 6 dt is 1.7999999999999998
+    (_MIDPOINT, _MIDPOINT_START, 12.0, 0.3, 5, None, 8,
+     (RuntimeError, "implicit midpoint did not converge in the step from t=1.8: "
+                    "last update 1.02e-13 >= tol 1e-13 after 8 iterations")),
+], ids=["escape", "stop_when_split", "stop_when_midpoint", "backward_midpoint", "no_steps",
+        "non_finite", "stalled_midpoint"])
+def test_integrate_matches_reference_sample_loop(system, start, t_max, step, stride, stop_at,
+                                                 max_iter, outcome, monkeypatch):
+    # integrate's one generated call against the reference sample loop over
+    # the reference steppers' blocks; outcome is the sample count, "escaped",
+    # or the error
+    if max_iter is not None:
+        monkeypatch.setattr(dynamics, "MIDPOINT_MAX_ITER", max_iter)
+    cfg = IntegratorConfig(step=step, sample_stride=stride)
+    runs = []
+    for split, midpoint in ((dynamics._SplitFlow, dynamics._MidpointFlow),
+                            (_TwoGradientSplit, _InterpretedMidpointFlow)):
+        monkeypatch.setattr(dynamics, "_SplitFlow", split)
+        monkeypatch.setattr(dynamics, "_MidpointFlow", midpoint)
+        stop = None if stop_at is None else _stop_at_sample(stop_at)
+        runs.append(_outcome(integrate, system, start, t_max, cfg, stop))
+    rec, ref = runs
+    if isinstance(outcome, tuple):
+        assert rec == ref == outcome
+        return
+    for field in ("times", "thetas", "actions", "energy"):
+        assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
+    assert rec.metadata == ref.metadata and rec.escaped == ref.escaped
+    assert np.sign(rec.times[-1]) in (0.0, np.sign(t_max))
+    if outcome == "escaped":
+        assert rec.escaped and rec.times[-1] < t_max
+    else:
+        assert not rec.escaped and len(rec.times) == outcome
 
 
 @st.composite
@@ -642,7 +797,7 @@ def test_split_with_ten_thousand_monomials_matches_reference():
     B = FourierTaylorSeries.cosine(d, (1,), 1e-2, 1, deg)
     flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
     start = ([0.1], [0.3])
-    assert flow.run_block(*start, 1e-3, 3, 0.0) == ref.run_block(*start, 1e-3, 3, 0.0)
+    assert flow.run(*start, 1e-3, 3, 1, None) == ref.run(*start, 1e-3, 3, 1, None)
 
 
 class TestIntegratorConfig:

@@ -235,6 +235,38 @@ class TestTryRestrain:
                          TimeBudget.for_m(2, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0))
 
 
+def _exit_record(kind):
+    """200 samples on [0, 2.7] that leave the unit ball before tau_1 = e
+    without moving c_0 = mu_0 inside it: a jump from rest at (0.137, -0.23)
+    to (1.5, 1.5) at sample 62, or a tanh ramp of I_1 from 0.9 to 1.5 around
+    t = 1.5."""
+    from test_dynamics import synthetic_record
+
+    times = np.linspace(0.0, 2.7, 200)
+    if kind == "jump":
+        actions = np.tile([0.137, -0.23], (200, 1))
+        actions[62:] = 1.5
+    else:
+        ramp = (1 + np.tanh((times - 1.5) / 0.01)) / 2
+        actions = np.array([0.9, 0.1]) + np.outer(ramp, [0.6, 0.0])
+    return synthetic_record(times, actions)
+
+
+class TestBallExit:
+    @pytest.mark.parametrize("kind", ["jump", "smooth"])
+    def test_exit_before_tau_m_fails_at_domain(self, kind):
+        # the curve clipped at its exit from B_R reaches less than c_0, so no
+        # escape is searched: the jump was certified with times [e, e]
+        # although it ends 1.5 from I_0, and the ramp pinned t_1 = tau_m and
+        # then found an escape before it, a ValueError out of RestrainFrame
+        res = try_restrain(quasi_convex(1e-6), _exit_record(kind), 0.05,
+                           TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0),
+                           multipliers={"c_mu": 1.2, "smallness": 3.0, "length": 4.0})
+        assert not res.restrained
+        assert (res.failure.condition, res.failure.detail) == (
+            "domain", "curve left B_R before tau_m")
+
+
 def _loop_witness(grad, Q, frame, scale, eps, mu_j, gap_cap):
     """Reference: the retry loop that restrain._witness replaced."""
     for _ in range(restrain.INDEPENDENCE_RETRIES):
