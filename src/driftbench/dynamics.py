@@ -7,17 +7,19 @@ fallback for non-separable truncations.  Both are symplectic; energy along
 the trajectory is monitored, never corrected.  The splitting runs in leapfrog
 form: only the kick moves the actions, so one gradient read of the average
 part per step serves two half-drifts, bit-identical to drift-kick-drift.  Its
-step is straight-line Python generated for each split, with the series'
-floats passed in through the function's globals, and with no operation that
-returns its operand (``d ** 1``, ``1 * t``, ``w * 1``, a zero cosine term).
+step is straight-line Python generated for each split: the source holds
+names only, the series' floats are unpacked from one tuple into locals when
+the function starts, and no operation is emitted whose result is exactly
+another's (``d ** 1``, ``1 * t``, ``w * 1``, a zero cosine term).
 
 The midpoint iterates on z = (theta, I) in straight-line Python generated
 the same way: each iteration reads cos/sin once per mode pair and each power
 once, and every field row shares those reads.  Each scheme's step sits in
 one generated ``run(theta, action, dt, n_steps, stride, stop_when)`` that
-holds the sample loop as well: one call steps a whole trajectory, records
-every ``stride``-th state, rejects a non-finite one and stops at the ball's
-edge or when ``stop_when`` says so.  The energy monitor reads H at every
+holds the sample loop as well: one call steps a whole trajectory in blocks
+of ``stride`` steps with no test between steps, records the state after
+each block, rejects a non-finite one and stops at the ball's edge or when
+``stop_when`` says so.  The energy monitor reads H at every
 recorded sample after it, in stacked ``SeriesStack`` reads of sample blocks.
 A trajectory escapes when its action leaves the ball of radius R around the
 series center.  Escape and crossing times are reported at sample resolution
@@ -30,6 +32,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,48 +152,86 @@ def _compile(source: str):
     return compile(source, "<generated step>", "exec")
 
 
-def _generate(H: FourierTaylorSeries, state: list[str], head: list[str], step: list[str],
-              env: dict) -> Callable:
+def _generate(H: FourierTaylorSeries, state: list[str], consts: dict, head: list[str],
+              step: list[str]) -> Callable:
     """``run(theta, action, dt, n_steps, stride, stop_when)``: the sample loop
-    of ``integrate`` around one flow's step, its free names bound to ``env``.
+    of ``integrate`` around one flow's step.
 
-    ``state`` names the n angles, then the n actions.  Pass i runs ``head``;
-    when step i closes a block of ``stride`` steps (or the run), the sample is
-    checked finite (else ``FloatingPointError``), recorded, tested against
-    H's sup-norm ball (outside, the run ends escaped) and passed to
-    ``stop_when``.  Then ``step`` takes step i + 1; k is the step that opened
-    its block.  ``run`` returns ``(times, thetas, actions, escaped)``.
+    ``consts`` maps the names that the lines read, besides the state and
+    ``half = 0.5 * dt``, to their floats and functions; ``run`` unpacks
+    them from one tuple in its globals into locals when it starts, so the
+    source holds names only.  ``state`` names the n angles, then the n
+    actions.  With steps to take, ``head`` runs once; then each block of
+    ``stride`` steps (the last one may be shorter) runs ``step`` for i = k,
+    ..., s - 1 with no test between steps, k the step that opens the block.
+    After the block the sample at step s is checked finite (else
+    ``FloatingPointError``), recorded, tested against H's sup-norm ball
+    (outside, the run ends escaped) and passed to ``stop_when``.  ``run``
+    returns ``(times, thetas, actions, escaped)``.
     """
     n = len(state) // 2
-    env.update((f"c{i}", c) for i, c in enumerate(H.center))
-    env.update(isfinite=math.isfinite, RB=H.domain.R * (1 + 1e-12))
+    consts = dict(consts, isfinite=math.isfinite, RB=H.domain.R * (1 + 1e-12))
+    consts.update((f"c{i}", c) for i, c in enumerate(H.center))
     ts, xs = ", ".join(state[:n]), ", ".join(state[n:])
     finite = " and ".join(f"isfinite({v})" for v in state)
     ball = "".join(f"abs({x} - c{i}), " for i, x in enumerate(state[n:]))
-    body = [f"{ts}, = theta", f"{xs}, = action", "half = 0.5 * dt",
-            "times, thetas, actions = [0.0], [theta], [action]",
-            "k, s = 0, min(stride, n_steps)",
-            # no steps: the start is the only sample
-            "for i in range(n_steps + 1 if n_steps else 0):"]
-    body += ["    " + line for line in head] + [
-        "    if i == s:",
-        "        t = i * dt",
-        f"        if not ({finite}):",
-        '            raise FloatingPointError(f"non-finite state at t={t}")',
-        f"        theta, action = [{ts}], [{xs}]",
-        "        times.append(t); thetas.append(theta); actions.append(action)",
-        f"        if not max(({ball})) <= RB:",
-        "            return times, thetas, actions, True",
-        "        if stop_when is not None and stop_when(t, action):",
-        "            break",
-        "        k, s = s, min(s + stride, n_steps)",
-        "    if i == n_steps:",
-        "        break"]
-    body += ["    " + line for line in step] + ["return times, thetas, actions, False"]
+    body = [f"{', '.join(consts)}, = K", f"{ts}, = theta", f"{xs}, = action",
+            "half = 0.5 * dt", "times, thetas, actions = [0.0], [theta], [action]", "k = 0"]
+    if head:
+        body += ["if n_steps:"] + ["    " + line for line in head]
+    body += ["while k < n_steps:",
+             "    s = min(k + stride, n_steps)",
+             "    for i in range(k, s):"] + ["        " + line for line in step] + [
+        "    t = s * dt",
+        f"    if not ({finite}):",
+        '        raise FloatingPointError(f"non-finite state at t={t}")',
+        f"    theta, action = [{ts}], [{xs}]",
+        "    times.append(t); thetas.append(theta); actions.append(action)",
+        f"    if not max(({ball})) <= RB:",
+        "        return times, thetas, actions, True",
+        "    if stop_when is not None and stop_when(t, action):",
+        "        break",
+        "    k = s",
+        "return times, thetas, actions, False"]
     source = "def run(theta, action, dt, n_steps, stride, stop_when):\n" + "".join(
         f"    {line}\n" for line in body)
+    env = {"K": tuple(consts.values())}
     exec(_compile(source), env)
     return env["run"]
+
+
+def _phase(k: Sequence[int], names: Sequence[str]) -> str:
+    """The sum k . names left to right, less its exact identities: ``1 * x``
+    is x and ``a + -j * x`` is ``a - j * x`` (signed zeros included).  A
+    leading negative term starts from ``0.0 -``; a leading positive term
+    starts the sum itself, where the split's kick phase had ``0.0 +``: the
+    kick reads only angles wrapped by ``% 1.0``, never -0.0, and 0.0 + x is
+    x for every other x."""
+    out = ""
+    for kj, v in zip(k, names):
+        if kj:
+            term = v if abs(kj) == 1 else f"{abs(kj)} * {v}"
+            sign = " - " if kj < 0 else " + "
+            out += sign + term if out else ("0.0" + sign + term if kj < 0 else term)
+    return out
+
+
+def _half_gradient(grad: list[list[tuple[float, tuple[int, ...]]]], center: Sequence[float],
+                   half: float, *x: float) -> list[float]:
+    """half * dA/dI_j at the actions x, with the float operations of the
+    generated read: each monomial c * d_i ** e_i * ... left to right (d_i
+    itself for e_i = 1), summed left to right from 0.0."""
+    d = [a - c for a, c in zip(x, center)]
+    out = []
+    for terms in grad:
+        g = 0.0
+        for c, l in terms:
+            for i, e in enumerate(l):
+                if e:
+                    c *= d[i] if e == 1 else d[i] ** e
+            g += c
+        out.append(half * g)
+    return out
 
 
 class _SplitFlow:
@@ -201,47 +242,54 @@ class _SplitFlow:
     + 1 reads).  ``run`` is generated as straight-line Python for this
     split: its source holds only the structure (mode vectors, exponents,
     indices), and every float (the monomial coefficients of dA/dI_j, the
-    center, the kick amplitudes a and b) enters through the function's
-    globals, so one compiled code object serves all splits of the same
-    shape.  It performs the float operations of the two-read loop in the
-    same order, less those that return their operand: ``d ** 1``, ``1 * t``,
-    ``w * 1`` and, at b = 0.0, ``- b * cos(phi)`` (this one can flip the
-    sign of an exact zero).
+    center, the kick amplitudes -a and b) is unpacked into a local when
+    ``run`` starts, so one compiled code object serves all splits of the
+    same shape.  A step is opening drift, kick, gradient read and closing
+    drift; ``_half_gradient`` makes the read before the first step with the
+    same floats, so the source holds the read once.  ``run`` performs the
+    float operations of the two-read loop in the same order, less those
+    whose result is exactly another's: ``d ** 1``, ``1 * t``, ``w * 1``, a
+    second ``half * g``, ``0.0 +`` before a positive term of a phase (the
+    kick reads wrapped angles, never -0.0), ``+ -j * t`` for ``- j * t``
+    and, at b = 0.0, ``- b * cos(phi)`` (this one can flip the sign of an
+    exact zero).
     """
 
     def __init__(self, A: FourierTaylorSeries, B: FourierTaylorSeries) -> None:
         n = A.domain.n
-        env = {"sin": math.sin, "cos": math.cos, "TWO_PI": TWO_PI}
+        consts = {}
         # dA/dI_j: one statement per monomial, factors in index order
-        grad, used = [], set()
+        grad, terms, used = [], [], set()
         for j in range(n):
             grad.append(f"g{j} = 0.0")
+            terms.append([])
             for m, ((_, l), c) in enumerate(A.partial_action(j).items()):
-                env[f"C{j}_{m}"] = c.real
+                consts[f"C{j}_{m}"] = c.real
+                terms[j].append((c.real, l))
                 used.update(i for i, e in enumerate(l) if e)
                 grad.append(f"g{j} += C{j}_{m}" + "".join(
                     f" * d{i}" + (f" ** {e}" if e != 1 else "") for i, e in enumerate(l) if e))
         grad[:0] = [f"d{i} = x{i} - c{i}" for i in sorted(used)]
+        grad += [f"h{j} = half * g{j}" for j in range(n)]
         # kicks: one representative per +-k mode pair, c = a + i b
         kick, seen = [], set()
+        ts, xs = [f"t{j}" for j in range(n)], [f"x{j}" for j in range(n)]
         for m, ((k, _), c) in enumerate(B.items()):
             if k in seen:
                 continue
             seen.update((k, tuple(-x for x in k)))
-            env[f"a{m}"], env[f"b{m}"] = c.real, c.imag
-            kick.append("phi = (0.0" + "".join(
-                f" + t{j}" if kj == 1 else f" + {kj} * t{j}"
-                for j, kj in enumerate(k) if kj) + ") * TWO_PI")
+            consts[f"na{m}"], consts[f"b{m}"] = -c.real, c.imag
+            kick.append(f"phi = ({_phase(k, ts)}) * TWO_PI")
             cos_term = f" - b{m} * cos(phi)" if c.imag != 0.0 else ""
-            kick.append(f"w = 2.0 * (-a{m} * sin(phi){cos_term}) * TWO_PI * dt")
-            kick.extend(f"x{j} -= w" + (f" * {kj}" if kj != 1 else "")
+            kick.append(f"w = 2.0 * (na{m} * sin(phi){cos_term}) * TWO_PI * dt")
+            # x - w * -j is x + w * j
+            kick.extend(f"x{j} {'-+'[kj < 0]}= w" + (f" * {abs(kj)}" if abs(kj) != 1 else "")
                         for j, kj in enumerate(k) if kj)
-        drift = [f"t{j} = (t{j} + half * g{j}) % 1.0" for j in range(n)]
-        ts, xs = [f"t{j}" for j in range(n)], [f"x{j}" for j in range(n)]
-        # read i of grad A serves step i's closing half-drift and step
-        # i + 1's opening one; the source holds it once
-        self.run = _generate(A, ts + xs, grad + ["if i:"] + ["    " + line for line in drift],
-                             drift + kick, env)
+        consts.update(sin=math.sin, cos=math.cos, TWO_PI=TWO_PI,
+                      half_gradient=functools.partial(_half_gradient, terms, A.center))
+        drift = [f"t{j} = (t{j} + h{j}) % 1.0" for j in range(n)]
+        head = [f"{', '.join(f'h{j}' for j in range(n))}, = half_gradient(half, {', '.join(xs)})"]
+        self.run = _generate(A, ts + xs, consts, head, drift + kick + grad + drift)
 
 
 def _stalled(t: float, max_iter: int, *updates: float) -> RuntimeError:
@@ -260,20 +308,22 @@ class _MidpointFlow:
 
     ``run`` is generated like ``_SplitFlow``'s: the source holds the
     mode vectors and exponents of the field dz/dt = (dH/dI, -dH/dtheta), and
-    its coefficients and H's center enter through the globals.  Each
-    iteration reads cos and sin once per +-k mode pair and d_i ** e once per
-    distinct power, and the 2n field rows share those reads; a row sums its
-    terms (Re c cos - Im c sin) * (product of its powers) left to right.
-    An iteration whose updates are all below ``MIDPOINT_TOL`` ends the step;
-    a NaN update never does.  An overflow or a domain error while reading
-    the field counts as a NaN update that cannot converge.
+    its coefficients and H's center are unpacked into locals when ``run``
+    starts.  Each iteration reads cos and sin once per +-k mode pair and
+    d_i ** e once per distinct power, and the 2n field rows share those
+    reads; a row sums its terms (Re c cos - Im c sin) * (product of its
+    powers) left to right.  A phase is written as ``_phase`` writes it, less
+    the exact identities ``1 * m`` and ``+ -j * m``.  An iteration whose
+    updates are all below ``MIDPOINT_TOL`` ends the step, tested one update
+    at a time, so a NaN update never does.  An overflow or a domain error
+    while reading the field counts as a NaN update that cannot converge.
     """
 
     def __init__(self, H: FourierTaylorSeries) -> None:
         n = H.domain.n
-        env = {"sin": math.sin, "cos": math.cos, "isnan": math.isnan, "NAN": math.nan,
-               "TWO_PI": TWO_PI, "TOL": MIDPOINT_TOL, "MAX_ITER": MIDPOINT_MAX_ITER,
-               "stalled": _stalled}
+        consts = {"sin": math.sin, "cos": math.cos, "abs": abs, "NAN": math.nan,
+                  "TWO_PI": TWO_PI, "TOL": MIDPOINT_TOL, "MAX_ITER": MIDPOINT_MAX_ITER,
+                  "stalled": _stalled}
         rows = [H.partial_action(j) for j in range(n)] + [-H.partial_theta(j) for j in range(n)]
         modes: dict[tuple[int, ...], int] = {}   # one representative per +-k pair
         powers: dict[tuple[int, int], str] = {}  # (i, e) -> its variable
@@ -281,7 +331,7 @@ class _MidpointFlow:
         for r, row in enumerate(rows):
             terms = []
             for s, ((k, l), c) in enumerate(row.items()):
-                env[f"a{r}_{s}"], env[f"b{r}_{s}"] = c.real, c.imag
+                consts[f"a{r}_{s}"], consts[f"b{r}_{s}"] = c.real, c.imag
                 factors = [powers.setdefault((i, e), f"d{i}" if e == 1 else f"p{i}_{e}")
                            for i, e in enumerate(l) if e]
                 if any(k):
@@ -301,7 +351,7 @@ class _MidpointFlow:
             field += [f"v{r} += {term}" for term in terms[1:]]
         reads = [f"d{i} = m{n + i} - c{i}" for i in sorted({i for i, _ in powers})]
         for rep, q in modes.items():
-            phase = " + ".join(f"{kj} * m{j}" for j, kj in enumerate(rep) if kj)
+            phase = _phase(rep, [f"m{j}" for j in range(n)])
             reads += [f"y = TWO_PI * ({phase})", f"C{q} = cos(y)", f"S{q} = sin(y)"]
         reads += [f"{v} = d{i} ** {float(e)!r}" for (i, e), v in powers.items() if e != 1]
         update = [line for r in range(2 * n) for line in (
@@ -311,15 +361,14 @@ class _MidpointFlow:
         # step i + 1 starts at k dt + (i - k) dt: its block's start, then
         # its place in the block
         self.run = _generate(
-            H, z, [], [f"{ms} = {zs}", "try:", "    for _ in range(MAX_ITER):"]
+            H, z, consts, [], [f"{ms} = {zs}", "try:", "    for _ in range(MAX_ITER):"]
             + ["        " + line for line in reads + field + update]
-            + [f"        if max({es}) < TOL and not isnan({' + '.join(e)}):",
+            + [f"        if {' and '.join(f'{x} < TOL' for x in e)}:",
                "            break", "    else:",
                f"        raise stalled(k * dt + (i - k) * dt, MAX_ITER, {es})",
                "except (OverflowError, ValueError):",
                "    raise stalled(k * dt + (i - k) * dt, MAX_ITER, NAN) from None"]
             + [f"z{r} = 2.0 * m{r} - z{r}" for r in range(2 * n)],
-            env,
         )
 
 
@@ -435,7 +484,7 @@ def drift_time(
     I0 = np.asarray(start[1], dtype=float).tolist()
 
     def crossed(t: float, action: list[float]) -> bool:
-        if max(abs(a - b) for a, b in zip(action, I0)) >= threshold:
+        if max(map(abs, map(sub, action, I0))) >= threshold:
             return True
         return stop_when(t, action) if stop_when is not None else False
 

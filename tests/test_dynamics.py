@@ -541,6 +541,123 @@ def test_split_source_emits_no_identity_arithmetic(make, monkeypatch):
         assert token not in source, token
 
 
+def _sources(monkeypatch):
+    """The list that every source compiled from now on is appended to."""
+    sources = []
+    compile_step = dynamics._compile.__wrapped__
+    monkeypatch.setattr(dynamics, "_compile", lambda source: (
+        sources.append(source), compile_step(source))[1])
+    return sources
+
+
+def _phased_midpoint():
+    """A non-separable H whose modes (1, -1) and (1, 2) need a minus sign and
+    a factor in their phases."""
+    d = Domain(2, 0.5)
+    h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 2, 3)
+         + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 2, 3))
+    amp = FourierTaylorSeries.constant(d, 1.0, 2, 3) + FourierTaylorSeries.action_coordinate(
+        d, 0, 2, 3)
+    f = (FourierTaylorSeries.cosine(d, (1, -1), 1e-3, 2, 3).product(amp)
+         + FourierTaylorSeries.sine(d, (1, 2), 5e-4, 2, 3))
+    return h + f
+
+
+@pytest.mark.parametrize("scheme", ["split", "midpoint"])
+def test_run_reads_its_floats_as_locals(scheme):
+    # coefficients, the center, sin and TWO_PI are unpacked from the one
+    # global tuple K; the other globals are builtins
+    if scheme == "split":
+        H = quasi_convex(1e-2).hamiltonian
+        run = dynamics._SplitFlow(H.integrable, H.perturbation).run
+    else:
+        run = dynamics._MidpointFlow(_phased_midpoint()).run
+    assert set(run.__code__.co_names) <= {
+        "K", "min", "max", "abs", "range", "append", "FloatingPointError", "OverflowError",
+        "ValueError"}
+    assert {"sin", "TWO_PI", "c0", "c1"} <= set(run.__code__.co_varnames)
+
+
+def test_split_step_loop_holds_no_branch(monkeypatch):
+    # the steps of a block run with no test between them; the samples are
+    # taken after the block
+    sources = _sources(monkeypatch)
+    H = quasi_convex(1e-2).hamiltonian
+    dynamics._SplitFlow(H.integrable, H.perturbation)
+    (source,) = sources
+    lines = source.splitlines()
+    at = lines.index("        for i in range(k, s):")
+    loop = list(itertools.takewhile(lambda line: line.startswith(" " * 12), lines[at + 1:]))
+    assert len(loop) > 10
+    assert not [line for line in loop if line.split()[0] in ("if", "elif", "while", "for")]
+
+
+def test_midpoint_phase_emits_no_identity_arithmetic(monkeypatch):
+    # 1 * m is m, and a + -j * m is a - j * m
+    sources = _sources(monkeypatch)
+    dynamics._MidpointFlow(_phased_midpoint())
+    (source,) = sources
+    phases = [line.strip() for line in source.splitlines() if line.strip().startswith("y = ")]
+    assert phases == ["y = TWO_PI * (m0 - m1)", "y = TWO_PI * (m0 + 2 * m1)"]
+    for token in ("1 *", "+ -"):
+        assert not [p for p in phases if token in p], token
+
+
+def test_split_flows_of_one_shape_share_one_compile():
+    # the source holds only structure: another epsilon is another tuple K
+    dynamics._compile.cache_clear()
+    runs = []
+    for eps in (1e-2, 1e-3):
+        H = pendulum(eps).hamiltonian
+        runs.append(dynamics._SplitFlow(H.integrable, H.perturbation).run(
+            [0.25], [0.0], 0.01, 100, 10, None))
+    info = dynamics._compile.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert runs[0] != runs[1]
+
+
+def _bits(out):
+    """A run's result with every float as its hex string, so that signed
+    zeros compare unequal."""
+    if isinstance(out, (list, tuple)):
+        return [_bits(x) for x in out]
+    return out.hex() if isinstance(out, float) else out
+
+
+def _prologue_case(name):
+    """(A, B, theta, action) for one prologue case."""
+    d = Domain(2, 1.0)
+    zero = (0, 0)
+    if name == "signed_zero_start":
+        # x - c is +0.0 for the first action and -0.0 for the second
+        A = FourierTaylorSeries(d, {(zero, (2, 0)): 0.5, (zero, (0, 3)): -0.7,
+                                    (zero, (1, 1)): 0.3}, 2, 4)
+        return A, FourierTaylorSeries.cosine(d, (1, -1), 1e-2, 2, 4), [0.0, 0.5], [0.0, -0.0]
+    if name == "vanishing_partial":
+        # dA/dI_1 is identically zero
+        A = FourierTaylorSeries(d, {(zero, (2, 0)): 0.5, (zero, (3, 0)): 0.1}, 2, 4, (0.3, -1.2))
+        return (A, FourierTaylorSeries.sine(d, (0, 1), 1e-2, 2, 4, (0.3, -1.2)), [0.1, 0.7],
+                [0.45, -1.0])
+    # dA/dI_0 and dA/dI_1 have monomials d0 d1 ** 3 and d0 ** 3 d1, whose
+    # products round differently when grouped right to left at this start
+    A = FourierTaylorSeries(d, {(zero, (2, 3)): 0.37, (zero, (3, 2)): -0.29, (zero, (1, 0)): 0.2,
+                                (zero, (0, 3)): 0.15}, 2, 6, (0.3, -1.2))
+    return (A, FourierTaylorSeries.cosine(d, (2, 1), 1e-2, 2, 6, (0.3, -1.2)), [0.6, 0.2],
+            [0.83, -0.39])
+
+
+@pytest.mark.parametrize("name", ["signed_zero_start", "vanishing_partial", "mixed_degrees"])
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+def test_split_prologue_matches_two_gradient_reference(name, dt):
+    # one step: the gradient read before the loop opens it, bit for bit
+    A, B, theta, action = _prologue_case(name)
+    flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
+    args = (theta, action, dt, 1, 1, None)
+    assert _bits(flow.run(*args)) == _bits(ref.run(*args))
+    half = 0.5 * dt
+    assert _bits(dynamics._half_gradient(ref.gradA, A.center, half, *action)) == _bits(
+        [half * g for g in ref._grad_A(action)])
+
 def test_split_trajectory_is_pinned():
     # the end point of 4,000 split steps, as the step with two gradient
     # reads in its source gave it (sin and cos from the platform's libm)
