@@ -381,6 +381,10 @@ class TestWitnessSearch:
         # and raises the fourth search's error
         with pytest.raises(ValueError, match="does not fit in a float"):
             restrain._witness(grad, Q, frame, 0.5, 1e-6, 0.2, 0.1)
+        # here Q * 2^3 = 2^1024 itself overflows, which the fourth search
+        # reports before its period bound
+        with pytest.raises(ValueError, match=r"^Q and v must be finite, got Q=inf, "):
+            restrain._witness(np.array([1.0, 0.5]), 2.0 ** 1021, frame, 0.5, 1e-6, 0.2, 0.1)
 
 
 def _quasi_convex_at(center, eps):
