@@ -46,10 +46,16 @@ def count_options(tree: ast.Module) -> int:
     return total
 
 
-def main() -> None:
+def totals() -> tuple[int, int]:
+    """The package's option count and line count."""
     files = sorted(SRC.glob("*.py"))
     options = sum(count_options(ast.parse(f.read_text())) for f in files)
     lines = sum(f.read_text().count("\n") for f in files)
+    return options, lines
+
+
+def main() -> None:
+    options, lines = totals()
     print(f"options {options}")
     print(f"src lines {lines}")
 

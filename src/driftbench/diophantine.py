@@ -12,7 +12,6 @@ matrices).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,12 +125,20 @@ class DirichletResult:
         }
 
 
-def _q_fraction(Q: float, v: tuple) -> Fraction:
-    if not math.isfinite(Q):
+def _require_finite(Q: float, v: tuple) -> None:
+    if not all(map(math.isfinite, (Q, *v))):
         raise ValueError(f"Q and v must be finite, got Q={Q}, v={v}")
-    if Q <= 1:
-        raise ValueError("Q must exceed 1")
-    return Fraction(Q)
+
+
+def _period_upper(Q: float, v: tuple, vnorm: Fraction) -> float:
+    """Q/|v| as a float, the largest period of a search of v up to Q; a
+    ValueError if Q or v is not finite or Q/|v| exceeds the float range."""
+    _require_finite(Q, v)
+    try:
+        return float(Fraction(Q) / vnorm)
+    except OverflowError:
+        raise ValueError(f"|v| = {float(vnorm):.3g} is too small: the period "
+                         "bound Q/|v| does not fit in a float") from None
 
 
 class DirichletScan:
@@ -145,7 +152,8 @@ class DirichletScan:
     and |v - omega| = E/(q*D) with E = max|q*V_i - w_i*V_n|.  The period
     range |v|^{-1} <= T <= Q |v|^{-1} holds for every rounding: the largest
     component rounds exactly to w_i = +-q, so w != 0, g divides q, and
-    q <= P // S.
+    q <= P // S.  The roundings do not depend on Q, so the scan also serves
+    a search up to Q 2^r: its shells are q <= (P << r) // S.
     """
 
     def __init__(self, v: Sequence[float], Q: float) -> None:
@@ -154,31 +162,18 @@ class DirichletScan:
         v = tuple(v)
         if len(v) < 2:
             raise ValueError("dirichlet approximation needs dimension n >= 2")
-        if not all(map(math.isfinite, v)):
-            raise ValueError(f"Q and v must be finite, got Q={Q}, v={v}")
-        Qf = _q_fraction(Q, v)
+        _require_finite(Q, v)
+        if Q <= 1:
+            raise ValueError("Q must exceed 1")
         vf = _to_fraction_vector(v)
-        self.v = v
         self.D = math.lcm(*(x.denominator for x in vf))
         self.V = tuple(x.numerator * (self.D // x.denominator) for x in vf)
         self.Vn = max(map(abs, self.V))
-        self._bound(Qf)
-
-    def at(self, Q: float) -> "DirichletScan":
-        """The scan of the same v up to another Q, with the same checks."""
-        other = copy.copy(self)
-        other._bound(_q_fraction(Q, self.v))
-        return other
-
-    def _bound(self, Qf: Fraction) -> None:
-        vnorm = Fraction(self.Vn, self.D)
-        try:
-            self.period_lower, self.period_upper = float(1 / vnorm), float(Qf / vnorm)
-        except OverflowError:
-            raise ValueError(f"|v| = {float(vnorm):.3g} is too small: the period "
-                             "bound Q/|v| does not fit in a float") from None
-        self.Q, self.P, self.S = Qf, Qf.numerator, Qf.denominator
+        self.Q = Fraction(Q)
+        self.P, self.S = self.Q.numerator, self.Q.denominator
         self.shells = self.P // self.S
+        self.period_upper = _period_upper(Q, v, Fraction(self.Vn, self.D))
+        self.period_lower = float(Fraction(self.D, self.Vn))    # below Q/|v|, so it fits
 
     def roundings(self, q: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Shell q's floor/ceil roundings w of q*V/V_n in lexicographic
@@ -225,7 +220,7 @@ def dirichlet_candidates(
     scan = DirichletScan(v, Q)
     examined = 0
     first: dict[tuple[Fraction, tuple[int, ...]], tuple] = {}
-    for q, w, g, E in _capped_roundings(scan, search_cap):
+    for q, w, g, E in _capped_roundings(scan, search_cap)[1]:
         examined += 1
         if scan.feasible(g, E):
             key = (Fraction(q * scan.D, scan.Vn * g), tuple(c // g for c in w))
@@ -233,11 +228,11 @@ def dirichlet_candidates(
     return [scan.result(*first[key], examined) for key in sorted(first)]
 
 
-def _capped_roundings(scan: DirichletScan, search_cap: int | None) -> Iterator[tuple]:
-    """(q, w, g, E) of each rounding of each shell in scan order, at most search_cap."""
+def _capped_roundings(scan: DirichletScan, search_cap: int | None) -> tuple[int, Iterator]:
+    """The cap (search_cap, else every rounding) and the first cap (q, w, g, E)."""
     cap = search_cap if search_cap is not None else scan.shells * 2 ** len(scan.V)
     roundings = ((q, *r) for q in range(1, scan.shells + 1) for r in scan.roundings(q))
-    return islice(roundings, max(cap, 0))
+    return cap, islice(roundings, max(cap, 0))
 
 
 def dirichlet_approx(
@@ -254,10 +249,10 @@ def dirichlet_approx(
     counts the roundings up to it.
     """
     scan = DirichletScan(v, Q)
-    for examined, (q, w, g, E) in enumerate(_capped_roundings(scan, search_cap), 1):
+    cap, roundings = _capped_roundings(scan, search_cap)
+    for examined, (q, w, g, E) in enumerate(roundings, 1):
         if scan.feasible(g, E):
             return scan.result(q, w, g, E, examined)
-    cap = search_cap if search_cap is not None else math.floor(Q) * 2 ** len(v)
     raise DirichletSearchError(
         f"no feasible candidate within cap={cap} (Q={Q}, n={len(v)}); raise the cap"
     )

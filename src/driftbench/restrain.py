@@ -34,6 +34,7 @@ from .diophantine import (
     DirichletResult,
     DirichletScan,
     ResonanceFrame,
+    _period_upper,
     frequency_gap,
     projections,
     rational_rank,
@@ -358,7 +359,7 @@ def _ladder(
         c_j = mu_j if j == 0 else float(
             (float(frame.vectors[-1].period) * mu_j / frame.l_index) ** tau
         )
-        # projected curve from t_j onward, clipped to the domain ball
+        # projected curve from t_j onward, clipped to B_R as SteepnessQuery tests it
         disp = traj.actions[idx_j:] - I_j
         curve = I_j + disp @ Pi.T
         inside = np.max(np.abs(curve - center), axis=1) <= R * (1 + 1e-9)
@@ -378,7 +379,7 @@ def _ladder(
         if reach >= c_j and c_j < 1:
             try:
                 q = SteepnessQuery(
-                    ctimes, curve, c_j, frame, R=R * (1 + 1e-9),
+                    ctimes, curve, c_j, frame, R=R,
                     grid_tol=max(0.25, 2 * c_j), center=center,
                 )
             except ValueError as exc:
@@ -482,44 +483,47 @@ def _witness(
     first) that is independent of the frame and meets the T-dependent parts
     of (B_{j+1}) for mu = scale/T: error below mu, eps < mu^2, 2 mu <= mu_j
     and, for j >= 1, a frequency gap of at most gap_cap.  The candidates are
-    those of INDEPENDENCE_RETRIES searches at Q, 2Q, 4Q, ..., the first
-    search that holds an accepted one deciding.  One pass over the shells
+    those of INDEPENDENCE_RETRIES searches at Q 2^r, the first search that
+    holds an accepted one deciding.  One pass over one ``DirichletScan``
     finds it (notes/decisions.md, "The witness search is one pass over the
     shells"): a shell's gcd-1 roundings are its candidates, in (T, T*omega)
-    order; each is judged by the first search whose shells reach it; and
-    only shells with 2 scale/mu_j <= T < scale/sqrt(eps) can hold it.
+    order; each is judged in integers by the first search whose shells reach
+    it, which raises its own errors; and only shells with 2 scale/mu_j <= T
+    < scale/sqrt(eps) can hold it.
     """
-    first = scan = DirichletScan(grad, Q)
-    D, Vn = scan.D, scan.Vn
+    v = tuple(grad)
+    scan = DirichletScan(v, Q)
+    D, Vn, P, S, k = scan.D, scan.Vn, scan.P, scan.S, len(v) - 1
+    limit = S * Vn ** k     # search r's Dirichlet test: E^k (P << r) <= limit
     # the window's first shell, rounded down; every shell is still tested
     lo = 2 * scale / mu_j * (Vn / D) * (1 - 1e-9)
     q = int(lo) if 1 < lo < math.inf else 1
     r = examined = 0        # r: the first search whose shells reach q
     while True:
-        while q > scan.shells:
+        while q > (P << r) // S:
             r += 1
             if r == INDEPENDENCE_RETRIES:
                 return None
-            scan = first.at(Q * 2 ** r)
+            _period_upper(Q * 2 ** r, v, Fraction(Vn, D))    # search r's errors
         mu_c = scale / (q * D / Vn)
-        if 2 * mu_c <= mu_j:
-            if not eps < mu_c ** 2:
-                break       # and in every later shell, as mu_c only falls
+        if not eps < mu_c ** 2:
+            # nor in any later shell, as mu_c only falls: run out the
+            # searches, whose errors still raise
+            q = math.inf
+        elif 2 * mu_c <= mu_j:
             for w, g, E in scan.roundings(q):
                 examined += 1
-                if g != 1 or not scan.feasible(1, E) or E / (q * D) >= mu_c:
+                if g != 1 or E ** k * (P << r) > limit or E / (q * D) >= mu_c:
                     continue
                 cand = scan.result(q, w, 1, E, examined)
                 if frame.j and frequency_gap(cand.vector, frame.vectors[-1]) > gap_cap:
                     continue
                 vecs = frame.vectors + (cand.vector,)
                 if rational_rank([pv.omega for pv in vecs]) == frame.j + 1:
+                    if r:   # with the deciding search's error and period bounds
+                        cand = DirichletScan(v, Q * 2 ** r).result(q, w, 1, E, examined)
                     return cand, ResonanceFrame.build(vecs)
         q += 1
-    # the searches not yet reached find nothing, but may still raise
-    for later in range(r + 1, INDEPENDENCE_RETRIES):
-        first.at(Q * 2 ** later)
-    return None
 
 
 def _transform_displacement(

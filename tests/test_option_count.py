@@ -1,14 +1,15 @@
-"""The package's settable-option count, as ``scripts/count_options.py``
-counts it, does not grow without a stated reason."""
+"""The package's settable-option count and line count, as
+``scripts/count_options.py`` counts them, do not grow without a stated
+reason."""
 
-import ast
 import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the option count when this bound was last set
+# the option count and the src/ line count when these bounds were last set
 OPTION_BOUND = 320
+LINE_BOUND = 4599
 
 
 def _load_count_options():
@@ -20,10 +21,16 @@ def _load_count_options():
 
 
 def test_option_count_does_not_grow():
-    counter = _load_count_options()
-    options = sum(counter.count_options(ast.parse(f.read_text()))
-                  for f in sorted(counter.SRC.glob("*.py")))
+    options, _ = _load_count_options().totals()
     assert options <= OPTION_BOUND, (
         f"{options} settable options, above the bound of {OPTION_BOUND}: raising "
         "OPTION_BOUND needs a reason stated in CHANGES.md"
+    )
+
+
+def test_line_count_does_not_grow():
+    _, lines = _load_count_options().totals()
+    assert lines <= LINE_BOUND, (
+        f"{lines} src lines, above the bound of {LINE_BOUND}: raising "
+        "LINE_BOUND needs a reason stated in CHANGES.md"
     )

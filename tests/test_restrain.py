@@ -266,6 +266,22 @@ class TestBallExit:
         assert (res.failure.condition, res.failure.detail) == (
             "domain", "curve left B_R before tau_m")
 
+    def test_escape_scan_is_given_the_true_radius(self, monkeypatch):
+        # the query widens R by its own 1e-9 margin, the same float test as
+        # the ladder's clip, so the ladder passes R unwidened
+        from test_dynamics import synthetic_record
+
+        radii = []
+        query = restrain.SteepnessQuery
+        monkeypatch.setattr(restrain, "SteepnessQuery",
+                            lambda *args, **kw: radii.append(kw["R"]) or query(*args, **kw))
+        times = np.linspace(0.0, 2.7, 200)
+        system = quasi_convex(1e-6)
+        try_restrain(system, synthetic_record(times, np.outer(times, [0.1, 0.0])), 0.05,
+                     TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0),
+                     multipliers={"c_mu": 1.2, "smallness": 3.0, "length": 4.0})
+        assert radii and set(radii) == {system.hamiltonian.domain.R}
+
 
 def _loop_witness(grad, Q, frame, scale, eps, mu_j, gap_cap):
     """Reference: the retry loop that restrain._witness replaced."""
