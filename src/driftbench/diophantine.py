@@ -13,6 +13,7 @@ matrices).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,12 +149,12 @@ class DirichletScan:
     For integer q the scale T = q/|v| makes the largest component of T*v
     exactly an integer, and the Dirichlet witness is always a floor/ceil
     rounding of the remaining components, so shells q = 1..P//S hold every
-    candidate.  A rounding w of shell q with g = gcd(w) has T = q*D/(V_n*g)
-    and |v - omega| = E/(q*D) with E = max|q*V_i - w_i*V_n|.  The period
-    range |v|^{-1} <= T <= Q |v|^{-1} holds for every rounding: the largest
-    component rounds exactly to w_i = +-q, so w != 0, g divides q, and
-    q <= P // S.  The roundings do not depend on Q, so the scan also serves
-    a search up to Q 2^r: its shells are q <= (P << r) // S.
+    candidate.  A rounding w of shell q with gcd 1 has T = q*D/V_n, in
+    [|v|^{-1}, Q |v|^{-1}] as 1 <= q <= P // S, and |v - omega| = E/(q*D)
+    with E = max|q*V_i - w_i*V_n|; one of gcd g > 1 repeats a candidate of
+    shell q/g.  The roundings do not depend on Q, so the scan also serves
+    search r, up to Q 2^r: its shells are q <= (P << r) // S, and
+    ``feasible`` and ``result`` take r.
     """
 
     def __init__(self, v: Sequence[float], Q: float) -> None:
@@ -172,7 +173,7 @@ class DirichletScan:
         self.Q = Fraction(Q)
         self.P, self.S = self.Q.numerator, self.Q.denominator
         self.shells = self.P // self.S
-        self.period_upper = _period_upper(Q, v, Fraction(self.Vn, self.D))
+        _period_upper(Q, v, Fraction(self.Vn, self.D))
         self.period_lower = float(Fraction(self.D, self.Vn))    # below Q/|v|, so it fits
 
     def roundings(self, q: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -187,21 +188,24 @@ class DirichletScan:
         for w in product(*choices):
             yield w, math.gcd(*w), max(abs(a - c * Vn) for a, c in zip(qV, w))
 
-    def feasible(self, g: int, E: int) -> bool:
-        """|v - omega| <= T^{-1} Q^{-1/(n-1)}, i.e. (E/(V_n g))^{n-1} P/S <= 1."""
+    def feasible(self, g: int, E: int, r: int) -> bool:
+        """Whether the rounding is a candidate of search r: g = 1 and |v -
+        omega| <= T^{-1} (Q 2^r)^{-1/(n-1)}, i.e. E^k (P << r) <= S V_n^k, k = n-1."""
         k = len(self.V) - 1
-        return E ** k * self.P <= self.S * (self.Vn * g) ** k
+        return g == 1 and E ** k * (self.P << r) <= self.S * self.Vn ** k
 
-    def result(self, q: int, w: tuple[int, ...], g: int, E: int,
-               examined: int) -> DirichletResult:
-        """The candidate of rounding w (gcd g, error E) in shell q."""
-        T = Fraction(q * self.D, self.Vn * g)
+    def result(self, q: int, w: tuple[int, ...], E: int, examined: int,
+               r: int) -> DirichletResult:
+        """The candidate of gcd-1 rounding w (error E) in shell q, with the
+        bounds of search r; Q 2^r is exact in floats unless it overflows."""
+        T = Fraction(q * self.D, self.Vn)
+        Qr = self.Q * 2 ** r
         return DirichletResult(
-            vector=PeriodicVector(tuple(Fraction(c // g) / T for c in w), T),
+            vector=PeriodicVector(tuple(c / T for c in w), T),
             error=Fraction(E, q * self.D),
-            error_bound=float(1 / T) * float(self.Q) ** (-1.0 / (len(w) - 1)),
+            error_bound=float(1 / T) * float(Qr) ** (-1.0 / (len(w) - 1)),
             period_lower=self.period_lower,
-            period_upper=self.period_upper,
+            period_upper=float(Qr / Fraction(self.Vn, self.D)),
             candidates_examined=examined,
         )
 
@@ -214,25 +218,24 @@ def dirichlet_candidates(
     A candidate is a T-periodic omega with |v - omega| <= T^{-1} Q^{-1/(n-1)}
     and |v|^{-1} <= T <= Q |v|^{-1} (supremum norms, decided exactly).  The
     scan visits every rounding of every shell of ``DirichletScan`` (at most
-    ``search_cap`` of them); a rounding with gcd g > 1 repeats the candidate
-    of shell q/g.  Only feasible candidates become Fractions.
+    ``search_cap`` of them); its feasible roundings are the candidates, each
+    once and in order.  Only those become Fractions.
     """
     scan = DirichletScan(v, Q)
-    examined = 0
-    first: dict[tuple[Fraction, tuple[int, ...]], tuple] = {}
+    examined, found = 0, []
     for q, w, g, E in _capped_roundings(scan, search_cap)[1]:
         examined += 1
-        if scan.feasible(g, E):
-            key = (Fraction(q * scan.D, scan.Vn * g), tuple(c // g for c in w))
-            first.setdefault(key, (q, w, g, E))
-    return [scan.result(*first[key], examined) for key in sorted(first)]
+        if scan.feasible(g, E, 0):
+            found.append((q, w, E))
+    return [scan.result(q, w, E, examined, 0) for q, w, E in found]
 
 
 def _capped_roundings(scan: DirichletScan, search_cap: int | None) -> tuple[int, Iterator]:
-    """The cap (search_cap, else every rounding) and the first cap (q, w, g, E)."""
+    """The cap (search_cap, else every rounding) and the first cap (q, w, g, E);
+    no scan reaches a cap beyond sys.maxsize, islice's largest stop."""
     cap = search_cap if search_cap is not None else scan.shells * 2 ** len(scan.V)
     roundings = ((q, *r) for q in range(1, scan.shells + 1) for r in scan.roundings(q))
-    return cap, islice(roundings, max(cap, 0))
+    return cap, islice(roundings, min(max(cap, 0), sys.maxsize))
 
 
 def dirichlet_approx(
@@ -243,16 +246,15 @@ def dirichlet_approx(
     Among all feasible candidates the one with smallest T is returned, ties
     broken by lexicographically smallest T*omega (small T keeps |T*omega|
     and hence the resonance L-index small, which loosens the downstream
-    smallness conditions).  That is the scan's first feasible rounding: a
-    feasible rounding of gcd g in shell q repeats one of shell q/g, and a
-    shell lists its roundings in T*omega order.  ``candidates_examined``
+    smallness conditions).  That is the scan's first feasible rounding, as
+    the scan lists candidates in (T, T*omega) order.  ``candidates_examined``
     counts the roundings up to it.
     """
     scan = DirichletScan(v, Q)
     cap, roundings = _capped_roundings(scan, search_cap)
     for examined, (q, w, g, E) in enumerate(roundings, 1):
-        if scan.feasible(g, E):
-            return scan.result(q, w, g, E, examined)
+        if scan.feasible(g, E, 0):
+            return scan.result(q, w, E, examined, 0)
     raise DirichletSearchError(
         f"no feasible candidate within cap={cap} (Q={Q}, n={len(v)}); raise the cap"
     )

@@ -150,10 +150,10 @@ class ConditionParams:
     multiplier: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("tau", "gamma", "eps", "mu0", "mus", "Ts", "multiplier"):
+        for name in ("tau", "gamma", "eps", "m", "mu0", "mus", "Ts", "Ls", "multiplier"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def check_conditions(p: ConditionParams) -> ConditionReport:
@@ -487,14 +487,13 @@ def _witness(
     holds an accepted one deciding.  One pass over one ``DirichletScan``
     finds it (notes/decisions.md, "The witness search is one pass over the
     shells"): a shell's gcd-1 roundings are its candidates, in (T, T*omega)
-    order; each is judged in integers by the first search whose shells reach
-    it, which raises its own errors; and only shells with 2 scale/mu_j <= T
-    < scale/sqrt(eps) can hold it.
+    order; each is judged by the first search r whose shells reach it, which
+    raises its own errors and gives the witness its bounds; and only shells
+    with 2 scale/mu_j <= T < scale/sqrt(eps) can hold it.
     """
     v = tuple(grad)
     scan = DirichletScan(v, Q)
-    D, Vn, P, S, k = scan.D, scan.Vn, scan.P, scan.S, len(v) - 1
-    limit = S * Vn ** k     # search r's Dirichlet test: E^k (P << r) <= limit
+    D, Vn, P, S = scan.D, scan.Vn, scan.P, scan.S
     # the window's first shell, rounded down; every shell is still tested
     lo = 2 * scale / mu_j * (Vn / D) * (1 - 1e-9)
     q = int(lo) if 1 < lo < math.inf else 1
@@ -513,15 +512,13 @@ def _witness(
         elif 2 * mu_c <= mu_j:
             for w, g, E in scan.roundings(q):
                 examined += 1
-                if g != 1 or E ** k * (P << r) > limit or E / (q * D) >= mu_c:
+                if not scan.feasible(g, E, r) or E / (q * D) >= mu_c:
                     continue
-                cand = scan.result(q, w, 1, E, examined)
+                cand = scan.result(q, w, E, examined, r)
                 if frame.j and frequency_gap(cand.vector, frame.vectors[-1]) > gap_cap:
                     continue
                 vecs = frame.vectors + (cand.vector,)
                 if rational_rank([pv.omega for pv in vecs]) == frame.j + 1:
-                    if r:   # with the deciding search's error and period bounds
-                        cand = DirichletScan(v, Q * 2 ** r).result(q, w, 1, E, examined)
                     return cand, ResonanceFrame.build(vecs)
         q += 1
 

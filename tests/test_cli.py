@@ -68,6 +68,11 @@ class TestApprox:
         assert "T = 6638305850744111104/6638305850744111 = 1000\n" in out
         assert shells == list(range(1, 738))
 
+    def test_default_cap_beyond_islice_stop(self, capsys):
+        code, out, _ = run(capsys, "approx", "--v", "1,0.5", "--Q", "3e18")
+        assert code == 0
+        assert "omega = (1, 1/2)\n" in out and "T = 2 = 2\n" in out
+
     def test_subnormal_vector_is_error(self, capsys):
         code, out, err = run(capsys, "approx", "--v", "0,1e-320", "--Q", "2")
         assert code == 1 and out == ""
@@ -390,6 +395,19 @@ class TestConditions:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: mus must be finite")
+
+    @pytest.mark.parametrize("name, value", [
+        ("Ls", "0,3"), ("Ts", "-2,3"), ("eps", "-1e-12"), ("gamma", "0"),
+        ("mu0", "-1e-2"), ("mus", "5e-5,0"), ("m", "-1"), ("multiplier", "-1"),
+    ])
+    def test_non_positive_input_is_error(self, capsys, name, value):
+        # each is rejected before a row prints, not by a ZeroDivisionError
+        # or a math domain error partway through the table
+        args = {"n": "2", "tau": "2", "gamma": "0.9", "eps": "1e-12", "m": "1",
+                "mu0": "1e-2", "mus": "5e-5,2e-5", "Ts": "2,3", "Ls": "2,3", name: value}
+        code, out, err = run(capsys, "conditions", *(f"--{k}={v}" for k, v in args.items()))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} must be finite and positive")
 
 
 class TestScaling:

@@ -182,6 +182,12 @@ class TestDirichlet:
         for c in cands:
             assert float(c.error) <= c.error_bound * (1 + 1e-12)
 
+    def test_default_cap_beyond_islice_stop(self):
+        # the default cap, 3e18 shells * 2^2, exceeds sys.maxsize, islice's
+        # largest stop; the candidate is in shell 2
+        r = dirichlet_approx((1.0, 0.5), 3e18)
+        assert r.vector == period_of((1, F(1, 2))) and r.candidates_examined == 3
+
     def test_cap_too_small_raises(self):
         with pytest.raises(DirichletSearchError):
             dirichlet_approx((0.737, 0.191), 50.0, search_cap=1)

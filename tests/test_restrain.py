@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from driftbench import restrain
 from driftbench.diophantine import (
+    DirichletScan,
     ResonanceFrame,
     dirichlet_candidates,
     frequency_gap,
@@ -384,6 +385,18 @@ class TestWitnessSearch:
         grad, Q, frame, *bounds = case
         assert (_search_outcome(restrain._witness, grad, Q, frame, *bounds)
                 == _search_outcome(_loop_witness, grad, Q, frame, *bounds))
+
+    def test_one_scan_per_witness(self, monkeypatch):
+        # T = 5 lies beyond Q = 2 and 4, so the third search, Q = 8, decides
+        # and gives the witness its bounds from the one scan
+        scans = []
+        init = DirichletScan.__init__
+        monkeypatch.setattr(DirichletScan, "__init__",
+                            lambda scan, *args: scans.append(args) or init(scan, *args))
+        dr, _ = restrain._witness(np.array([1.0, 0.41421356]), 2.0,
+                                  ResonanceFrame.build([], n=2), 0.5, 1e-6, 0.3, 0.1)
+        assert dr.vector == period_of((1, F(2, 5))) and len(scans) == 1
+        assert dr.period_upper == 8.0 and dr.error_bound == 0.025
 
     def test_witness_before_an_overflowing_q_is_returned(self):
         # Q/|v| = 2^1021 * 2^r overflows from the fourth search on; the exact
