@@ -152,7 +152,7 @@ class ConditionParams:
     def __post_init__(self) -> None:
         for name in ("tau", "gamma", "eps", "m", "mu0", "mus", "Ts", "Ls", "multiplier"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+            if not all(0 < x < math.inf for x in np.atleast_1d(value)):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
