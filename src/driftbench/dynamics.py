@@ -10,7 +10,8 @@ part per step serves two half-drifts, bit-identical to drift-kick-drift.  Its
 step is straight-line Python generated for each split: the source holds
 names only, the series' floats are unpacked from one tuple into locals when
 the function starts, and no operation is emitted whose result is exactly
-another's (``d ** 1``, ``1 * t``, ``w * 1``, a zero cosine term).
+another's, or differs from it only in the sign of a zero that the angle
+wrap ``% 1.0`` does not see (``d ** 1``, ``0.0 +``, ``x - 0.0``, ...).
 
 The midpoint iterates on z = (theta, I) in straight-line Python generated
 the same way: each iteration reads cos/sin once per mode pair and each power
@@ -18,8 +19,10 @@ once, and every field row shares those reads.  Each scheme's step sits in
 one generated ``run(theta, action, dt, n_steps, stride, stop_when)`` that
 holds the sample loop as well: one call steps a whole trajectory in blocks
 of ``stride`` steps with no test between steps, records the state after
-each block, rejects a non-finite one and stops at the ball's edge or when
-``stop_when`` says so.  The energy monitor reads H at every
+each block and checks it with one chained test (inside the ball, angles
+finite); only when that fails does it reject a non-finite state or stop
+escaped.  It then stops at ``drift_time``'s crossing, compiled in, or
+when ``stop_when`` says so.  The energy monitor reads H at every
 recorded sample after it, in stacked ``SeriesStack`` reads of sample blocks.
 A trajectory escapes when its action leaves the ball of radius R around the
 series center.  Escape and crossing times are reported at sample resolution
@@ -32,8 +35,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from operator import sub
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,7 +155,7 @@ def _compile(source: str):
 
 
 def _generate(H: FourierTaylorSeries, state: list[str], consts: dict, head: list[str],
-              step: list[str]) -> Callable:
+              step: list[str], reach: _Reach | None) -> Callable:
     """``run(theta, action, dt, n_steps, stride, stop_when)``: the sample loop
     of ``integrate`` around one flow's step.
 
@@ -164,17 +166,27 @@ def _generate(H: FourierTaylorSeries, state: list[str], consts: dict, head: list
     actions.  With steps to take, ``head`` runs once; then each block of
     ``stride`` steps (the last one may be shorter) runs ``step`` for i = k,
     ..., s - 1 with no test between steps, k the step that opens the block.
-    After the block the sample at step s is checked finite (else
-    ``FloatingPointError``), recorded, tested against H's sup-norm ball
-    (outside, the run ends escaped) and passed to ``stop_when``.  ``run``
-    returns ``(times, thetas, actions, escaped)``.
+    After the block the sample at step s is recorded and checked by one
+    chained test, each |x_i - c_i| <= R and each angle finite (a passing
+    ball test implies finite actions); if it fails, a non-finite state
+    raises ``FloatingPointError`` and a finite one ends the run escaped.
+    Then ``reach``'s crossing ends the run, and last ``stop_when``.
+    ``run`` returns ``(times, thetas, actions, escaped)``.
     """
     n = len(state) // 2
     consts = dict(consts, isfinite=math.isfinite, RB=H.domain.R * (1 + 1e-12))
-    consts.update((f"c{i}", c) for i, c in enumerate(H.center))
+    consts.update((f"c{i}", c) for i, c in enumerate(H.center) if c != 0.0)
     ts, xs = ", ".join(state[:n]), ", ".join(state[n:])
     finite = " and ".join(f"isfinite({v})" for v in state)
-    ball = "".join(f"abs({x} - c{i}), " for i, x in enumerate(state[n:]))
+    # abs(x - 0.0) and abs(x + 0.0) are abs(x)
+    inside = " and ".join([f"abs({x}{f' - c{i}' if c != 0.0 else ''}) <= RB"
+                           for i, (x, c) in enumerate(zip(state[n:], H.center))]
+                          + [f"isfinite({t})" for t in state[:n]])
+    stop = ["    if stop_when is not None and stop_when(t, action):", "        break"]
+    if reach is not None:
+        consts.update({f"I{i}": a for i, a in enumerate(reach.I0)}, REACH=reach.threshold)
+        far = " or ".join(f"abs({x} - I{i}) >= REACH" for i, x in enumerate(state[n:]))
+        stop[:0] = [f"    if {far}:", "        break"]
     body = [f"{', '.join(consts)}, = K", f"{ts}, = theta", f"{xs}, = action",
             "half = 0.5 * dt", "times, thetas, actions = [0.0], [theta], [action]", "k = 0"]
     if head:
@@ -183,14 +195,12 @@ def _generate(H: FourierTaylorSeries, state: list[str], consts: dict, head: list
              "    s = min(k + stride, n_steps)",
              "    for i in range(k, s):"] + ["        " + line for line in step] + [
         "    t = s * dt",
-        f"    if not ({finite}):",
-        '        raise FloatingPointError(f"non-finite state at t={t}")',
         f"    theta, action = [{ts}], [{xs}]",
         "    times.append(t); thetas.append(theta); actions.append(action)",
-        f"    if not max(({ball})) <= RB:",
-        "        return times, thetas, actions, True",
-        "    if stop_when is not None and stop_when(t, action):",
-        "        break",
+        f"    if not ({inside}):",
+        f"        if not ({finite}):",
+        '            raise FloatingPointError(f"non-finite state at t={t}")',
+        "        return times, thetas, actions, True"] + stop + [
         "    k = s",
         "return times, thetas, actions, False"]
     source = "def run(theta, action, dt, n_steps, stride, stop_when):\n" + "".join(
@@ -242,35 +252,43 @@ class _SplitFlow:
     + 1 reads).  ``run`` is generated as straight-line Python for this
     split: its source holds only the structure (mode vectors, exponents,
     indices), and every float (the monomial coefficients of dA/dI_j, the
-    center, the kick amplitudes -a and b) is unpacked into a local when
-    ``run`` starts, so one compiled code object serves all splits of the
-    same shape.  A step is opening drift, kick, gradient read and closing
-    drift; ``_half_gradient`` makes the read before the first step with the
-    same floats, so the source holds the read once.  ``run`` performs the
-    float operations of the two-read loop in the same order, less those
-    whose result is exactly another's: ``d ** 1``, ``1 * t``, ``w * 1``, a
-    second ``half * g``, ``0.0 +`` before a positive term of a phase (the
-    kick reads wrapped angles, never -0.0), ``+ -j * t`` for ``- j * t``
-    and, at b = 0.0, ``- b * cos(phi)`` (this one can flip the sign of an
-    exact zero).
+    nonzero center components, the kick amplitudes -a and b) is unpacked
+    into a local when ``run`` starts, so one compiled code object serves
+    all splits of the same shape.  A step is opening drift, kick, gradient
+    read and closing drift; ``_half_gradient`` makes the read before the
+    first step with the two-read loop's operations, so the source holds the
+    read once.  ``run`` performs the float operations of the two-read loop
+    in the same order, less those whose result is exactly another's: ``d **
+    1``, ``1 * t``, ``w * 1``, a second ``half * g``, ``0.0 +`` before a
+    positive term of a phase (the kick reads wrapped angles, never -0.0),
+    ``+ -j * t`` for ``- j * t`` and, at b = 0.0, ``- b * cos(phi)`` (this
+    one can flip the sign of an exact zero).  The gradient read also drops
+    ``0.0 +`` before a sum's first term, a coefficient 1.0, ``- c_i`` at
+    c_i = 0.0 and an empty sum's ``half * 0.0``.  These change at most the
+    sign of a zero h_j, and h_j only enters ``(t_j + h_j) % 1.0``, the same
+    float for h_j = +0.0 and -0.0: the trajectory is the two-read loop's.
     """
 
-    def __init__(self, A: FourierTaylorSeries, B: FourierTaylorSeries) -> None:
+    def __init__(self, A: FourierTaylorSeries, B: FourierTaylorSeries,
+                 reach: _Reach | None = None) -> None:
         n = A.domain.n
         consts = {}
-        # dA/dI_j: one statement per monomial, factors in index order
+        # dA/dI_j: one statement per monomial, factors in index order, the
+        # sum opened by its first term; d_i is x_i itself at c_i = 0.0
+        d = [f"x{i}" if c == 0.0 else f"d{i}" for i, c in enumerate(A.center)]
         grad, terms, used = [], [], set()
         for j in range(n):
-            grad.append(f"g{j} = 0.0")
             terms.append([])
             for m, ((_, l), c) in enumerate(A.partial_action(j).items()):
-                consts[f"C{j}_{m}"] = c.real
                 terms[j].append((c.real, l))
                 used.update(i for i, e in enumerate(l) if e)
-                grad.append(f"g{j} += C{j}_{m}" + "".join(
-                    f" * d{i}" + (f" ** {e}" if e != 1 else "") for i, e in enumerate(l) if e))
-        grad[:0] = [f"d{i} = x{i} - c{i}" for i in sorted(used)]
-        grad += [f"h{j} = half * g{j}" for j in range(n)]
+                factors = [d[i] + (f" ** {e}" if e != 1 else "") for i, e in enumerate(l) if e]
+                if c.real != 1.0 or not factors:
+                    consts[f"C{j}_{m}"] = c.real
+                    factors.insert(0, f"C{j}_{m}")
+                grad.append(f"g{j} {'+=' if m else '='} {' * '.join(factors)}")
+        grad[:0] = [f"d{i} = x{i} - c{i}" for i in sorted(used) if A.center[i] != 0.0]
+        grad += [f"h{j} = half * g{j}" if terms[j] else f"h{j} = 0.0" for j in range(n)]
         # kicks: one representative per +-k mode pair, c = a + i b
         kick, seen = [], set()
         ts, xs = [f"t{j}" for j in range(n)], [f"x{j}" for j in range(n)]
@@ -278,18 +296,20 @@ class _SplitFlow:
             if k in seen:
                 continue
             seen.update((k, tuple(-x for x in k)))
-            consts[f"na{m}"], consts[f"b{m}"] = -c.real, c.imag
+            consts[f"na{m}"] = -c.real
+            if c.imag != 0.0:
+                consts.update({f"b{m}": c.imag, "cos": math.cos})
             kick.append(f"phi = ({_phase(k, ts)}) * TWO_PI")
             cos_term = f" - b{m} * cos(phi)" if c.imag != 0.0 else ""
             kick.append(f"w = 2.0 * (na{m} * sin(phi){cos_term}) * TWO_PI * dt")
             # x - w * -j is x + w * j
             kick.extend(f"x{j} {'-+'[kj < 0]}= w" + (f" * {abs(kj)}" if abs(kj) != 1 else "")
                         for j, kj in enumerate(k) if kj)
-        consts.update(sin=math.sin, cos=math.cos, TWO_PI=TWO_PI,
+        consts.update(sin=math.sin, TWO_PI=TWO_PI,
                       half_gradient=functools.partial(_half_gradient, terms, A.center))
         drift = [f"t{j} = (t{j} + h{j}) % 1.0" for j in range(n)]
         head = [f"{', '.join(f'h{j}' for j in range(n))}, = half_gradient(half, {', '.join(xs)})"]
-        self.run = _generate(A, ts + xs, consts, head, drift + kick + grad + drift)
+        self.run = _generate(A, ts + xs, consts, head, drift + kick + grad + drift, reach)
 
 
 def _stalled(t: float, max_iter: int, *updates: float) -> RuntimeError:
@@ -319,11 +339,11 @@ class _MidpointFlow:
     while reading the field counts as a NaN update that cannot converge.
     """
 
-    def __init__(self, H: FourierTaylorSeries) -> None:
+    def __init__(self, H: FourierTaylorSeries, reach: _Reach | None = None) -> None:
         n = H.domain.n
         consts = {"sin": math.sin, "cos": math.cos, "abs": abs, "NAN": math.nan,
                   "TWO_PI": TWO_PI, "TOL": MIDPOINT_TOL, "MAX_ITER": MIDPOINT_MAX_ITER,
-                  "stalled": _stalled}
+                  "stalled": _stalled, **{f"c{i}": c for i, c in enumerate(H.center)}}
         rows = [H.partial_action(j) for j in range(n)] + [-H.partial_theta(j) for j in range(n)]
         modes: dict[tuple[int, ...], int] = {}   # one representative per +-k pair
         powers: dict[tuple[int, int], str] = {}  # (i, e) -> its variable
@@ -368,7 +388,7 @@ class _MidpointFlow:
                f"        raise stalled(k * dt + (i - k) * dt, MAX_ITER, {es})",
                "except (OverflowError, ValueError):",
                "    raise stalled(k * dt + (i - k) * dt, MAX_ITER, NAN) from None"]
-            + [f"z{r} = 2.0 * m{r} - z{r}" for r in range(2 * n)],
+            + [f"z{r} = 2.0 * m{r} - z{r}" for r in range(2 * n)], reach,
         )
 
 
@@ -391,6 +411,16 @@ def _energy(H: FourierTaylorSeries, thetas: np.ndarray, actions: np.ndarray) -> 
     ])
 
 
+class _Reach(NamedTuple):
+    """``drift_time``'s ``stop_when`` for ``integrate``: stop once some
+    |I_i - I0_i| >= threshold (compiled into the sample check), else when
+    ``stop_when`` says so."""
+
+    I0: list[float]
+    threshold: float
+    stop_when: Callable[[float, list[float]], bool] | None
+
+
 def integrate(
     system: HamiltonianSystem,
     start: tuple[Sequence[float], Sequence[float]],
@@ -405,8 +435,9 @@ def integrate(
     ``escaped``, if the action leaves the domain ball around H's center;
     ``stop_when(t, I)`` is evaluated at sample points for caller-defined
     early exits, with I the sample's actions as a list of floats that it
-    must not modify.  One call of the scheme's generated ``run`` steps,
-    records and stops; H is read at the recorded samples after it.
+    must not modify (``drift_time`` passes its ``_Reach`` here instead).
+    One call of the scheme's generated ``run`` steps, records and stops; H
+    is read at the recorded samples after it.
     """
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
@@ -415,13 +446,14 @@ def integrate(
         system = system.hamiltonian
     H = system.total()
     scheme, avg, osc = _choose_scheme(H)
-    stepper = _SplitFlow(avg, osc) if scheme == "split" else _MidpointFlow(H)
+    reach = stop_when if isinstance(stop_when, _Reach) else None
+    stepper = _SplitFlow(avg, osc, reach) if scheme == "split" else _MidpointFlow(H, reach)
     dt = (1.0 if t_max >= 0 else -1.0) * cfg.step
     n_steps = int(round(abs(t_max) / cfg.step))
     th = (np.asarray(start[0], dtype=float) % 1.0).tolist()
     ac = np.asarray(start[1], dtype=float).tolist()
     times, thetas, actions, escaped = stepper.run(th, ac, dt, n_steps, cfg.sample_stride,
-                                                  stop_when)
+                                                  stop_when if reach is None else reach.stop_when)
     # H is read at the angles as stepped, before they are wrapped
     thetas, actions = np.array(thetas), np.array(actions)
     energy = _energy(H, thetas, actions)
@@ -478,21 +510,16 @@ def drift_time(
     cfg: IntegratorConfig | None = None,
     stop_when: Callable[[float, list[float]], bool] | None = None,
 ) -> DriftTime:
-    """First time |I(t) - I(0)| >= threshold (sup norm), integrating up to t_cap."""
+    """First time |I(t) - I(0)| >= threshold (sup norm), integrating up to t_cap.
+
+    The generated sample check ends the run at the first crossing sample
+    (tested after the ball, before ``stop_when``), so a crossing is the last.
+    """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
     I0 = np.asarray(start[1], dtype=float).tolist()
-
-    def crossed(t: float, action: list[float]) -> bool:
-        if max(map(abs, map(sub, action, I0))) >= threshold:
-            return True
-        return stop_when(t, action) if stop_when is not None else False
-
-    traj = integrate(system, start, t_cap, cfg, stop_when=crossed)
-    dist = np.max(np.abs(traj.actions - I0), axis=1)
-    hits = np.nonzero(dist >= threshold)[0]
-    if len(hits) == 0:
+    traj = integrate(system, start, t_cap, cfg, stop_when=_Reach(I0, threshold, stop_when))
+    t = traj.times
+    if not np.max(np.abs(traj.actions[-1] - I0)) >= threshold:  # NaN: no crossing
         return DriftTime(SENTINEL, None, True, traj)
-    i = int(hits[0])
-    t_prev = float(traj.times[i - 1]) if i > 0 else float(traj.times[0])
-    return DriftTime(float(traj.times[i]), (t_prev, float(traj.times[i])), False, traj)
+    return DriftTime(float(t[-1]), (float(t[-2]), float(t[-1])), False, traj)

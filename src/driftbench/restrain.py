@@ -157,38 +157,42 @@ class ConditionParams:
 
 
 def check_conditions(p: ConditionParams) -> ConditionReport:
-    """Evaluate the eleven smallness conditions with signed log margins."""
+    """Evaluate the eleven smallness conditions with signed log margins; a
+    term beyond the float range is a ``ValueError``."""
     if len(p.mus) != p.n or len(p.Ts) != p.n or len(p.Ls) != p.n:
         raise ValueError("mus, Ts, Ls must have length n")
     exps = exponents(p.n, Fraction(p.tau))
     c = p.multiplier
     E: list[ConditionEntry] = []
-    for j in range(1, p.n):  # j in 1..n-1
-        cj = (p.Ts[j - 1] * p.mus[j - 1] / p.Ls[j - 1]) ** p.tau
-        E.append(ConditionEntry(f"(i) mu_{j+1} << (T_j mu_j / L_j)^2tau",
-                                p.mus[j], c * cj ** 2))
-        E.append(ConditionEntry(f"(ii) (T_{j} mu_{j} / L_{j})^tau << mu_{j}",
-                                cj, c * p.mus[j - 1]))
-        E.append(ConditionEntry(f"(vi) (T_{j} mu_{j} / L_{j})^tau << gamma L_{j}^-tau",
-                                cj, c * p.gamma * p.Ls[j - 1] ** (-p.tau)))
-    for j in range(1, p.n + 1):
-        E.append(ConditionEntry(f"(iii) m T_{j} mu_{j} << 1",
-                                p.m * p.Ts[j - 1] * p.mus[j - 1], c))
-        E.append(ConditionEntry(f"(v) eps < mu_{j}^2", p.eps, p.mus[j - 1] ** 2))
-        E.append(ConditionEntry(f"(vii) T_{j} mu_{j} << 1",
-                                p.Ts[j - 1] * p.mus[j - 1], c))
-        E.append(ConditionEntry(f"(viii) mu_{j} << 1", p.mus[j - 1], c))
-    for j in range(2, p.n + 1):
-        E.append(ConditionEntry(f"(ix) mu_{j} << mu_{j-1}",
-                                p.mus[j - 1], c * p.mus[j - 2]))
-    E.append(ConditionEntry("(iv) mu_1 << mu_0^2", p.mus[0], c * p.mu0 ** 2))
-    E.append(ConditionEntry("(x) mu_0 << gamma", p.mu0, c * p.gamma))
-    E.append(ConditionEntry("(xi) mu_0 << 1", p.mu0, c))
-    info = tuple(
-        ConditionEntry(f"mu_{j} =. T_{j}^-1 eps^a_{j} (ratio)",
-                       p.mus[j - 1] * p.Ts[j - 1], p.eps ** float(a_j))
-        for j, a_j in zip(range(1, p.n + 1), exps.a_list)
-    )
+    try:
+        for j in range(1, p.n):  # j in 1..n-1
+            cj = (p.Ts[j - 1] * p.mus[j - 1] / p.Ls[j - 1]) ** p.tau
+            E.append(ConditionEntry(f"(i) mu_{j+1} << (T_j mu_j / L_j)^2tau",
+                                    p.mus[j], c * cj ** 2))
+            E.append(ConditionEntry(f"(ii) (T_{j} mu_{j} / L_{j})^tau << mu_{j}",
+                                    cj, c * p.mus[j - 1]))
+            E.append(ConditionEntry(f"(vi) (T_{j} mu_{j} / L_{j})^tau << gamma L_{j}^-tau",
+                                    cj, c * p.gamma * p.Ls[j - 1] ** (-p.tau)))
+        for j in range(1, p.n + 1):
+            E.append(ConditionEntry(f"(iii) m T_{j} mu_{j} << 1",
+                                    p.m * p.Ts[j - 1] * p.mus[j - 1], c))
+            E.append(ConditionEntry(f"(v) eps < mu_{j}^2", p.eps, p.mus[j - 1] ** 2))
+            E.append(ConditionEntry(f"(vii) T_{j} mu_{j} << 1",
+                                    p.Ts[j - 1] * p.mus[j - 1], c))
+            E.append(ConditionEntry(f"(viii) mu_{j} << 1", p.mus[j - 1], c))
+        for j in range(2, p.n + 1):
+            E.append(ConditionEntry(f"(ix) mu_{j} << mu_{j-1}",
+                                    p.mus[j - 1], c * p.mus[j - 2]))
+        E.append(ConditionEntry("(iv) mu_1 << mu_0^2", p.mus[0], c * p.mu0 ** 2))
+        E.append(ConditionEntry("(x) mu_0 << gamma", p.mu0, c * p.gamma))
+        E.append(ConditionEntry("(xi) mu_0 << 1", p.mu0, c))
+        info = tuple(
+            ConditionEntry(f"mu_{j} =. T_{j}^-1 eps^a_{j} (ratio)",
+                           p.mus[j - 1] * p.Ts[j - 1], p.eps ** float(a_j))
+            for j, a_j in zip(range(1, p.n + 1), exps.a_list)
+        )
+    except OverflowError as exc:
+        raise ValueError(f"a condition term overflows a float: {exc}") from None
     return ConditionReport(tuple(E), info)
 
 

@@ -409,6 +409,17 @@ class TestConditions:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {name} must be finite and positive")
 
+    def test_overflowing_term_is_error(self, capsys):
+        # (T_1 mu_1 / L_1)^tau at T_1 = 1e300 overflows a float: an error
+        # line before any row, not an OverflowError traceback
+        code, out, err = run(
+            capsys, "conditions", "--n", "2", "--tau", "2", "--gamma", "0.9",
+            "--eps", "1e-12", "--m", "1", "--mu0", "1e-2",
+            "--mus", "5e-5,2e-5", "--Ts", "1e300,3", "--Ls", "2,3",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: a condition term overflows a float")
+
 
 class TestScaling:
     ARGS = [

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -264,11 +265,30 @@ def _reference_run(run_block, H, theta, action, dt, n_steps, stride, stop_when=N
     return times, thetas, actions, False
 
 
-class _InterpretedMidpointFlow:
-    """``_interpreted_midpoint`` blocks driven by the reference sample loop."""
+def _crossed(reach, stop_when):
+    """``drift_time``'s ``crossed`` closure as it was before the crossing
+    moved into the generated sample check: true once the sup-norm distance
+    from ``reach.I0`` reaches ``reach.threshold``, else what ``stop_when``
+    says.  With no reach, ``stop_when`` itself."""
+    if reach is None:
+        return stop_when
 
-    def __init__(self, H):
-        self.run = functools.partial(_reference_run, functools.partial(_interpreted_midpoint, H), H)
+    def crossed(t, action):
+        if max(map(abs, map(operator.sub, action, reach.I0))) >= reach.threshold:
+            return True
+        return stop_when(t, action) if stop_when is not None else False
+
+    return crossed
+
+
+class _InterpretedMidpointFlow:
+    """``_interpreted_midpoint`` blocks driven by the reference sample loop,
+    which ``reach`` stops through ``_crossed``."""
+
+    def __init__(self, H, reach=None):
+        block = functools.partial(_interpreted_midpoint, H)
+        self.run = lambda theta, action, dt, n_steps, stride, stop_when: _reference_run(
+            block, H, theta, action, dt, n_steps, stride, _crossed(reach, stop_when))
 
 
 def _interpreted_midpoint(H, theta, action, dt, nsteps, time=0.0):
@@ -406,10 +426,12 @@ def test_midpoint_nan_update_never_converges(start):
 
 class _TwoGradientSplit:
     """Reference drift-kick-drift stepper: dA/dI is read before and after
-    every kick, and each monomial loops over all of its exponents."""
+    every kick, and each monomial loops over all of its exponents.  The
+    reference sample loop runs it, stopped by ``reach`` through
+    ``_crossed``."""
 
-    def __init__(self, A, B):
-        self.A = A
+    def __init__(self, A, B, reach=None):
+        self.A, self.reach = A, reach
         self.n = n = A.domain.n
         self.center = list(A.center)
         self.gradA = [
@@ -460,20 +482,25 @@ class _TwoGradientSplit:
 
     def run(self, theta, action, dt, n_steps, stride, stop_when):
         return _reference_run(self.run_block, self.A, theta, action, dt, n_steps, stride,
-                              stop_when)
+                              _crossed(self.reach, stop_when))
 
 
 @st.composite
 def _split_case(draw):
     """H = A(I) + B(theta) with monomials of A up to degree 4, complex
     coefficients on up to four +-k pairs of B (possibly none), a start, a
-    signed step and blocks of mixed lengths."""
+    signed step and blocks of mixed lengths.  Centers hold +0.0, -0.0 or
+    both; A's coefficients 1.0, 0.5 and 0.25 give derivative terms of
+    coefficient 1.0 for exponents 1, 2 and 4; starts may put x_i - c_i at
+    +0.0 or -0.0, so that a gradient sum can open with a -0.0 term."""
     n = draw(st.integers(1, 3))
-    center = draw(st.sampled_from([(0.0,) * n, (0.3, -1.2, 2.5)[:n]]))
+    center = draw(st.sampled_from([(0.0,) * n, (-0.0,) * n, (0.0, -0.0, 0.0)[:n],
+                                   (-0.0, 0.3, 0.0)[:n], (0.3, -1.2, 2.5)[:n]]))
     d = Domain(n, 1.0)
     zero = (0,) * n
     exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda l: sum(l) <= 4)
-    coef = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    coef = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3) | st.sampled_from(
+        [1.0, 0.5, 0.25])
     a_terms = draw(st.dictionaries(exps, coef, min_size=1, max_size=6))
     # some actions may be absent from A, so that dA/dI_j vanishes identically
     free = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -490,9 +517,13 @@ def _split_case(draw):
         B_coeffs[(k, zero)] = c
         B_coeffs[(tuple(-x for x in k), zero)] = c.conjugate()
     B = FourierTaylorSeries(d, B_coeffs, 2, 4, center)
-    theta = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    theta = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, -0.0]),
+                          min_size=n, max_size=n))
     offset = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
-    action = [c + o for c, o in zip(center, offset)]
+    # x = c gives x - c = +0.0; x = -0.0 at c = +0.0 gives -0.0
+    exact = draw(st.lists(st.sampled_from([None, None, 0.0, -0.0]), min_size=n, max_size=n))
+    action = [c + o if e is None else (e if c == 0.0 else c)
+              for c, o, e in zip(center, offset, exact)]
     dt = draw(st.floats(1e-3, 0.05)) * draw(st.sampled_from([1.0, -1.0]))
     blocks = draw(st.lists(st.sampled_from([1, 2, 7, 40]), min_size=1, max_size=5))
     return A, B, theta, action, dt, blocks
@@ -506,7 +537,7 @@ def test_split_block_matches_two_gradient_reference(case):
     flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
     for stride in blocks:
         args = (list(theta), list(action), dt, sum(blocks), stride, None)
-        assert flow.run(*args) == ref.run(*args)
+        assert _bits(flow.run(*args)) == _bits(ref.run(*args))
 
 
 def test_split_source_reads_the_gradient_once(monkeypatch):
@@ -523,23 +554,28 @@ def test_split_source_reads_the_gradient_once(monkeypatch):
     H = quasi_convex(1e-2).hamiltonian
     dynamics._SplitFlow(H.integrable, H.perturbation)
     (source,) = sources
-    assert [source.count(f"g{j} = 0.0") for j in range(2)] == [1, 1]
+    assert [len(re.findall(rf"^ +g{j} = ", source, re.M)) for j in range(2)] == [1, 1]
 
 
 @pytest.mark.parametrize("make", [quasi_convex, pendulum, degenerate_steep])
 def test_split_source_emits_no_identity_arithmetic(make, monkeypatch):
     # d ** 1, 1 * t and w * 1 return their operand, and the kicks of these
     # systems are real cosines (b = 0), so none of them is emitted; the
-    # operators match as whole tokens, so C0_1 * d1 ** 2 holds none of them
-    sources = []
-    compile_step = dynamics._compile.__wrapped__
-    monkeypatch.setattr(dynamics, "_compile", lambda source: (
-        sources.append(source), compile_step(source))[1])
+    # operators match as whole tokens, so C0_1 * d1 ** 2 holds none of them.
+    # Each g_j opens at its first term, a coefficient 1.0 is dropped, and
+    # these centers are 0.0, so x_i is read where x_i - c_i was
+    sources = _sources(monkeypatch)
     H = make(1e-2).hamiltonian
-    dynamics._SplitFlow(H.integrable, H.perturbation)
+    run = dynamics._SplitFlow(H.integrable, H.perturbation).run
     (source,) = sources
     assert "sin(" in source and "cos(" not in source
     assert re.findall(r"(?<![\w.])1 \*|\*\* 1(?![\d.])|\* 1(?![\d.])", source) == []
+    assert re.findall(r"g\d+ = 0\.0|x\d+ - c\d+", source) == []
+    # every constant unpacked from K is read, and none is a coefficient 1.0
+    names = source.splitlines()[1].strip().removesuffix(", = K").split(", ")
+    consts = dict(zip(names, run.__globals__["K"], strict=True))
+    assert [v for name, v in consts.items() if name.startswith("C") and v == 1.0] == []
+    assert [name for name in names if len(re.findall(rf"\b{name}\b", source)) < 2] == []
 
 
 def _sources(monkeypatch):
@@ -567,9 +603,10 @@ def _phased_midpoint():
 @pytest.mark.parametrize("scheme", ["split", "midpoint"])
 def test_run_reads_its_floats_as_locals(scheme):
     # coefficients, the center, sin and TWO_PI are unpacked from the one
-    # global tuple K; the other globals are builtins
+    # global tuple K; the other globals are builtins.  The split reads a
+    # center only where it is nonzero, so it runs off the origin here
     if scheme == "split":
-        H = quasi_convex(1e-2).hamiltonian
+        H = _off_center_system()
         run = dynamics._SplitFlow(H.integrable, H.perturbation).run
     else:
         run = dynamics._MidpointFlow(_phased_midpoint()).run
@@ -758,6 +795,15 @@ def _stop_at_sample(k):
     return lambda t, I: calls.append(t) or len(calls) == k
 
 
+def _overflowing_drift():
+    """No kick and dA/dI = 1.7e308 I: at I = 2 the drift reads an infinite
+    h, so the angle turns NaN while the action stays finite, inside the
+    ball."""
+    d = Domain(1, 3.0)
+    return HamiltonianSystem(FourierTaylorSeries.monomial(d, (2,), 0.85e308, 1, 2),
+                             FourierTaylorSeries.zero(d, 1, 2), 0.0, Gevrey(1.0, 0.5))
+
+
 def _overflowing_kick():
     """A kick of amplitude 1e308: its first step overflows the action."""
     d = Domain(1, 1.7e308)
@@ -776,13 +822,16 @@ def _overflowing_kick():
     # the overflow happens in the first step and shows at the first sample
     (_overflowing_kick(), ((0.13,), (0.0,)), 40.0, 0.1, 3, None, None,
      (FloatingPointError, "non-finite state at t=0.30000000000000004")),
+    # a NaN angle with a finite action inside the ball is rejected too
+    (_overflowing_drift(), ((0.1,), (2.0,)), 1.0, 0.1, 3, None, None,
+     (FloatingPointError, "non-finite state at t=0.30000000000000004")),
     # step 6 stalls; it is step 1 of the block opened at step 5, so its time
     # is 5 dt + 1 dt = 1.8, where 6 dt is 1.7999999999999998
     (_MIDPOINT, _MIDPOINT_START, 12.0, 0.3, 5, None, 8,
      (RuntimeError, "implicit midpoint did not converge in the step from t=1.8: "
                     "last update 1.02e-13 >= tol 1e-13 after 8 iterations")),
 ], ids=["escape", "stop_when_split", "stop_when_midpoint", "backward_midpoint", "no_steps",
-        "non_finite", "stalled_midpoint"])
+        "non_finite", "non_finite_angle", "stalled_midpoint"])
 def test_integrate_matches_reference_sample_loop(system, start, t_max, step, stride, stop_at,
                                                  max_iter, outcome, monkeypatch):
     # integrate's one generated call against the reference sample loop over
@@ -810,6 +859,46 @@ def test_integrate_matches_reference_sample_loop(system, start, t_max, step, str
         assert rec.escaped and rec.times[-1] < t_max
     else:
         assert not rec.escaped and len(rec.times) == outcome
+
+
+@pytest.mark.parametrize("system, start, threshold, step, stride, stop_at, samples, escaped", [
+    # the pinned pendulum scaling row: crosses at sample 17
+    (pendulum(1e-2), ((0.25,), (0.0,)), 0.1, 0.005, 20, None, 18, False),
+    # n = 2 off the origin: the second action crosses
+    (_off_center_system(), ((0.2, 0.8), (3.1, -1.4)), 0.02, 0.01, 7, None, 20, False),
+    # a midpoint run: the first action crosses
+    (_MIDPOINT, _MIDPOINT_START, 0.01, 0.05, 7, None, 5, False),
+    # a caller stop_when that would end the run at the crossing sample too:
+    # the crossing is tested first, so stop_when never sees that sample
+    (pendulum(1e-2), ((0.25,), (0.0,)), 0.1, 0.005, 20, 17, 18, False),
+    # the sample that leaves the ball is the first to cross: the run ends
+    # escaped, with that sample as the crossing
+    (_kicked_small_ball(), ((0.13,), (0.0,)), 0.05, 0.01, 1, None, 5, True),
+], ids=["split_row", "split_off_center", "midpoint", "stop_when_same_sample",
+        "escape_at_crossing"])
+def test_drift_time_crossing_matches_reference_closure(system, start, threshold, step, stride,
+                                                       stop_at, samples, escaped, monkeypatch):
+    # the crossing compiled into the sample check against the reference
+    # sample loop stopped by drift_time's old crossed closure
+    cfg = IntegratorConfig(step=step, sample_stride=stride)
+    runs = []
+    for split, midpoint in ((dynamics._SplitFlow, dynamics._MidpointFlow),
+                            (_TwoGradientSplit, _InterpretedMidpointFlow)):
+        monkeypatch.setattr(dynamics, "_SplitFlow", split)
+        monkeypatch.setattr(dynamics, "_MidpointFlow", midpoint)
+        seen = []
+        stop = None if stop_at is None else (
+            lambda t, I: seen.append(t) or len(seen) == stop_at)
+        runs.append((drift_time(system, start, threshold, 100.0, cfg, stop), seen))
+    (res, seen), (ref, ref_seen) = runs
+    rec = res.trajectory
+    for field in ("times", "thetas", "actions", "energy"):
+        assert np.array_equal(getattr(rec, field), getattr(ref.trajectory, field)), field
+    assert rec.metadata == ref.trajectory.metadata and seen == ref_seen
+    assert (res.time, res.bracket, res.capped) == (ref.time, ref.bracket, ref.capped)
+    assert res.crossed and res.time == rec.times[-1] and len(rec.times) == samples
+    assert rec.escaped == escaped
+    assert seen == ([] if stop_at is None else rec.times[1:-1].tolist())
 
 
 @st.composite
@@ -983,6 +1072,12 @@ class TestDriftTime:
         # a NaN threshold is never crossed and would read as "no drift"
         with pytest.raises(ValueError, match="threshold"):
             drift_time(pendulum(1e-3), ((0.25,), (0.0,)), threshold, 5.0)
+
+    def test_no_steps_from_a_nan_action_is_capped(self):
+        # the start is the only sample, and its distance from itself is NaN,
+        # which crosses no threshold
+        res = drift_time(pendulum(1e-2), ((0.2,), (math.nan,)), 0.1, 0.001)
+        assert res.time == SENTINEL and res.capped and len(res.trajectory.times) == 1
 
     def test_pendulum_crossing_matches_reference(self):
         sys = pendulum(1e-2)
