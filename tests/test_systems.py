@@ -1,6 +1,11 @@
 """SeriesHamiltonian reads its gradient and Hessian from stacked term
 tables; the reference is each derivative series evaluated on its own, and a
-read over a stack of points equals the reads at each point."""
+read over a stack of points equals the reads at each point.  Each builtin
+system's pickle is pinned, so a change to what a factory builds shows up in
+one test run."""
+
+import hashlib
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +14,16 @@ from conftest import sample_points, small_series
 from driftbench.series import Domain, FourierTaylorSeries, split_by_modes
 from driftbench.steepness import action_ball_grid
 from driftbench.systems import BUILTIN_SYSTEMS, SeriesHamiltonian
+
+# SHA-256 of pickle.dumps(factory(1e-3), protocol=4) when these were last set
+# (Python 3.11.7, numpy 2.4.6); they change only with a re-baseline stated in
+# CHANGES.md
+SYSTEM_PICKLES = {
+    "pendulum": "b1218fa1af20e5553635a889acff83bbfe59d5b3ecc9c08768348281c7591458",
+    "quasiconvex": "a146c5c52df080922129ad89b56614b0174f178d6006a5bbe7954a428c94ef4e",
+    "linear": "d94d3b95504a15f0590a5c43e3088a3ef49ad3b04fb4a829c1ab398c7c22855b",
+    "degenerate": "fd4fa47ee2fb4c595454dcacdd5ebf99fc5eabb9e93622bb664b853fae806d79",
+}
 
 
 def _assert_matches_reference(h):
@@ -76,3 +91,9 @@ def test_stacked_reads_equal_point_reads():
     for h in cubic + [BUILTIN_SYSTEMS["degenerate"](1e-3).h_action]:
         for res in (33, 65):
             _assert_stack_equals_points(h, action_ball_grid(2, 1.0, res))
+
+
+def test_builtin_systems_pickle_as_pinned():
+    digests = {name: hashlib.sha256(pickle.dumps(factory(1e-3), protocol=4)).hexdigest()
+               for name, factory in BUILTIN_SYSTEMS.items()}
+    assert digests == SYSTEM_PICKLES
