@@ -134,10 +134,6 @@ class TrajectoryRecord:
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sample times must be strictly monotone")
 
-    @property
-    def n(self) -> int:
-        return self.thetas.shape[1]
-
     def energy_deviation(self) -> float:
         """Max |H(t) - H(0)| over the samples (absolute, not endpoint)."""
         return float(np.max(np.abs(self.energy - self.energy[0])))

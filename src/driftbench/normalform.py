@@ -89,11 +89,6 @@ def resonant_split(
     return f._derive(res, trunc_loss=f.trunc_loss), f._derive(non, trunc_loss=f.trunc_loss)
 
 
-def resonant_average(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylorSeries:
-    """Time average along the periodic flow of omega: the k.omega = 0 mode filter."""
-    return resonant_split(f, w)[0]
-
-
 def homological_solve(f: FourierTaylorSeries, w: PeriodicVector) -> FourierTaylorSeries:
     """Solve {chi, l_omega} = f - [f]_omega mode-wise.
 

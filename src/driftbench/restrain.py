@@ -128,9 +128,6 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def failing(self) -> list[ConditionEntry]:
-        return [e for e in self.entries if not e.ok]
-
 
 @dataclass(frozen=True)
 class ConditionParams:

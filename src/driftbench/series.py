@@ -330,9 +330,6 @@ class FourierTaylorSeries:
     def items(self) -> Iterator[tuple[MultiIndex, complex]]:
         return iter(self._coeffs.items())
 
-    def coefficient(self, k: Sequence[int], l: Sequence[int]) -> complex:
-        return self._coeffs.get((tuple(k), tuple(l)), 0j)
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -340,14 +337,6 @@ class FourierTaylorSeries:
     def coefficient_norm(self) -> float:
         """l1 norm of the coefficient vector; dominates the C0 sup norm."""
         return sum(abs(c) for c in self._coeffs.values())
-
-    def k_weighted_mass(self) -> float:
-        """sum |c| |k|_1, summed term by term in order."""
-        return _moments(self)[0]
-
-    def l_weighted_mass(self) -> float:
-        """sum |c| |l|_1, summed term by term in order."""
-        return _moments(self)[1]
 
     def angle_independent(self) -> bool:
         return all(all(x == 0 for x in k) for (k, _) in self._coeffs)
@@ -526,8 +515,9 @@ class FourierTaylorSeries:
         )
 
 
-# (k_weighted_mass, l_weighted_mass) of each live series, summed on first read;
-# kept off the series (which are immutable), so their pickles do not change
+# (sum |c| |k|_1, sum |c| |l|_1) of each live series, summed term by term in
+# order on first read; kept off the series (which are immutable), so their
+# pickles do not change
 _MOMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

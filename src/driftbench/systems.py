@@ -14,13 +14,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .series import (
-    Domain, FourierTaylorSeries, Gevrey, HamiltonianSystem, Regularity, SeriesStack,
-)
+from .series import Domain, FourierTaylorSeries, Gevrey, HamiltonianSystem, SeriesStack
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -70,65 +68,48 @@ class System:
         return SeriesHamiltonian(self.hamiltonian.integrable)
 
 
-def _default_gevrey() -> Gevrey:
-    return Gevrey(1.0, 0.5)
-
-
-def pendulum(eps: float, R: float = 2.0, regularity: Regularity | None = None) -> System:
-    """n=1 pendulum H = I^2/2 + eps*cos(2*pi*theta)."""
-    d = Domain(1, R)
+def pendulum(eps: float) -> System:
+    """n=1 pendulum H = I^2/2 + eps*cos(2*pi*theta) on the action ball R = 2."""
+    d = Domain(1, 2.0)
     h = FourierTaylorSeries.monomial(d, (2,), 0.5, k_max=1, d_max=2)
     f = FourierTaylorSeries.cosine(d, (1,), eps, k_max=1, d_max=2)
-    ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("pendulum", ham)
+    return System("pendulum", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)))
 
 
-def quasi_convex(
-    eps: float, n: int = 2, mode: Sequence[int] = (1, 1), R: float = 1.0,
-    regularity: Regularity | None = None,
-) -> System:
-    """H = |I|^2/2 + eps*cos(2*pi*mode.theta), the classical easy regime."""
-    d = Domain(n, R)
-    h = FourierTaylorSeries.zero(d, k_max=max(abs(m) for m in mode), d_max=2)
-    for j in range(n):
-        h = h + FourierTaylorSeries.monomial(
-            d, tuple(2 if i == j else 0 for i in range(n)), 0.5,
-            k_max=h.k_max, d_max=2,
-        )
-    f = FourierTaylorSeries.cosine(d, mode, eps, k_max=h.k_max, d_max=2)
-    ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("quasi-convex", ham)
+def quasi_convex(eps: float) -> System:
+    """H = |I|^2/2 + eps*cos(2*pi*(theta_1 + theta_2)) on the unit action ball
+    of n = 2, the classical easy regime."""
+    d = Domain(2, 1.0)
+    h = (
+        FourierTaylorSeries.monomial(d, (2, 0), 0.5, k_max=1, d_max=2)
+        + FourierTaylorSeries.monomial(d, (0, 2), 0.5, k_max=1, d_max=2)
+    )
+    f = FourierTaylorSeries.cosine(d, (1, 1), eps, k_max=1, d_max=2)
+    return System("quasi-convex", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)))
 
 
-def linear_diophantine(
-    eps: float, omega: Sequence[float] | None = None, mode: Sequence[int] = (1, 1),
-    R: float = 1.0, regularity: Regularity | None = None,
-) -> System:
-    """H = omega.I + eps*cos(2*pi*mode.theta) with a Diophantine frequency."""
-    w = np.array(omega if omega is not None else (1.0, GOLDEN))
-    n = len(w)
-    d = Domain(n, R)
-    h = FourierTaylorSeries.linear(d, w, k_max=max(abs(m) for m in mode), d_max=1)
-    f = FourierTaylorSeries.cosine(d, mode, eps, k_max=h.k_max, d_max=1)
-    ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("linear-diophantine", ham)
+def linear_diophantine(eps: float) -> System:
+    """H = I_1 + GOLDEN*I_2 + eps*cos(2*pi*(theta_1 + theta_2)) on the unit
+    action ball: a Diophantine frequency."""
+    d = Domain(2, 1.0)
+    h = FourierTaylorSeries.linear(d, (1.0, GOLDEN), k_max=1, d_max=1)
+    f = FourierTaylorSeries.cosine(d, (1, 1), eps, k_max=1, d_max=1)
+    return System("linear-diophantine", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)))
 
 
-def degenerate_steep(
-    eps: float, R: float = 1.0, regularity: Regularity | None = None
-) -> System:
-    """H = I_1^2/2 + I_1 I_2^2 + eps*cos(2*pi*theta_2); fails the Morse check."""
-    d = Domain(2, R)
+def degenerate_steep(eps: float) -> System:
+    """H = I_1^2/2 + I_1 I_2^2 + eps*cos(2*pi*theta_2) on the unit action ball;
+    fails the Morse check."""
+    d = Domain(2, 1.0)
     h = (
         FourierTaylorSeries.monomial(d, (2, 0), 0.5, k_max=1, d_max=3)
         + FourierTaylorSeries.monomial(d, (1, 2), 1.0, k_max=1, d_max=3)
     )
     f = FourierTaylorSeries.cosine(d, (0, 1), eps, k_max=1, d_max=3)
-    ham = HamiltonianSystem(h, f, eps, regularity or _default_gevrey())
-    return System("degenerate-steep", ham)
+    return System("degenerate-steep", HamiltonianSystem(h, f, eps, Gevrey(1.0, 0.5)))
 
 
-BUILTIN_SYSTEMS: dict[str, Callable[..., System]] = {
+BUILTIN_SYSTEMS: dict[str, Callable[[float], System]] = {
     "pendulum": pendulum,
     "quasiconvex": quasi_convex,
     "linear": linear_diophantine,

@@ -48,7 +48,9 @@ class TestIntegrate:
         assert np.max(np.abs(traj.actions - traj.actions[0])) == 0.0
 
     def test_linear_flow_angles(self):
-        sys = linear_diophantine(0.0, omega=(0.25, 0.125), mode=(1, 1))
+        d = Domain(2, 1.0)
+        h = FourierTaylorSeries.linear(d, (0.25, 0.125), k_max=1)
+        sys = HamiltonianSystem(h, FourierTaylorSeries.zero(d, 1, 1), 0.0, Gevrey(1.0, 0.5))
         traj = integrate(sys, ((0.1, 0.9), (0.0, 0.0)), 8.0,
                          IntegratorConfig(step=0.01, sample_stride=100))
         expect = (np.array([0.1, 0.9]) + 8.0 * np.array([0.25, 0.125])) % 1.0

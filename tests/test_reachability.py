@@ -1,9 +1,8 @@
 """Every function, class and method defined under src/driftbench/ must be
-reached from the program: referenced in src/ itself (the package
-``__init__``'s re-exports do not count), in scripts/, or in perfbench/,
-whose tracer names its targets as dotted strings.  References are read with
-``ast``: names, attribute names and imported names.  Dunder methods are
-called by Python and are not listed.
+reached from the program: referenced in src/ itself, in scripts/, or in
+perfbench/, whose tracer names its targets as dotted strings.  References
+are read with ``ast``: names, attribute names and imported names.  Dunder
+methods are called by Python and are not listed.
 
 What only the tests reach is listed in TEST_ONLY with the reason it stays.
 The test asserts that the unreached set equals TEST_ONLY's keys, so a new
@@ -20,13 +19,8 @@ PACKAGE = ROOT / "src" / "driftbench"
 TEST_ONLY = {
     "angle_displacement": "angle part of the transform in the energy-consistency tests",
     "check_morse_at": "single-point Morse check that the grid check is compared against",
-    "coefficient": "reads one coefficient in the series and normal-form tests",
     "evaluate": "point evaluation that the stacked and grid readers are compared against",
-    "failing": "lists the failed conditions of a check_conditions report in its tests",
-    "k_weighted_mass": "Fourier-weighted mass in the truncation-moment tests",
-    "l_weighted_mass": "Taylor-weighted mass in the truncation-moment tests",
     "pullback_inverse": "inverse transform in the symplecticity test",
-    "resonant_average": "resonant part used by acceptance criteria 1 and 3",
     "restrained_implies_stable": "certificate-to-confinement check in the stability tests",
     "satisfied": "verdict of the averaging smallness report in acceptance criterion 8",
     "sine": "series constructor used by the series and normal-form tests",
@@ -87,8 +81,7 @@ def unreached():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
         defined |= _defined(tree)
-        if path.name != "__init__.py":
-            reached |= _referenced(tree)
+        reached |= _referenced(tree)
     for folder in ("scripts", "perfbench"):
         for path in sorted((ROOT / folder).glob("*.py")):
             reached |= _referenced(_parse(path))
