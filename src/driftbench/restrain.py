@@ -12,8 +12,9 @@ solution to reach a contradiction; the monitor inverts that into an
 online algorithm: scan the trajectory, construct the ladder (escape times
 via the steepness property, frequencies via Dirichlet approximation), and
 either emit a certificate or report the first failing condition with its
-margin.  All implicit constants are configurable multipliers, logged in
-every certificate.
+margin.  Each (C_j) is measured on the samples of [t_j, t_{j+1}], the last
+interval included: t_{n+1} is the horizon min(tau_m, last sample).  All
+implicit constants are configurable multipliers, logged in every certificate.
 
 Exact normalizing transforms are not available numerically; the monitor
 tracks the raw trajectory and budgets the normalized-vs-raw discrepancy
@@ -220,7 +221,7 @@ class RestrainFrame:
 
     mu0: float
     mus: list[float]
-    times: list[float]                 # t_1..t_n (t_0 = 0, t_{n+1} = tau_m)
+    times: list[float]                 # t_1..t_n (t_0 = 0; t_{n+1} = horizon, measured)
     frame: ResonanceFrame
     centers: list[np.ndarray]          # I_1..I_n snapshots
     budget: TimeBudget
@@ -464,6 +465,14 @@ def _ladder(
         mus.append(mu_next)
         centers.append(np.array(point))
         idx_j = idx_next
+
+    # (C_n): the last interval [t_n, t_{n+1}] is measured as the others are,
+    # on the samples up to the horizon t_{n+1} = min(tau_m, last sample)
+    upto = int(np.searchsorted(traj.times, tau_m, side="right"))
+    seg_sup = float(np.max(np.abs(traj.actions[idx_j:upto] - traj.actions[idx_j])))
+    _require(log, n, ConditionEntry(f"(C_{n}) |I^{n}(t) - I^{n}(t_{n})| < mu_{n}",
+                                    seg_sup + disp_budget, mus[-1]),
+             f"sup {seg_sup} (+budget {disp_budget}) >= {mus[-1]}")
 
     return RestrainFrame(
         mu0=mu0, mus=mus, times=times, frame=frame, centers=centers,

@@ -515,9 +515,8 @@ class FourierTaylorSeries:
         )
 
 
-# (sum |c| |k|_1, sum |c| |l|_1) of each live series, summed term by term in
-# order on first read; kept off the series (which are immutable), so their
-# pickles do not change
+# (sum |c| |k|_1, sum |c| |l|_1) of each live series, summed on first read;
+# kept off the series (which are immutable), so their pickles do not change
 _MOMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the option count and the src/ line count when these bounds were last set
 OPTION_BOUND = 308
-LINE_BOUND = 4523
+LINE_BOUND = 4531
 
 
 def _load_count_options():

@@ -65,6 +65,7 @@ README_RESTRAIN_CONDITIONS = [
     ("ok", "(B_2) eps < mu^2"),
     ("ok", "nesting 2 mu_2 <= mu_1"),
     ("ok", "(B_2) |w_2 - w_1| << mu_1"),
+    ("ok", "(C_2) |I^2(t) - I^2(t_2)| < mu_2"),
 ]
 
 

@@ -284,6 +284,42 @@ class TestBallExit:
         assert radii and set(radii) == {system.hamiltonian.domain.R}
 
 
+def _synthetic_kind(kind):
+    """200 samples on [0, 2.7] of one synthetic kind."""
+    times = np.linspace(0.0, 2.7, 200)
+    if kind == "linear":        # reaches 1.0 > (n+1)^2 mu_0 = 0.45
+        return np.array([-0.25, 0.16]) + np.outer(times, [-0.2, 0.37])
+    if kind == "walk":          # sigma 0.01 per sample, within 0.25 of the start
+        steps = np.random.default_rng(0).normal(0.0, 0.01, (199, 2))
+        return np.array([0.05, 0.09]) + np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+    actions = np.tile([-0.17, -0.03] if kind == "step" else [-0.25, 0.16], (200, 1))
+    if kind == "step":          # 0.24 at sample 72: within (n+1)^2 mu_0, beyond mu_2
+        actions[72:] += [-0.06, -0.24]
+    else:                       # jump out of the unit ball
+        actions[150:] = 1.5
+    return actions
+
+
+@pytest.mark.parametrize("kind, failure", [
+    ("linear", (2, "(C_2) |I^2(t) - I^2(t_2)| < mu_2")),
+    ("walk", (2, "(C_2) |I^2(t) - I^2(t_2)| < mu_2")),
+    ("step", (2, "(C_2) |I^2(t) - I^2(t_2)| < mu_2")),
+    ("jump", (0, "domain")),
+], ids=["linear", "walk", "step", "jump"])
+def test_samples_after_the_last_stage_are_measured(kind, failure):
+    # (C_n) reads the samples of [t_n, t_{n+1}] up to the horizon: the
+    # linear, walk and step curves were certified with times [0, 0] while
+    # no check read a sample after t_2, and the jump never certifies
+    from test_dynamics import synthetic_record
+
+    res = try_restrain(quasi_convex(1e-6),
+                       synthetic_record(np.linspace(0.0, 2.7, 200), _synthetic_kind(kind)),
+                       0.05, TimeBudget.for_m(1, Gevrey(1.0, 0.5)), MorseParams(0.9, 2.0),
+                       multipliers={"c_mu": 1.2, "smallness": 3.0, "length": 4.0})
+    assert not res.restrained
+    assert (res.failure.stage, res.failure.condition) == failure
+
+
 def _loop_witness(grad, Q, frame, scale, eps, mu_j, gap_cap):
     """Reference: the retry loop that restrain._witness replaced."""
     for _ in range(restrain.INDEPENDENCE_RETRIES):
@@ -602,8 +638,9 @@ class TestCertificateSoundness:
             assert eps < mu_i ** 2
         radii = [cert.mu0] + cert.mus
         assert all(2 * b <= a for a, b in zip(radii, radii[1:]))
-        times = [0.0] + cert.times
-        for j in range(len(cert.times)):
+        # every interval, the last one [t_n, t_{n+1}] up to the horizon
+        times = [0.0] + cert.times + [min(budget.tau_m, float(traj.times[-1]))]
+        for j in range(len(cert.times) + 1):
             mask = (traj.times >= times[j]) & (traj.times <= times[j + 1])
             seg = traj.actions[mask]
             if len(seg) > 1:
