@@ -11,15 +11,17 @@ step is straight-line Python generated for each split: the source holds
 names only, the series' floats are unpacked from one tuple into locals when
 the function starts, and no operation is emitted whose result is exactly
 another's, or differs from it only in the sign of a zero that the angle
-wrap ``% 1.0`` does not see (``d ** 1``, ``0.0 +``, ``x - 0.0``, ...).
+wrap does not see (``d ** 1``, ``0.0 +``, ``x - 0.0``, ...).  The wrap
+runs ``% 1.0`` only on an angle outside (0, 1), where it can change it.
 
 The midpoint iterates on z = (theta, I) in straight-line Python generated
 the same way: each iteration reads cos/sin once per mode pair and each power
-once, and every field row shares those reads.  Each scheme's step sits in
+once, every field row shares those reads, and neither a zero part of a
+coefficient nor a zero center is read.  Each scheme's step sits in
 one generated ``run(theta, action, dt, n_steps, stride, stop_when)`` that
 holds the sample loop as well: one call steps a whole trajectory in blocks
-of ``stride`` steps with no test between steps, records the state after
-each block and checks it with one chained test (inside the ball, angles
+of ``stride`` steps with no sample test between steps, records the state
+after each block and checks it with one chained test (inside the ball, angles
 finite); only when that fails does it reject a non-finite state or stop
 escaped.  It then stops at ``drift_time``'s crossing, compiled in, or
 when ``stop_when`` says so.  The energy monitor reads H at every
@@ -161,7 +163,7 @@ def _generate(H: FourierTaylorSeries, state: list[str], consts: dict, head: list
     source holds names only.  ``state`` names the n angles, then the n
     actions.  With steps to take, ``head`` runs once; then each block of
     ``stride`` steps (the last one may be shorter) runs ``step`` for i = k,
-    ..., s - 1 with no test between steps, k the step that opens the block.
+    ..., s - 1 with no sample test between steps, k the step that opens it.
     After the block the sample at step s is recorded and checked by one
     chained test, each |x_i - c_i| <= R and each angle finite (a passing
     ball test implies finite actions); if it fails, a non-finite state
@@ -260,9 +262,11 @@ class _SplitFlow:
     ``+ -j * t`` for ``- j * t`` and, at b = 0.0, ``- b * cos(phi)`` (this
     one can flip the sign of an exact zero).  The gradient read also drops
     ``0.0 +`` before a sum's first term, a coefficient 1.0, ``- c_i`` at
-    c_i = 0.0 and an empty sum's ``half * 0.0``.  These change at most the
-    sign of a zero h_j, and h_j only enters ``(t_j + h_j) % 1.0``, the same
-    float for h_j = +0.0 and -0.0: the trajectory is the two-read loop's.
+    c_i = 0.0 and an empty sum's ``half * 0.0``, and reads a one-term sum
+    into h_j with no g_j.  These change at most the sign of a zero h_j, so
+    of a zero t_j + h_j, which ``% 1.0`` maps to +0.0 either way: the
+    trajectory is the two-read loop's.  The wrap skips ``% 1.0`` for t_j +
+    h_j in (0, 1), where it returns its operand.
     """
 
     def __init__(self, A: FourierTaylorSeries, B: FourierTaylorSeries,
@@ -275,6 +279,7 @@ class _SplitFlow:
         grad, terms, used = [], [], set()
         for j in range(n):
             terms.append([])
+            prods = []
             for m, ((_, l), c) in enumerate(A.partial_action(j).items()):
                 terms[j].append((c.real, l))
                 used.update(i for i, e in enumerate(l) if e)
@@ -282,9 +287,13 @@ class _SplitFlow:
                 if c.real != 1.0 or not factors:
                     consts[f"C{j}_{m}"] = c.real
                     factors.insert(0, f"C{j}_{m}")
-                grad.append(f"g{j} {'+=' if m else '='} {' * '.join(factors)}")
+                prods.append(" * ".join(factors))
+            if len(prods) > 1:
+                grad += [f"g{j} {'+=' if m else '='} {p}" for m, p in enumerate(prods)]
+            # one term is read straight into h_j: the operands of half * g_j
+            grad.append(f"h{j} = half * g{j}" if len(prods) > 1 else
+                        f"h{j} = half * ({prods[0]})" if prods else f"h{j} = 0.0")
         grad[:0] = [f"d{i} = x{i} - c{i}" for i in sorted(used) if A.center[i] != 0.0]
-        grad += [f"h{j} = half * g{j}" if terms[j] else f"h{j} = 0.0" for j in range(n)]
         # kicks: one representative per +-k mode pair, c = a + i b
         kick, seen = [], set()
         ts, xs = [f"t{j}" for j in range(n)], [f"x{j}" for j in range(n)]
@@ -303,15 +312,17 @@ class _SplitFlow:
                         for j, kj in enumerate(k) if kj)
         consts.update(sin=math.sin, TWO_PI=TWO_PI,
                       half_gradient=functools.partial(_half_gradient, terms, A.center))
-        drift = [f"t{j} = (t{j} + h{j}) % 1.0" for j in range(n)]
+        # u % 1.0 is u itself for u in (0, 1)
+        drift = [line for j in range(n) for line in (
+            f"t{j} += h{j}", f"if not 0.0 < t{j} < 1.0: t{j} %= 1.0")]
         head = [f"{', '.join(f'h{j}' for j in range(n))}, = half_gradient(half, {', '.join(xs)})"]
         self.run = _generate(A, ts + xs, consts, head, drift + kick + grad + drift, reach)
 
 
 def _stalled(t: float, max_iter: int, *updates: float) -> RuntimeError:
     """The midpoint's non-convergence error for the step from t; the last
-    update is the largest of ``updates``, or NaN if any is NaN."""
-    delta = math.nan if any(map(math.isnan, updates)) else max(updates)
+    update is the largest of |``updates``|, or NaN if any is NaN."""
+    delta = math.nan if any(map(math.isnan, updates)) else max(map(abs, updates))
     return RuntimeError(
         f"implicit midpoint did not converge in the step from "
         f"t={t:.17g}: last update {delta:.3g} >= "
@@ -328,35 +339,44 @@ class _MidpointFlow:
     starts.  Each iteration reads cos and sin once per +-k mode pair and
     d_i ** e once per distinct power, and the 2n field rows share those
     reads; a row sums its terms (Re c cos - Im c sin) * (product of its
-    powers) left to right.  A phase is written as ``_phase`` writes it, less
-    the exact identities ``1 * m`` and ``+ -j * m``.  An iteration whose
-    updates are all below ``MIDPOINT_TOL`` ends the step, tested one update
-    at a time, so a NaN update never does.  An overflow or a domain error
-    while reading the field counts as a NaN update that cannot converge.
+    powers) left to right, less the product of a zero part, and reads I_i
+    for I_i - c_i at c_i = 0.0: these change at most the sign of a zero,
+    which never reaches a step's end state.  A phase is written as
+    ``_phase`` writes it, less ``1 * m`` and ``+ -j * m``.  An iteration
+    whose updates all lie in (-TOL, TOL) ends the step, tested one update
+    at a time, so a NaN update never does; an overflow or a domain error
+    while reading the field counts as a NaN update.
     """
 
     def __init__(self, H: FourierTaylorSeries, reach: _Reach | None = None) -> None:
         n = H.domain.n
-        consts = {"sin": math.sin, "cos": math.cos, "abs": abs, "NAN": math.nan,
-                  "TWO_PI": TWO_PI, "TOL": MIDPOINT_TOL, "MAX_ITER": MIDPOINT_MAX_ITER,
-                  "stalled": _stalled, **{f"c{i}": c for i, c in enumerate(H.center)}}
+        consts = dict(sin=math.sin, cos=math.cos, NAN=math.nan, TWO_PI=TWO_PI, TOL=MIDPOINT_TOL,
+                      NTOL=-MIDPOINT_TOL, MAX_ITER=MIDPOINT_MAX_ITER, stalled=_stalled)
         rows = [H.partial_action(j) for j in range(n)] + [-H.partial_theta(j) for j in range(n)]
+        # d_i is m_{n+i} itself at c_i = 0.0; _generate unpacks a nonzero c_i
+        d = [f"m{n + i}" if c == 0.0 else f"d{i}" for i, c in enumerate(H.center)]
         modes: dict[tuple[int, ...], int] = {}   # one representative per +-k pair
         powers: dict[tuple[int, int], str] = {}  # (i, e) -> its variable
         field = []
         for r, row in enumerate(rows):
             terms = []
             for s, ((k, l), c) in enumerate(row.items()):
-                consts[f"a{r}_{s}"], consts[f"b{r}_{s}"] = c.real, c.imag
-                factors = [powers.setdefault((i, e), f"d{i}" if e == 1 else f"p{i}_{e}")
+                a, b = f"a{r}_{s}", f"b{r}_{s}"
+                factors = [powers.setdefault((i, e), d[i] if e == 1 else f"p{i}_{e}")
                            for i, e in enumerate(l) if e]
-                if any(k):
+                if not any(k):
+                    consts[a], term = c.real, a
+                else:
                     rep = k if next(x for x in k if x) > 0 else tuple(-x for x in k)
                     q = modes.setdefault(rep, len(modes))
-                    sign = "-" if k == rep else "+"
-                    term = f"(a{r}_{s} * C{q} {sign} b{r}_{s} * S{q})"
-                else:
-                    term = f"a{r}_{s}"
+                    # a zero part's product is left out; -b * S is (-b) * S
+                    if c.imag == 0.0:
+                        consts[a], term = c.real, f"{a} * C{q}"
+                    elif c.real == 0.0:
+                        consts[b], term = (-c.imag if k == rep else c.imag), f"{b} * S{q}"
+                    else:
+                        consts[a], consts[b] = c.real, c.imag
+                        term = f"({a} * C{q} {'-' if k == rep else '+'} {b} * S{q})"
                 if factors:
                     prod = " * ".join(factors)
                     term += f" * ({prod})" if len(factors) > 1 else f" * {prod}"
@@ -365,13 +385,13 @@ class _MidpointFlow:
             # exhaust the compiler's recursion limit
             field += [f"v{r} = {terms[0]}" if terms else f"v{r} = 0.0"]
             field += [f"v{r} += {term}" for term in terms[1:]]
-        reads = [f"d{i} = m{n + i} - c{i}" for i in sorted({i for i, _ in powers})]
+        reads = [f"d{i} = m{n + i} - c{i}" for i in sorted({i for i, _ in powers if H.center[i]})]
         for rep, q in modes.items():
             phase = _phase(rep, [f"m{j}" for j in range(n)])
             reads += [f"y = TWO_PI * ({phase})", f"C{q} = cos(y)", f"S{q} = sin(y)"]
-        reads += [f"{v} = d{i} ** {float(e)!r}" for (i, e), v in powers.items() if e != 1]
+        reads += [f"{v} = {d[i]} ** {float(e)!r}" for (i, e), v in powers.items() if e != 1]
         update = [line for r in range(2 * n) for line in (
-            f"w = z{r} + half * v{r}", f"e{r} = abs(w - m{r})", f"m{r} = w")]
+            f"w = z{r} + half * v{r}", f"e{r} = w - m{r}", f"m{r} = w")]
         z, m, e = ([f"{x}{r}" for r in range(2 * n)] for x in "zme")
         zs, ms, es = map(", ".join, (z, m, e))
         # step i + 1 starts at k dt + (i - k) dt: its block's start, then
@@ -379,7 +399,7 @@ class _MidpointFlow:
         self.run = _generate(
             H, z, consts, [], [f"{ms} = {zs}", "try:", "    for _ in range(MAX_ITER):"]
             + ["        " + line for line in reads + field + update]
-            + [f"        if {' and '.join(f'{x} < TOL' for x in e)}:",
+            + [f"        if {' and '.join(f'NTOL < {x} < TOL' for x in e)}:",
                "            break", "    else:",
                f"        raise stalled(k * dt + (i - k) * dt, MAX_ITER, {es})",
                "except (OverflowError, ValueError):",

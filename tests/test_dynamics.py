@@ -395,7 +395,7 @@ def test_midpoint_block_matches_interpreted_arithmetic(case):
     flow, ref = dynamics._MidpointFlow(H), _InterpretedMidpointFlow(H)
     for stride in blocks:
         args = (list(theta), list(action), dt, sum(blocks), stride, None)
-        assert _outcome(flow.run, *args) == _outcome(ref.run, *args)
+        assert _bits(_outcome(flow.run, *args)) == _bits(_outcome(ref.run, *args))
 
 
 @pytest.mark.parametrize("step", [1e6, 1e200])
@@ -556,7 +556,10 @@ def test_split_source_reads_the_gradient_once(monkeypatch):
     H = quasi_convex(1e-2).hamiltonian
     dynamics._SplitFlow(H.integrable, H.perturbation)
     (source,) = sources
-    assert [len(re.findall(rf"^ +g{j} = ", source, re.M)) for j in range(2)] == [1, 1]
+    # a sum opens at `g_j = `; a one-term sum is read as `h_j = half * ...`
+    reads = [re.findall(rf"^ +(?:g{j} = |h{j} = half \* (?!g{j}$))", source, re.M)
+             for j in range(2)]
+    assert [len(r) for r in reads] == [1, 1]
 
 
 @pytest.mark.parametrize("make", [quasi_convex, pendulum, degenerate_steep])
@@ -589,29 +592,29 @@ def _sources(monkeypatch):
     return sources
 
 
-def _phased_midpoint():
+def _phased_midpoint(center=None):
     """A non-separable H whose modes (1, -1) and (1, 2) need a minus sign and
     a factor in their phases."""
     d = Domain(2, 0.5)
-    h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 2, 3)
-         + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 2, 3))
-    amp = FourierTaylorSeries.constant(d, 1.0, 2, 3) + FourierTaylorSeries.action_coordinate(
-        d, 0, 2, 3)
-    f = (FourierTaylorSeries.cosine(d, (1, -1), 1e-3, 2, 3).product(amp)
-         + FourierTaylorSeries.sine(d, (1, 2), 5e-4, 2, 3))
+    h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 2, 3, center)
+         + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 2, 3, center))
+    amp = FourierTaylorSeries.constant(d, 1.0, 2, 3, center) + (
+        FourierTaylorSeries.action_coordinate(d, 0, 2, 3, center))
+    f = (FourierTaylorSeries.cosine(d, (1, -1), 1e-3, 2, 3, center).product(amp)
+         + FourierTaylorSeries.sine(d, (1, 2), 5e-4, 2, 3, center))
     return h + f
 
 
 @pytest.mark.parametrize("scheme", ["split", "midpoint"])
 def test_run_reads_its_floats_as_locals(scheme):
     # coefficients, the center, sin and TWO_PI are unpacked from the one
-    # global tuple K; the other globals are builtins.  The split reads a
-    # center only where it is nonzero, so it runs off the origin here
+    # global tuple K; the other globals are builtins.  Both schemes read a
+    # center only where it is nonzero, so they run off the origin here
     if scheme == "split":
         H = _off_center_system()
         run = dynamics._SplitFlow(H.integrable, H.perturbation).run
     else:
-        run = dynamics._MidpointFlow(_phased_midpoint()).run
+        run = dynamics._MidpointFlow(_phased_midpoint((3.0, -1.5))).run
     assert set(run.__code__.co_names) <= {
         "K", "min", "max", "abs", "range", "append", "FloatingPointError", "OverflowError",
         "ValueError"}
@@ -619,17 +622,24 @@ def test_run_reads_its_floats_as_locals(scheme):
 
 
 def test_split_step_loop_holds_no_branch(monkeypatch):
-    # the steps of a block run with no test between them; the samples are
-    # taken after the block
+    # the steps of a block run with no test between them but the angle
+    # wrap's guard; the sample, ball, finiteness, reach and stop tests are
+    # made after the block
     sources = _sources(monkeypatch)
     H = quasi_convex(1e-2).hamiltonian
     dynamics._SplitFlow(H.integrable, H.perturbation)
     (source,) = sources
     lines = source.splitlines()
     at = lines.index("        for i in range(k, s):")
-    loop = list(itertools.takewhile(lambda line: line.startswith(" " * 12), lines[at + 1:]))
+    loop = [line.strip() for line in itertools.takewhile(
+        lambda line: line.startswith(" " * 12), lines[at + 1:])]
     assert len(loop) > 10
-    assert not [line for line in loop if line.split()[0] in ("if", "elif", "while", "for")]
+    tests = [line for line in loop if line.split()[0] in ("if", "elif", "while", "for")]
+    assert len(tests) == 4
+    assert [line for line in tests
+            if not re.fullmatch(r"if not 0\.0 < (t\d+) < 1\.0: \1 %= 1\.0", line)] == []
+    assert not [line for line in loop
+                if re.search(r"isfinite|RB|REACH|stop_when|abs\(|break|return|raise", line)]
 
 
 def test_midpoint_phase_emits_no_identity_arithmetic(monkeypatch):
@@ -641,6 +651,52 @@ def test_midpoint_phase_emits_no_identity_arithmetic(monkeypatch):
     assert phases == ["y = TWO_PI * (m0 - m1)", "y = TWO_PI * (m0 + 2 * m1)"]
     for token in ("1 *", "+ -"):
         assert not [p for p in phases if token in p], token
+
+
+def _symmetric_midpoint(center):
+    """A twist and cos 2pi(theta_0 - theta_1) (1 + I_0 + I_1): from equal
+    angles and equal actions the two angle rows stay equal, so the phase
+    stays exactly 0 and every action row sums zeros."""
+    d = Domain(2, 0.5)
+    h = (FourierTaylorSeries.monomial(d, (2, 0), 0.5, 2, 3, center)
+         + FourierTaylorSeries.monomial(d, (0, 2), 0.5, 2, 3, center))
+    amp = (FourierTaylorSeries.constant(d, 1.0, 2, 3, center)
+           + FourierTaylorSeries.action_coordinate(d, 0, 2, 3, center)
+           + FourierTaylorSeries.action_coordinate(d, 1, 2, 3, center))
+    return h + FourierTaylorSeries.cosine(d, (1, -1), 1e-3, 2, 3, center).product(amp)
+
+
+@pytest.mark.parametrize("make", [_phased_midpoint, _symmetric_midpoint])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (-0.0, -0.0)])
+@pytest.mark.parametrize("action", [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.1)])
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+def test_midpoint_signed_zero_starts_match_interpreted_arithmetic(make, center, action, dt):
+    # theta_0 = theta_1 puts the phase of mode (1, -1) at exactly 0, so the
+    # sine terms and the action rows read zeros, and x - c and the products
+    # left out may differ from the reference in the sign of a zero only
+    H = make(center)
+    flow, ref = dynamics._MidpointFlow(H), _InterpretedMidpointFlow(H)
+    args = ([0.375, 0.375], list(action), dt, 12, 5, None)
+    assert _bits(flow.run(*args)) == _bits(ref.run(*args))
+
+
+def test_midpoint_source_reads_no_zero_part(monkeypatch):
+    # at a zero center the iteration reads m_{n+i} itself, with no c_i in K;
+    # every term of this H has a zero real or imaginary part, whose product
+    # is left out; the updates are tested raw, and abs is called on the
+    # stall path only, inside `stalled`
+    sources = _sources(monkeypatch)
+    run = dynamics._MidpointFlow(_phased_midpoint()).run
+    (source,) = sources
+    names = source.splitlines()[1].strip().removesuffix(", = K").split(", ")
+    consts = dict(zip(names, run.__globals__["K"], strict=True))
+    assert re.findall(r"- c\d|\bc\d+\b|\babs\b", source.split("t = s * dt")[0]) == []
+    parts = {name: v for name, v in consts.items() if re.fullmatch(r"[ab]\d+_\d+", name)}
+    assert len(parts) > 10 and [name for name, v in parts.items() if v == 0.0] == []
+    assert re.findall(r"\* C\d+ [-+]", source) == []
+    assert [name for name in names if len(re.findall(rf"\b{name}\b", source)) < 2] == []
+    assert re.search(r"^ +if NTOL < e0 < TOL and NTOL < e1 < TOL and .*:$", source, re.M)
+    assert "stalled(k * dt + (i - k) * dt, MAX_ITER, e0, e1, e2, e3)" in source
 
 
 def test_split_flows_of_one_shape_share_one_compile():
@@ -697,6 +753,31 @@ def test_split_prologue_matches_two_gradient_reference(name, dt):
     half = 0.5 * dt
     assert _bits(dynamics._half_gradient(ref.gradA, A.center, half, *action)) == _bits(
         [half * g for g in ref._grad_A(action)])
+
+
+@pytest.mark.parametrize("theta, x, dt, lands", [
+    (0.25, -1.0, 0.5, 0.0),
+    (-0.0, 0.0, -0.5, -0.0),
+    (0.75, 1.0, 0.5, 1.0),
+    (0.75, -1.0, -0.5, 1.0),
+    (0.75 - 2 ** -53, 1.0, 0.5, 1 - 2 ** -53),
+    (0.25, -(1 + 2 ** -51), 0.5, -2 ** -53),
+    (0.0, -2e-323, 0.5, -5e-324),
+], ids=["zero", "negative_zero", "one", "one_backward", "one_less_ulp", "less_ulp",
+        "less_subnormal"])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_split_wrap_edges_match_two_gradient_reference(theta, x, dt, lands, eps):
+    # A = I^2 / 2, so h = half * x: the first drift lands on an edge of the
+    # guard 0.0 < t < 1.0.  Unkicked, later drifts land on 0.0 or 1.0 too,
+    # and -5e-324 % 1.0 is 1.0, an angle that the next drift wraps
+    d = Domain(1, 2.0)
+    A = FourierTaylorSeries.monomial(d, (2,), 0.5, 1, 2)
+    B = FourierTaylorSeries.cosine(d, (1,), eps, 1, 2)
+    (h,) = dynamics._half_gradient([[(1.0, (1,))]], (0.0,), 0.5 * dt, x)
+    assert (theta + h).hex() == lands.hex()
+    args = ([theta], [x], dt, 6, 1, None)
+    assert _bits(dynamics._SplitFlow(A, B).run(*args)) == _bits(_TwoGradientSplit(A, B).run(*args))
+
 
 def test_split_trajectory_is_pinned():
     # the end point of 4,000 split steps, as the step with two gradient
