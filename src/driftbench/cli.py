@@ -296,6 +296,12 @@ def cmd_conditions(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    # a scaling flag not given parses to None, and --config replaces them all
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "func", "config", "out", "no_resume")}
+    if args.config and given:
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise CliError(f"{flags} would be ignored next to --config: set them in its file")
     if args.config:
         # each value is cast by the type of its field's default
         defaults = {f.name: f.default for f in dataclasses.fields(experiments.ExperimentConfig)}
@@ -312,13 +318,11 @@ def cmd_scaling(args) -> int:
                 kwargs[key] = type(default)(val)
         cfg = experiments.ExperimentConfig(**kwargs)
     else:
-        cfg = experiments.ExperimentConfig(
-            system=args.system, eps_ladder=tuple(_parse_floats(args.eps_ladder)),
-            num_ic=args.num_ic, seed=args.seed, step=args.step,
-            sample_stride=args.stride, m_multiplier=args.m_multiplier,
-            t_cap=args.t_cap, threshold_mode=args.threshold_mode,
-            threshold_scale=args.threshold_scale, run_restrain=args.run_restrain,
-        )
+        # the flags' own defaults; the others are ExperimentConfig's
+        kwargs = {"system": "quasiconvex", "eps_ladder": "1e-2,1e-3", "num_ic": 2, "stride": 20,
+                  "t_cap": 100.0, **given}
+        kwargs["eps_ladder"] = tuple(_parse_floats(kwargs["eps_ladder"]))
+        cfg = experiments.ExperimentConfig(sample_stride=kwargs.pop("stride"), **kwargs)
     records, fit = experiments.run_scaling(cfg, args.out, resume=not args.no_resume)
     finite = [r for r in records if math.isfinite(r.drift_time)]
     print(f"scaling: {len(records)} rows ({len(finite)} finite crossings) -> {args.out}")
@@ -412,18 +416,18 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("scaling", help="drift-time scaling study over an eps ladder")
     q.add_argument("--config", type=str, default=None, help="flat key=value file")
-    q.add_argument("--system", type=str, default="quasiconvex")
-    q.add_argument("--eps-ladder", dest="eps_ladder", type=str, default="1e-2,1e-3")
-    q.add_argument("--num-ic", dest="num_ic", type=int, default=2)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--step", type=float, default=0.05)
-    q.add_argument("--stride", type=int, default=20)
-    q.add_argument("--m-multiplier", dest="m_multiplier", type=float, default=1.0)
-    q.add_argument("--t-cap", dest="t_cap", type=float, default=100.0)
+    q.add_argument("--system", type=str)
+    q.add_argument("--eps-ladder", dest="eps_ladder", type=str)
+    q.add_argument("--num-ic", dest="num_ic", type=int)
+    q.add_argument("--seed", type=int)
+    q.add_argument("--step", type=float)
+    q.add_argument("--stride", type=int)
+    q.add_argument("--m-multiplier", dest="m_multiplier", type=float)
+    q.add_argument("--t-cap", dest="t_cap", type=float)
     q.add_argument("--threshold-mode", dest="threshold_mode", type=str,
-                   default="theorem", choices=("theorem", "sqrt"))
-    q.add_argument("--threshold-scale", dest="threshold_scale", type=float, default=1.0)
-    q.add_argument("--run-restrain", dest="run_restrain", action="store_true")
+                   choices=("theorem", "sqrt"))
+    q.add_argument("--threshold-scale", dest="threshold_scale", type=float)
+    q.add_argument("--run-restrain", dest="run_restrain", action="store_true", default=None)
     q.add_argument("--no-resume", dest="no_resume", action="store_true")
     q.add_argument("--out", type=str, required=True)
     q.set_defaults(func=cmd_scaling)

@@ -224,24 +224,6 @@ def _phase(k: Sequence[int], names: Sequence[str]) -> str:
     return out
 
 
-def _half_gradient(grad: list[list[tuple[float, tuple[int, ...]]]], center: Sequence[float],
-                   half: float, *x: float) -> list[float]:
-    """half * dA/dI_j at the actions x, with the float operations of the
-    generated read: each monomial c * d_i ** e_i * ... left to right (d_i
-    itself for e_i = 1), summed left to right from 0.0."""
-    d = [a - c for a, c in zip(x, center)]
-    out = []
-    for terms in grad:
-        g = 0.0
-        for c, l in terms:
-            for i, e in enumerate(l):
-                if e:
-                    c *= d[i] if e == 1 else d[i] ** e
-            g += c
-        out.append(half * g)
-    return out
-
-
 class _SplitFlow:
     """Strang splitting for H = A(I) + B(theta): drift-kick-drift.
 
@@ -253,10 +235,9 @@ class _SplitFlow:
     nonzero center components, the kick amplitudes -a and b) is unpacked
     into a local when ``run`` starts, so one compiled code object serves
     all splits of the same shape.  A step is opening drift, kick, gradient
-    read and closing drift; ``_half_gradient`` makes the read before the
-    first step with the two-read loop's operations, so the source holds the
-    read once.  ``run`` performs the float operations of the two-read loop
-    in the same order, less those whose result is exactly another's: ``d **
+    read and closing drift; the same read statements, as ``head``, open
+    the run.  ``run`` performs the float operations of the two-read loop in
+    the same order, less those whose result is exactly another's: ``d **
     1``, ``1 * t``, ``w * 1``, a second ``half * g``, ``0.0 +`` before a
     positive term of a phase (the kick reads wrapped angles, never -0.0),
     ``+ -j * t`` for ``- j * t`` and, at b = 0.0, ``- b * cos(phi)`` (this
@@ -276,12 +257,10 @@ class _SplitFlow:
         # dA/dI_j: one statement per monomial, factors in index order, the
         # sum opened by its first term; d_i is x_i itself at c_i = 0.0
         d = [f"x{i}" if c == 0.0 else f"d{i}" for i, c in enumerate(A.center)]
-        grad, terms, used = [], [], set()
+        grad, used = [], set()
         for j in range(n):
-            terms.append([])
             prods = []
             for m, ((_, l), c) in enumerate(A.partial_action(j).items()):
-                terms[j].append((c.real, l))
                 used.update(i for i, e in enumerate(l) if e)
                 factors = [d[i] + (f" ** {e}" if e != 1 else "") for i, e in enumerate(l) if e]
                 if c.real != 1.0 or not factors:
@@ -310,13 +289,11 @@ class _SplitFlow:
             # x - w * -j is x + w * j
             kick.extend(f"x{j} {'-+'[kj < 0]}= w" + (f" * {abs(kj)}" if abs(kj) != 1 else "")
                         for j, kj in enumerate(k) if kj)
-        consts.update(sin=math.sin, TWO_PI=TWO_PI,
-                      half_gradient=functools.partial(_half_gradient, terms, A.center))
+        consts.update(sin=math.sin, TWO_PI=TWO_PI)
         # u % 1.0 is u itself for u in (0, 1)
         drift = [line for j in range(n) for line in (
             f"t{j} += h{j}", f"if not 0.0 < t{j} < 1.0: t{j} %= 1.0")]
-        head = [f"{', '.join(f'h{j}' for j in range(n))}, = half_gradient(half, {', '.join(xs)})"]
-        self.run = _generate(A, ts + xs, consts, head, drift + kick + grad + drift, reach)
+        self.run = _generate(A, ts + xs, consts, grad, drift + kick + grad + drift, reach)
 
 
 def _stalled(t: float, max_iter: int, *updates: float) -> RuntimeError:
@@ -510,7 +487,6 @@ class DriftTime:
 
     time: float                       # +inf sentinel when capped
     bracket: tuple[float, float] | None
-    capped: bool
     trajectory: TrajectoryRecord
 
     @property
@@ -537,5 +513,5 @@ def drift_time(
     traj = integrate(system, start, t_cap, cfg, stop_when=_Reach(I0, threshold, stop_when))
     t = traj.times
     if not np.max(np.abs(traj.actions[-1] - I0)) >= threshold:  # NaN: no crossing
-        return DriftTime(SENTINEL, None, True, traj)
-    return DriftTime(float(t[-1]), (float(t[-2]), float(t[-1])), False, traj)
+        return DriftTime(SENTINEL, None, traj)
+    return DriftTime(float(t[-1]), (float(t[-2]), float(t[-1])), traj)

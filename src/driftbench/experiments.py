@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import IntegratorConfig, drift_time
-from .restrain import exponents, time_budget
+from .restrain import exponents, time_budget, try_restrain
 from .series import Gevrey, open_new
 from .steepness import MorseParams
 from .systems import System, make_system
@@ -171,8 +171,6 @@ def run_row(
     runtime = time.monotonic() - t0
     cert_status = "none"
     if cfg.run_restrain:
-        from .restrain import try_restrain
-
         res = try_restrain(
             system, traj, cfg.mu0, budget, MorseParams(cfg.gamma, cfg.tau),
             exps=exps,

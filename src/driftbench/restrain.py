@@ -353,6 +353,7 @@ def _ladder(
     disp_budget = 0.0
     approximate = False
     idx_j = 0  # sample index of t_j
+    upto = int(np.searchsorted(traj.times, tau_m, side="right"))  # samples up to tau_m
 
     for j in range(n):
         Pi, _ = projections(frame)
@@ -366,8 +367,7 @@ def _ladder(
         curve = I_j + disp @ Pi.T
         inside = np.max(np.abs(curve - center), axis=1) <= R * (1 + 1e-9)
         cut = int(np.argmin(inside)) if not np.all(inside) else len(curve)
-        in_budget = int(np.searchsorted(traj.times[idx_j:], tau_m, side="right"))
-        cut = min(cut, in_budget)
+        cut = min(cut, upto - idx_j)
         curve = curve[:cut]
         ctimes = traj.times[idx_j : idx_j + cut]
         if len(curve) < 1:
@@ -402,7 +402,7 @@ def _ladder(
         else:
             # no escape within the budget: pin the remaining time at tau_m,
             # unless the curve left B_R before it, unread beyond the exit
-            if cut < in_budget:
+            if idx_j + cut < upto:
                 raise _Failed(j, "domain", "curve left B_R before tau_m")
             idx_next = idx_j + cut - 1
             t_next = tau_m
@@ -468,7 +468,6 @@ def _ladder(
 
     # (C_n): the last interval [t_n, t_{n+1}] is measured as the others are,
     # on the samples up to the horizon t_{n+1} = min(tau_m, last sample)
-    upto = int(np.searchsorted(traj.times, tau_m, side="right"))
     seg_sup = float(np.max(np.abs(traj.actions[idx_j:upto] - traj.actions[idx_j])))
     _require(log, n, ConditionEntry(f"(C_{n}) |I^{n}(t) - I^{n}(t_{n})| < mu_{n}",
                                     seg_sup + disp_budget, mus[-1]),

@@ -484,7 +484,8 @@ class TestScaling:
             "threshold_mode = sqrt\n"
         )
         path = tmp_path / "out.csv"
-        code, _, _ = run(capsys, "scaling", "--config", str(cfg), "--out", str(path))
+        code, _, _ = run(capsys, "scaling", "--config", str(cfg), "--no-resume",
+                         "--out", str(path))
         assert code == 0
         assert path.exists()
 
@@ -519,6 +520,38 @@ class TestScaling:
             run_restrain=True, threshold_mode="sqrt",
         )
         assert type(seen["cfg"].num_ic) is int and type(seen["cfg"].t_cap) is float
+
+    @pytest.mark.parametrize("flag", [
+        ("--seed", "99"), ("--seed", "0"), ("--num-ic", "3"), ("--run-restrain",),
+        ("--threshold-mode", "theorem"), ("--eps-ladder", "1e-2,1e-3"),
+    ], ids=["seed", "seed_default", "num_ic", "run_restrain", "mode_default", "ladder_default"])
+    def test_scaling_flag_next_to_config_is_error(self, capsys, tmp_path, flag):
+        # the config file sets the whole run, so a flag beside it, whatever
+        # its value, would be dropped; --out and --no-resume stay allowed
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("system = pendulum\neps_ladder = 1e-2\nnum_ic = 1\nt_cap = 5\n")
+        path = tmp_path / "a.csv"
+        code, out, err = run(capsys, "scaling", "--config", str(cfg), *flag, "--no-resume",
+                             "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and flag[0] in err
+        assert not path.exists()
+
+    def test_flag_defaults(self, capsys, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run_scaling(cfg, out, resume):
+            seen["cfg"] = cfg
+            return [], experiments.FitSummary("empty", math.nan, math.nan, math.nan, 0)
+
+        monkeypatch.setattr(experiments, "run_scaling", fake_run_scaling)
+        code, _, _ = run(capsys, "scaling", "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert seen["cfg"] == experiments.ExperimentConfig(
+            system="quasiconvex", eps_ladder=(1e-2, 1e-3), num_ic=2, seed=0, step=0.05,
+            sample_stride=20, m_multiplier=1.0, t_cap=100.0, threshold_mode="theorem",
+            threshold_scale=1.0, run_restrain=False,
+        )
 
     def test_system_kwargs_config_key_is_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -542,24 +542,35 @@ def test_split_block_matches_two_gradient_reference(case):
         assert _bits(flow.run(*args)) == _bits(ref.run(*args))
 
 
-def test_split_source_reads_the_gradient_once(monkeypatch):
-    # the statements of dA/dI_j appear once in the generated source, so a
-    # large A compiles once
-    sources = []
-    compile_step = dynamics._compile.__wrapped__
-
-    def record(source):
-        sources.append(source)
-        return compile_step(source)
-
-    monkeypatch.setattr(dynamics, "_compile", record)
-    H = quasi_convex(1e-2).hamiltonian
+@pytest.mark.parametrize("make", [lambda: quasi_convex(1e-2).hamiltonian,
+                                  lambda: _off_center_system()], ids=["origin", "off_center"])
+def test_split_source_reads_the_gradient_in_prologue_and_loop(make, monkeypatch):
+    # the statements of dA/dI_j (with their d_i = x_i - c_i) appear twice in
+    # the generated source: once under `if n_steps:`, before the first step,
+    # and once in the step loop after the kick, the same lines in order
+    sources = _sources(monkeypatch)
+    H = make()
     dynamics._SplitFlow(H.integrable, H.perturbation)
     (source,) = sources
-    # a sum opens at `g_j = `; a one-term sum is read as `h_j = half * ...`
-    reads = [re.findall(rf"^ +(?:g{j} = |h{j} = half \* (?!g{j}$))", source, re.M)
-             for j in range(2)]
-    assert [len(r) for r in reads] == [1, 1]
+    lines = source.splitlines()
+
+    def block(opener, indent):
+        start = lines.index(opener) + 1
+        out = []
+        for line in lines[start:]:
+            if not line.startswith(" " * indent):
+                break
+            out.append(line[indent:])
+        return out
+
+    prologue = block("    if n_steps:", 8)
+    loop = block("        for i in range(k, s):", 12)
+    gradient = re.compile(r"^(?:d\d+ = |g\d+ \+?= |h\d+ = )")
+    assert prologue and all(gradient.match(line) for line in prologue)
+    assert [line for line in loop if gradient.match(line)] == prologue
+    assert all(len(re.findall(rf"^ +{re.escape(line)}$", source, re.M)) == 2 for line in prologue)
+    assert {f"h{j}" for j in range(H.integrable.domain.n)} == {
+        line.split(" = ")[0] for line in prologue if line.startswith("h")}
 
 
 @pytest.mark.parametrize("make", [quasi_convex, pendulum, degenerate_steep])
@@ -750,9 +761,6 @@ def test_split_prologue_matches_two_gradient_reference(name, dt):
     flow, ref = dynamics._SplitFlow(A, B), _TwoGradientSplit(A, B)
     args = (theta, action, dt, 1, 1, None)
     assert _bits(flow.run(*args)) == _bits(ref.run(*args))
-    half = 0.5 * dt
-    assert _bits(dynamics._half_gradient(ref.gradA, A.center, half, *action)) == _bits(
-        [half * g for g in ref._grad_A(action)])
 
 
 @pytest.mark.parametrize("theta, x, dt, lands", [
@@ -773,8 +781,7 @@ def test_split_wrap_edges_match_two_gradient_reference(theta, x, dt, lands, eps)
     d = Domain(1, 2.0)
     A = FourierTaylorSeries.monomial(d, (2,), 0.5, 1, 2)
     B = FourierTaylorSeries.cosine(d, (1,), eps, 1, 2)
-    (h,) = dynamics._half_gradient([[(1.0, (1,))]], (0.0,), 0.5 * dt, x)
-    assert (theta + h).hex() == lands.hex()
+    assert (theta + 0.5 * dt * x).hex() == lands.hex()
     args = ([theta], [x], dt, 6, 1, None)
     assert _bits(dynamics._SplitFlow(A, B).run(*args)) == _bits(_TwoGradientSplit(A, B).run(*args))
 
@@ -978,7 +985,7 @@ def test_drift_time_crossing_matches_reference_closure(system, start, threshold,
     for field in ("times", "thetas", "actions", "energy"):
         assert np.array_equal(getattr(rec, field), getattr(ref.trajectory, field)), field
     assert rec.metadata == ref.trajectory.metadata and seen == ref_seen
-    assert (res.time, res.bracket, res.capped) == (ref.time, ref.bracket, ref.capped)
+    assert (res.time, res.bracket, res.crossed) == (ref.time, ref.bracket, ref.crossed)
     assert res.crossed and res.time == rec.times[-1] and len(rec.times) == samples
     assert rec.escaped == escaped
     assert seen == ([] if stop_at is None else rec.times[1:-1].tolist())
@@ -1148,7 +1155,7 @@ class TestDriftTime:
         sys = quasi_convex(0.0)
         res = drift_time(sys, ((0.0, 0.0), (0.2, 0.1)), 0.05, 5.0,
                          IntegratorConfig(step=0.01))
-        assert res.time == SENTINEL and res.capped
+        assert res.time == SENTINEL and not res.crossed
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -0.1])
     def test_non_finite_or_non_positive_threshold_rejected(self, threshold):
@@ -1160,7 +1167,7 @@ class TestDriftTime:
         # the start is the only sample, and its distance from itself is NaN,
         # which crosses no threshold
         res = drift_time(pendulum(1e-2), ((0.2,), (math.nan,)), 0.1, 0.001)
-        assert res.time == SENTINEL and res.capped and len(res.trajectory.times) == 1
+        assert res.time == SENTINEL and not res.crossed and len(res.trajectory.times) == 1
 
     def test_pendulum_crossing_matches_reference(self):
         sys = pendulum(1e-2)
