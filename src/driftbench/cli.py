@@ -241,7 +241,6 @@ def cmd_restrain(args) -> int:
                   + f")  T_{i} = {float(pv.period):.10g}")
         print(f"  approximate: {cert.approximate}  "
               f"displacement budget: {cert.displacement_budget:.3g}")
-        print(f"  conditions: {'all ok' if cert.passed_conditions else 'violations logged'}")
         print(f"  binds trajectory {cert.trajectory_hash} config {cert.config_hash}")
         if args.out:
             _write_certificate(args.out, cert, horizon)

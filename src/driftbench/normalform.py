@@ -421,25 +421,14 @@ def _composed_rec(
 
 
 @dataclass
-class ScaleMap:
-    """The conformally symplectic action map sigma: (theta, J) -> (theta, center + mu*J)."""
-
-    center: tuple[float, ...]
-    mu: float
-
-
-@dataclass
 class LocalizedHamiltonian:
-    """Rescaled Hamiltonian mu^{-1} (H o sigma) = l_omega + f_tilde."""
+    """Rescaled Hamiltonian mu^{-1} (H o sigma) = l_omega + f_tilde, where
+    sigma: (theta, J) -> (theta, center + mu*J)."""
 
-    omega: PeriodicVector
     l_series: FourierTaylorSeries
     f_tilde: FourierTaylorSeries
     h_tilde: FourierTaylorSeries          # gradient mismatch + Taylor block
     f_scaled: FourierTaylorSeries         # mu^{-1} (f o sigma)
-    sigma: ScaleMap
-    gradient_mismatch: float              # |grad h(center) - omega|_inf
-    f_tilde_norm: float                   # coefficient l1 norm, compare to mu
 
     def total(self) -> FourierTaylorSeries:
         return self.l_series + self.f_tilde
@@ -458,7 +447,9 @@ def localize_and_scale(
     term splits into omega.J plus the gradient-mismatch term, which joins the
     quadratic-and-higher Taylor block and the rescaled perturbation in
     f_tilde.  Requires B(I_center, 3*rho*mu) inside the domain ball and a
-    supplied periodic vector near grad h(I_center).
+    supplied periodic vector near grad h(I_center).  h is not read at
+    I_center: the mismatch is h_tilde's degree-1 part, and its size is
+    measured by ``local_normal_form``.
     """
     if omega is None:
         raise ValueError("localize_and_scale needs a periodic vector near grad h")
@@ -489,29 +480,17 @@ def localize_and_scale(
     f_scaled = recenter_scale(
         system.perturbation, I_center, mu, new_domain=scaled_domain
     ).scaled(1.0 / mu)
-    f_tilde = h_tilde + f_scaled
-    grad = SeriesHamiltonian(system.integrable).grad(I_center)
-    mismatch = float(np.max(np.abs(grad - omega.as_floats())))
-    return LocalizedHamiltonian(
-        omega=omega,
-        l_series=l_series,
-        f_tilde=f_tilde,
-        h_tilde=h_tilde,
-        f_scaled=f_scaled,
-        sigma=ScaleMap(I_center, mu),
-        gradient_mismatch=mismatch,
-        f_tilde_norm=f_tilde.coefficient_norm(),
-    )
+    return LocalizedHamiltonian(l_series, h_tilde + f_scaled, h_tilde, f_scaled)
 
 
 def _unscale(
-    s: FourierTaylorSeries, sigma: ScaleMap, back_domain: Domain
+    s: FourierTaylorSeries, center: tuple[float, ...], mu: float, back_domain: Domain
 ) -> FourierTaylorSeries:
-    """mu * (s o sigma^{-1}): back to original actions, centered at sigma.center."""
+    """mu * (s o sigma^{-1}): back to original actions, centered at center."""
     out = {}
     for (k, l), c in s.items():
-        out[(k, l)] = c * sigma.mu ** (1 - sum(l))
-    return s._derive(out, domain=back_domain, center=sigma.center)
+        out[(k, l)] = c * mu ** (1 - sum(l))
+    return s._derive(out, domain=back_domain, center=center)
 
 
 def local_normal_form(
@@ -533,10 +512,11 @@ def local_normal_form(
     """
     loc, result, disp_sup = _localized_form(system, I_center, frame, mu_schedule, cfg,
                                             theta_grid, action_grid)
-    mu_j = loc.sigma.mu
+    center = tuple(float(x) for x in I_center)
+    mu_j = float(mu_schedule[-1])
     back_domain = Domain(system.domain.n, 3 * cfg.rho(frame.j) * mu_j)
-    g_back = _unscale(result.g - loc.h_tilde, loc.sigma, back_domain)
-    rem_back = _unscale(result.remainder, loc.sigma, back_domain)
+    g_back = _unscale(result.g - loc.h_tilde, center, mu_j, back_domain)
+    rem_back = _unscale(result.remainder, center, mu_j, back_domain)
 
     # measured remainder angle-derivative sup over T^n x B(center, 2*rho_1*mu_j)
     n = system.domain.n
@@ -548,7 +528,9 @@ def local_normal_form(
     tau_m = tau_m_value(cfg.m, system.regularity)
     target = mu_j / tau_m
 
-    mismatch_margins = _b_condition_margins(system, frame, mu_schedule, cfg, loc)
+    grad = SeriesHamiltonian(system.integrable).grad(center)
+    mismatch = float(np.max(np.abs(grad - frame.vectors[-1].as_floats())))
+    b_margins = _b_condition_margins(frame, mu_schedule, cfg, mismatch)
     result.g = g_back
     result.remainder = rem_back
     result.certificates.update(
@@ -559,11 +541,11 @@ def local_normal_form(
             "remainder_dtheta_target": target,
             "displacement_sup": disp_sup,
             "displacement_over_mu": disp_sup / mu_j if mu_j else math.inf,
-            "gradient_mismatch": loc.gradient_mismatch,
-            "f_tilde_over_mu": loc.f_tilde_norm / mu_j,
+            "gradient_mismatch": mismatch,
+            "f_tilde_over_mu": loc.f_tilde.coefficient_norm() / mu_j,
         }
     )
-    result.certificates.update(mismatch_margins)
+    result.certificates.update(b_margins)
     result.symmetry_checked = verify_resonant_symmetry(result.g, frame)
     return result
 
@@ -598,11 +580,7 @@ def _localized_form(
 
 
 def _b_condition_margins(
-    system: HamiltonianSystem,
-    frame: ResonanceFrame,
-    mu_schedule: Sequence[float],
-    cfg: NormalFormConfig,
-    loc: LocalizedHamiltonian,
+    frame: ResonanceFrame, mu_schedule: Sequence[float], cfg: NormalFormConfig, mismatch: float,
 ) -> dict[str, float]:
     out: dict[str, float] = {}
     for i, (pv, mu_i) in enumerate(zip(frame.vectors, mu_schedule), start=1):
@@ -614,5 +592,5 @@ def _b_condition_margins(
             gap = frequency_gap(pv, frame.vectors[i - 2])
             out[f"B{i}:|w_i - w_(i-1)|/mu_(i-1)"] = gap / mu_schedule[i - 2]
             out[f"B{i}:mu_i/mu_(i-1)"] = mu_i / mu_schedule[i - 2]
-    out["B_j:gradient_mismatch/mu_j"] = loc.gradient_mismatch / mu_schedule[-1]
+    out["B_j:gradient_mismatch/mu_j"] = mismatch / mu_schedule[-1]
     return out

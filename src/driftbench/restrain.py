@@ -240,10 +240,6 @@ class RestrainFrame:
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError("times must be nondecreasing within the budget")
 
-    @property
-    def passed_conditions(self) -> bool:
-        return all(e.ok for e in self.condition_log if "info" not in e.name)
-
 
 @dataclass
 class RestrainResult:
@@ -277,6 +273,16 @@ def _require(log: list[ConditionEntry], stage: int, entry: ConditionEntry,
     log.append(entry)
     if not entry.ok:
         raise _Failed(stage, entry.name, detail or f"{entry.lhs} > {entry.rhs}")
+
+
+def _require_confined(log: list[ConditionEntry], j: int, actions: np.ndarray,
+                      mu_j: float, disp_budget: float) -> None:
+    """(C_j), first display: on the samples ``actions`` of [t_j, t_{j+1}] the
+    displacement from I^j(t_j) plus the transform budget stays below mu_j."""
+    seg_sup = float(np.max(np.abs(actions - actions[0])))
+    _require(log, j, ConditionEntry(f"(C_{j}) |I^{j}(t) - I^{j}(t_{j})| < mu_{j}",
+                                    seg_sup + disp_budget, mu_j),
+             f"sup {seg_sup} (+budget {disp_budget}) >= {mu_j}")
 
 
 def _traj_hash(traj: TrajectoryRecord) -> str:
@@ -332,7 +338,9 @@ def _ladder(
     morse: MorseParams, exps: ExponentSet | None, mult: dict[str, float],
 ) -> RestrainFrame:
     """The certificate of ``try_restrain``; raises ``_Failed`` at the first
-    violated condition."""
+    violated condition.  Every stage runs one body on (frame, idx_j, mu_j,
+    c_j), set to (empty, 0, mu_0, mu_0) first and from each stage's witness
+    after it (notes/decisions.md, "One stage body")."""
     h, ham = system.h_action, system.hamiltonian
     n, eps = ham.domain.n, ham.epsilon
     exps = exps or exponents(n, Fraction(morse.tau))
@@ -354,20 +362,15 @@ def _ladder(
     approximate = False
     idx_j = 0  # sample index of t_j
     upto = int(np.searchsorted(traj.times, tau_m, side="right"))  # samples up to tau_m
+    mu_j = c_j = mu0
 
     for j in range(n):
         Pi, _ = projections(frame)
         I_j = traj.actions[idx_j]
-        mu_j = mu0 if j == 0 else mus[-1]
-        c_j = mu_j if j == 0 else float(
-            (float(frame.vectors[-1].period) * mu_j / frame.l_index) ** tau
-        )
-        # projected curve from t_j onward, clipped to B_R as SteepnessQuery tests it
-        disp = traj.actions[idx_j:] - I_j
-        curve = I_j + disp @ Pi.T
+        # projected curve from t_j up to tau_m, clipped to B_R as SteepnessQuery tests it
+        curve = I_j + (traj.actions[idx_j:upto] - I_j) @ Pi.T
         inside = np.max(np.abs(curve - center), axis=1) <= R * (1 + 1e-9)
         cut = int(np.argmin(inside)) if not np.all(inside) else len(curve)
-        cut = min(cut, upto - idx_j)
         curve = curve[:cut]
         ctimes = traj.times[idx_j : idx_j + cut]
         if len(curve) < 1:
@@ -407,12 +410,7 @@ def _ladder(
             idx_next = idx_j + cut - 1
             t_next = tau_m
 
-        # (C_j) first display: full displacement stays below mu_j on [t_j, t_{j+1}]
-        seg = traj.actions[idx_j : idx_next + 1] - I_j
-        seg_sup = float(np.max(np.abs(seg))) if len(seg) else 0.0
-        _require(log, j, ConditionEntry(f"(C_{j}) |I^{j}(t) - I^{j}(t_{j})| < mu_{j}",
-                                        seg_sup + disp_budget, mu_j),
-                 f"sup {seg_sup} (+budget {disp_budget}) >= {mu_j}")
+        _require_confined(log, j, traj.actions[idx_j : idx_next + 1], mu_j, disp_budget)
 
         # Dirichlet step: approximate grad h at the new point
         point = traj.actions[idx_next]
@@ -465,13 +463,12 @@ def _ladder(
         mus.append(mu_next)
         centers.append(np.array(point))
         idx_j = idx_next
+        mu_j = mu_next
+        c_j = float((T_next * mu_next / frame.l_index) ** tau)
 
-    # (C_n): the last interval [t_n, t_{n+1}] is measured as the others are,
-    # on the samples up to the horizon t_{n+1} = min(tau_m, last sample)
-    seg_sup = float(np.max(np.abs(traj.actions[idx_j:upto] - traj.actions[idx_j])))
-    _require(log, n, ConditionEntry(f"(C_{n}) |I^{n}(t) - I^{n}(t_{n})| < mu_{n}",
-                                    seg_sup + disp_budget, mus[-1]),
-             f"sup {seg_sup} (+budget {disp_budget}) >= {mus[-1]}")
+    # the last interval [t_n, t_{n+1}] is measured as the others are, on the
+    # samples up to the horizon t_{n+1} = min(tau_m, last sample)
+    _require_confined(log, n, traj.actions[idx_j:upto], mu_j, disp_budget)
 
     return RestrainFrame(
         mu0=mu0, mus=mus, times=times, frame=frame, centers=centers,

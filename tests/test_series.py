@@ -13,7 +13,6 @@ from conftest import sample_points, series_to_sympy, small_series, sympy_eval
 from driftbench import series as series_module
 from driftbench.diophantine import period_of
 from driftbench.normalform import (
-    ScaleMap,
     _unscale,
     homological_solve,
     localize_and_scale,
@@ -586,7 +585,7 @@ class TestDerivedSeries:
             _bracket_with_cutoff(1, f, g, k_max=2, d_max=1),
             recenter_scale(f, (0.1,) * n, 0.5),
             h, osc, *resonant_split(f, w), homological_solve(f, w),
-            _unscale(f, ScaleMap((0.2,) * n, 0.05), Domain(n, 0.6)),
+            _unscale(f, (0.2,) * n, 0.05, Domain(n, 0.6)),
             loc.h_tilde, loc.f_scaled, loc.f_tilde,
             *_linears(factor, f.center),
         ]
