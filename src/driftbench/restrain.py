@@ -418,7 +418,7 @@ def _ladder(
         scale = mult["c_mu"] * eps ** a_next          # mu_{j+1} = scale / T_{j+1}
         Q = max(2.0, mult["q_safety"] * eps ** (-a_next * (n - 1)) / mult["c_mu"] ** (n - 1))
         grad = h.grad(point)
-        margins = {"guard (iv) rhs": c_j ** (2 * tau)}
+        margins = {"guard (iv) rhs": c_j ** 2}
         try:
             found = _witness(grad, Q, frame, scale, eps, mu_j, small * mu_j)
         except ValueError as exc:   # zero, non-finite or tiny grad h: no Q helps
@@ -448,9 +448,10 @@ def _ladder(
                                          small * mu_j))
             # guard (iv) would certify independence analytically; the monitor
             # verified independence exactly (rational rank), so this margin is
-            # informational only
+            # informational only.  As in check_conditions' (i), the rhs is
+            # (T_j mu_j / L_j)^2tau, which is c_j^2
             log.append(ConditionEntry(f"guard (iv, info) mu_{j+1} << c_{j}^2tau",
-                                      mu_next, small * c_j ** (2 * tau)))
+                                      mu_next, small * c_j ** 2))
         for e in checks:
             _require(log, j, e)
 
