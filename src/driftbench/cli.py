@@ -50,8 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x.strip())
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
@@ -170,7 +170,7 @@ def cmd_normalform(args) -> int:
     center = _parse_floats(args.center)
     cfg = NormalFormConfig(m=args.m, lie_order=args.lie_order)
     result = local_normal_form(system.hamiltonian, center, frame, mus, cfg)
-    print(f"normal form around I = {tuple(center)} with {frame.j} frequencies, m={args.m}")
+    print(f"normal form around I = {center} with {frame.j} frequencies, m={args.m}")
     for key in sorted(result.certificates):
         print(f"  {key:<42} {result.certificates[key]:.6g}")
     print(f"  resonant-symmetry check: {'PASS' if result.symmetry_checked else 'FAIL'}")
@@ -280,8 +280,8 @@ def _write_certificate(path, cert, horizon: float) -> None:
 def cmd_conditions(args) -> int:
     params = ConditionParams(
         n=args.n, tau=args.tau, gamma=args.gamma, eps=args.eps, m=args.m,
-        mu0=args.mu0, mus=tuple(_parse_floats(args.mus)),
-        Ts=tuple(_parse_floats(args.Ts)), Ls=tuple(int(x) for x in args.Ls.split(",")),
+        mu0=args.mu0, mus=_parse_floats(args.mus),
+        Ts=_parse_floats(args.Ts), Ls=tuple(int(x) for x in args.Ls.split(",")),
         multiplier=args.multiplier,
     )
     report = check_conditions(params)
@@ -299,7 +299,8 @@ def cmd_scaling(args) -> int:
     given = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "func", "config", "out", "no_resume")}
     if args.config and given:
-        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        flags = ", ".join("--stride" if k == "sample_stride" else "--" + k.replace("_", "-")
+                          for k in given)
         raise CliError(f"{flags} would be ignored next to --config: set them in its file")
     if args.config:
         # each value is cast by the type of its field's default
@@ -312,16 +313,12 @@ def cmd_scaling(args) -> int:
             if isinstance(default, bool):
                 kwargs[key] = val.lower() in ("1", "true", "yes")
             elif isinstance(default, tuple):
-                kwargs[key] = tuple(_parse_floats(val))
+                kwargs[key] = _parse_floats(val)
             else:
                 kwargs[key] = type(default)(val)
         cfg = experiments.ExperimentConfig(**kwargs)
     else:
-        # the flags' own defaults; the others are ExperimentConfig's
-        kwargs = {"system": "quasiconvex", "eps_ladder": "1e-2,1e-3", "num_ic": 2, "stride": 20,
-                  "t_cap": 100.0, **given}
-        kwargs["eps_ladder"] = tuple(_parse_floats(kwargs["eps_ladder"]))
-        cfg = experiments.ExperimentConfig(sample_stride=kwargs.pop("stride"), **kwargs)
+        cfg = experiments.ExperimentConfig(**given)
     records, fit = experiments.run_scaling(cfg, args.out, resume=not args.no_resume)
     finite = [r for r in records if math.isfinite(r.drift_time)]
     print(f"scaling: {len(records)} rows ({len(finite)} finite crossings) -> {args.out}")
@@ -416,11 +413,11 @@ def build_parser() -> _Parser:
     q = sub.add_parser("scaling", help="drift-time scaling study over an eps ladder")
     q.add_argument("--config", type=str, default=None, help="flat key=value file")
     q.add_argument("--system", type=str)
-    q.add_argument("--eps-ladder", dest="eps_ladder", type=str)
+    q.add_argument("--eps-ladder", dest="eps_ladder", type=_parse_floats)
     q.add_argument("--num-ic", dest="num_ic", type=int)
     q.add_argument("--seed", type=int)
     q.add_argument("--step", type=float)
-    q.add_argument("--stride", type=int)
+    q.add_argument("--stride", dest="sample_stride", type=int)
     q.add_argument("--m-multiplier", dest="m_multiplier", type=float)
     q.add_argument("--t-cap", dest="t_cap", type=float)
     q.add_argument("--threshold-mode", dest="threshold_mode", type=str,

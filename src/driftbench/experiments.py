@@ -37,14 +37,14 @@ class ExperimentConfig:
     """Scaling run parameters; every field lands in the CSV provenance header."""
 
     system: str = "quasiconvex"
-    eps_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    num_ic: int = 4
+    eps_ladder: tuple[float, ...] = (1e-2, 1e-3)
+    num_ic: int = 2
     seed: int = 0
     tau: float = 2.0
     step: float = 0.05
     sample_stride: int = 20
     m_multiplier: float = 1.0
-    t_cap: float = 1e4
+    t_cap: float = 100.0
     wall_cap_s: float = 60.0
     threshold_mode: str = "theorem"    # theorem: (n+1)^2 eps^b | sqrt: eps^0.5
     threshold_scale: float = 1.0

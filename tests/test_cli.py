@@ -523,8 +523,9 @@ class TestScaling:
 
     @pytest.mark.parametrize("flag", [
         ("--seed", "99"), ("--seed", "0"), ("--num-ic", "3"), ("--run-restrain",),
-        ("--threshold-mode", "theorem"), ("--eps-ladder", "1e-2,1e-3"),
-    ], ids=["seed", "seed_default", "num_ic", "run_restrain", "mode_default", "ladder_default"])
+        ("--threshold-mode", "theorem"), ("--eps-ladder", "1e-2,1e-3"), ("--stride", "20"),
+    ], ids=["seed", "seed_default", "num_ic", "run_restrain", "mode_default", "ladder_default",
+            "stride_default"])
     def test_scaling_flag_next_to_config_is_error(self, capsys, tmp_path, flag):
         # the config file sets the whole run, so a flag beside it, whatever
         # its value, would be dropped; --out and --no-resume stay allowed
@@ -552,6 +553,24 @@ class TestScaling:
             sample_stride=20, m_multiplier=1.0, t_cap=100.0, threshold_mode="theorem",
             threshold_scale=1.0, run_restrain=False,
         )
+
+    def test_config_file_missing_keys_take_flag_defaults(self, capsys, tmp_path, monkeypatch):
+        # one table of defaults: a file that sets only the system runs what
+        # the flags run with only --system
+        seen = []
+
+        def fake_run_scaling(cfg, out, resume):
+            seen.append(cfg)
+            return [], experiments.FitSummary("empty", math.nan, math.nan, math.nan, 0)
+
+        monkeypatch.setattr(experiments, "run_scaling", fake_run_scaling)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("system = pendulum\n")
+        out = str(tmp_path / "x.csv")
+        assert run(capsys, "scaling", "--config", str(cfg), "--out", out)[0] == 0
+        assert run(capsys, "scaling", "--system", "pendulum", "--out", out)[0] == 0
+        assert seen[0] == seen[1] == experiments.ExperimentConfig(system="pendulum")
+        assert (seen[0].eps_ladder, seen[0].num_ic, seen[0].t_cap) == ((1e-2, 1e-3), 2, 100.0)
 
     def test_system_kwargs_config_key_is_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
