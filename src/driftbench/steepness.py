@@ -7,9 +7,11 @@ gamma * L^{-tau}-nondegenerate.  Because the threshold decreases in L while
 the G^L families only grow, each distinct subspace only needs checking at
 the smallest L where it appears; reports record that L.
 
-Continuum quantifiers (points of B_R, all L) are sampled: points on a grid
-over the Euclidean ball h's series declares (radius R around its center), L
-up to a cap.  Reports carry both resolutions.  Every check reads h through
+Continuum quantifiers (points of B_R, all L) are sampled: L up to a cap, and
+the cube grid over B_R around h's series center, kept within Euclidean
+distance R of it (797 of 33^2 points at n = 2, 2,109 of 17^3 at n = 3).  B_R
+is a sup-norm ball (``series.Domain``), so its corners are never checked.
+Reports carry both resolutions.  Every check reads h through
 ``SeriesHamiltonian``; the grid check reads the gradient and Hessian at every
 grid point in one stacked read each, and one kernel scores both branches.
 The subspaces, each with its L_min, come from one memoized
