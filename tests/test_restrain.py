@@ -17,6 +17,7 @@ from driftbench.diophantine import (
     rational_rank,
 )
 from driftbench.dynamics import SENTINEL, IntegratorConfig, TimeBudget, drift_time, integrate
+from driftbench.experiments import initial_condition
 from driftbench.normalform import (
     AveragingDivergenceError,
     NormalFormConfig,
@@ -41,7 +42,6 @@ from driftbench.series import (
     HamiltonianSystem,
 )
 from driftbench.steepness import MorseParams
-from driftbench.experiments import initial_condition
 from driftbench.systems import SeriesHamiltonian, System, quasi_convex
 
 PHI = (1 + math.sqrt(5)) / 2
