@@ -22,13 +22,7 @@ from . import experiments
 from .diophantine import ResonanceFrame, dirichlet_approx, period_of
 from .dynamics import IntegratorConfig, drift_time, integrate
 from .normalform import NormalFormConfig, local_normal_form
-from .restrain import (
-    ConditionParams,
-    check_conditions,
-    exponents,
-    time_budget,
-    try_restrain,
-)
+from .restrain import _multipliers, check_conditions, exponents, time_budget, try_restrain
 from .series import (
     Gevrey,
     HamiltonianSystem,
@@ -68,12 +62,17 @@ def _parse_frame(text: str) -> ResonanceFrame:
 
 
 def _parse_multipliers(text: str | None) -> dict[str, float]:
-    if not text:
-        return {}
-    out = {}
-    for item in text.split(","):
-        key, _, val = item.partition("=")
-        out[key.strip()] = float(val)
+    """'key=value,...' as a dict, for ``restrain._multipliers`` to check."""
+    out: dict[str, float] = {}
+    for item in text.split(",") if text else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        try:
+            value = float(val)
+        except ValueError:
+            raise CliError(f"malformed multiplier {item!r}: expected key=value") from None
+        if key in out:
+            raise CliError(f"multiplier {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -218,14 +217,12 @@ def cmd_restrain(args) -> int:
     exps = exponents(system.domain.n, Fraction(args.tau))
     ham = system.hamiltonian
     budget = time_budget(ham.epsilon, ham.regularity, exps, args.m_multiplier)
+    mult = _multipliers(_parse_multipliers(args.multipliers))
     tau_m = min(budget.tau_m, args.t_cap)
     cfg = IntegratorConfig(step=args.step, sample_stride=args.stride)
     start = experiments.initial_condition(system, np.random.default_rng(args.seed))
     traj = integrate(system, start, tau_m, cfg)
-    res = try_restrain(
-        system, traj, args.mu0, budget, morse,
-        exps=exps, multipliers=_parse_multipliers(args.multipliers),
-    )
+    res = try_restrain(system, traj, args.mu0, budget, morse, exps=exps, multipliers=mult)
     if res.restrained:
         cert = res.certificate
         # the ladder certifies up to the last sample, which can fall short of tau_m
@@ -278,13 +275,11 @@ def _write_certificate(path, cert, horizon: float) -> None:
 
 
 def cmd_conditions(args) -> int:
-    params = ConditionParams(
-        n=args.n, tau=args.tau, gamma=args.gamma, eps=args.eps, m=args.m,
-        mu0=args.mu0, mus=_parse_floats(args.mus),
-        Ts=_parse_floats(args.Ts), Ls=tuple(int(x) for x in args.Ls.split(",")),
-        multiplier=args.multiplier,
+    report = check_conditions(
+        args.n, args.tau, args.gamma, args.eps, args.m, args.mu0, _parse_floats(args.mus),
+        _parse_floats(args.Ts), tuple(int(x) for x in args.Ls.split(",")),
+        _parse_multipliers(args.multipliers),
     )
-    report = check_conditions(params)
     for e in report.entries:
         print(f"[{'ok' if e.ok else 'FAIL'}] {e.name:<44} "
               f"lhs={e.lhs:.4g} rhs={e.rhs:.4g} log-margin={e.log_margin:+.3f}")
@@ -397,7 +392,7 @@ def build_parser() -> _Parser:
     q.add_argument("--out", type=str, default=None, help="certificate file")
     q.set_defaults(func=cmd_restrain)
 
-    q = sub.add_parser("conditions", help="the eleven parameter conditions")
+    q = sub.add_parser("conditions", help="the restrain ladder's trajectory-independent rows")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--tau", type=float, required=True)
     q.add_argument("--gamma", type=float, required=True)
@@ -407,7 +402,7 @@ def build_parser() -> _Parser:
     q.add_argument("--mus", type=str, required=True)
     q.add_argument("--Ts", type=str, required=True)
     q.add_argument("--Ls", type=str, required=True)
-    q.add_argument("--multiplier", type=float, default=1.0)
+    q.add_argument("--multipliers", type=str, default=None, help="as for restrain")
     q.set_defaults(func=cmd_conditions)
 
     q = sub.add_parser("scaling", help="drift-time scaling study over an eps ladder")

@@ -97,7 +97,7 @@ def time_budget(
     return TimeBudget.for_m(m, regularity)
 
 
-# -- the eleven parameter conditions -------------------------------------------------
+# -- the trajectory-independent conditions ------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -130,68 +130,72 @@ class ConditionReport:
         return all(e.ok for e in self.entries)
 
 
-@dataclass(frozen=True)
-class ConditionParams:
-    """Inputs for the eleven-condition check: realized radii/periods plus the
-    configured implicit-constant multipliers (1.0 = take each displayed
-    inequality at face value)."""
-
-    n: int
-    tau: float
-    gamma: float
-    eps: float
-    m: int
-    mu0: float
-    mus: tuple[float, ...]        # mu_1..mu_n
-    Ts: tuple[float, ...]         # T_1..T_n
-    Ls: tuple[int, ...]           # L_1..L_n
-    multiplier: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("tau", "gamma", "eps", "m", "mu0", "mus", "Ts", "Ls", "multiplier"):
-            value = getattr(self, name)
-            if not all(0 < x < math.inf for x in np.atleast_1d(value)):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+def _mu0_rows(mu0: float, gamma: float, small: float) -> list[ConditionEntry]:
+    """(x) and (xi), the rows on mu_0 alone."""
+    return [ConditionEntry("(x) mu_0 << gamma", mu0, small * gamma),
+            ConditionEntry("(xi) mu_0 << 1", mu0, small)]
 
 
-def check_conditions(p: ConditionParams) -> ConditionReport:
-    """Evaluate the eleven smallness conditions with signed log margins; a
-    term beyond the float range is a ``ValueError``."""
-    if len(p.mus) != p.n or len(p.Ts) != p.n or len(p.Ls) != p.n:
+def _cap_row(j: int, c_j: float, L_j: int, gamma: float, tau: float,
+             mult: dict[str, float]) -> ConditionEntry:
+    """Stage j's length cap: c_j at most ``length`` gamma L_j^-tau."""
+    return ConditionEntry(f"(C_{j}) c_{j} << gamma L_{j}^-tau", c_j,
+                          mult["length"] * gamma * float(L_j) ** (-tau))
+
+
+def _length(T: float, mu: float, L: int, tau: float) -> float:
+    """The length c_j = (T_j mu_j / L_j)^tau of stage j >= 1."""
+    return float((T * mu / L) ** tau)
+
+
+def _stage_rows(j: int, c_j: float, mu_j: float, T_next: float, mu_next: float,
+                m: int, eps: float, small: float) -> tuple[ConditionEntry, list[ConditionEntry]]:
+    """Stage j's guard row (information only) and its (B_{j+1}) rows that
+    read the witness' period and radius alone."""
+    guard = ConditionEntry(f"guard (iv, info) mu_{j+1} << c_{j}^2tau", mu_next, small * c_j ** 2)
+    return guard, [
+        ConditionEntry(f"(B_{j+1}) T mu << 1", T_next * mu_next, small),
+        ConditionEntry(f"(B_{j+1}) m T mu << 1", m * T_next * mu_next, small),
+        ConditionEntry(f"(B_{j+1}) mu << 1", mu_next, small),
+        ConditionEntry(f"(B_{j+1}) eps < mu^2", eps, mu_next ** 2),
+        ConditionEntry(f"nesting 2 mu_{j+1} <= mu_{j}", 2 * mu_next, mu_j),
+    ]
+
+
+def check_conditions(
+    n: int, tau: float, gamma: float, eps: float, m: int, mu0: float,
+    mus, Ts, Ls, multipliers: dict[str, float] | None = None,
+) -> ConditionReport:
+    """The rows ``_ladder`` writes without the trajectory, for radii mu_1..mu_n,
+    periods T_1..T_n and lattice indices L_1..L_n: (x), (xi), then the cap
+    (C_j) and the (B_{j+1}) rows of each stage j from c_0 = mu_0 and L_0 = 1.
+    ``info`` holds the guard rows, the ratios and (ii) c_j << mu_j, which the
+    monitor does not require.  A non-positive input or a term beyond the
+    float range is a ``ValueError``."""
+    for name, value in (("tau", tau), ("gamma", gamma), ("eps", eps), ("m", m),
+                        ("mu0", mu0), ("mus", mus), ("Ts", Ts), ("Ls", Ls)):
+        if not all(0 < x < math.inf for x in np.atleast_1d(value)):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not len(mus) == len(Ts) == len(Ls) == n:
         raise ValueError("mus, Ts, Ls must have length n")
-    exps = exponents(p.n, Fraction(p.tau))
-    c = p.multiplier
-    E: list[ConditionEntry] = []
+    mult = _multipliers(multipliers)
+    small = mult["smallness"]
+    a_list = exponents(n, Fraction(tau)).a_list
+    entries, info = _mu0_rows(mu0, gamma, small), []
+    mu_j, c_j, L_j = mu0, mu0, 1
     try:
-        for j in range(1, p.n):  # j in 1..n-1
-            cj = (p.Ts[j - 1] * p.mus[j - 1] / p.Ls[j - 1]) ** p.tau
-            E.append(ConditionEntry(f"(i) mu_{j+1} << (T_j mu_j / L_j)^2tau",
-                                    p.mus[j], c * cj ** 2))
-            E.append(ConditionEntry(f"(ii) (T_{j} mu_{j} / L_{j})^tau << mu_{j}",
-                                    cj, c * p.mus[j - 1]))
-            E.append(ConditionEntry(f"(vi) (T_{j} mu_{j} / L_{j})^tau << gamma L_{j}^-tau",
-                                    cj, c * p.gamma * p.Ls[j - 1] ** (-p.tau)))
-        for j in range(1, p.n + 1):
-            E.append(ConditionEntry(f"(iii) m T_{j} mu_{j} << 1",
-                                    p.m * p.Ts[j - 1] * p.mus[j - 1], c))
-            E.append(ConditionEntry(f"(v) eps < mu_{j}^2", p.eps, p.mus[j - 1] ** 2))
-            E.append(ConditionEntry(f"(vii) T_{j} mu_{j} << 1",
-                                    p.Ts[j - 1] * p.mus[j - 1], c))
-            E.append(ConditionEntry(f"(viii) mu_{j} << 1", p.mus[j - 1], c))
-        for j in range(2, p.n + 1):
-            E.append(ConditionEntry(f"(ix) mu_{j} << mu_{j-1}",
-                                    p.mus[j - 1], c * p.mus[j - 2]))
-        E.append(ConditionEntry("(iv) mu_1 << mu_0^2", p.mus[0], c * p.mu0 ** 2))
-        E.append(ConditionEntry("(x) mu_0 << gamma", p.mu0, c * p.gamma))
-        E.append(ConditionEntry("(xi) mu_0 << 1", p.mu0, c))
-        info = tuple(
-            ConditionEntry(f"mu_{j} =. T_{j}^-1 eps^a_{j} (ratio)",
-                           p.mus[j - 1] * p.Ts[j - 1], p.eps ** float(a_j))
-            for j, a_j in zip(range(1, p.n + 1), exps.a_list)
-        )
+        for j in range(n):
+            entries.append(_cap_row(j, c_j, L_j, gamma, tau, mult))
+            guard, rows = _stage_rows(j, c_j, mu_j, Ts[j], mus[j], m, eps, small)
+            entries += rows
+            info += [guard, ConditionEntry(f"mu_{j+1} =. c_mu T_{j+1}^-1 eps^a_{j+1} (ratio)",
+                                           Ts[j] * mus[j], mult["c_mu"] * eps ** float(a_list[j]))]
+            mu_j, c_j, L_j = mus[j], _length(Ts[j], mus[j], Ls[j], tau), Ls[j]
+            if j + 1 < n:
+                info.append(ConditionEntry(f"(ii) c_{j+1} << mu_{j+1}", c_j, small * mu_j))
     except OverflowError as exc:
         raise ValueError(f"a condition term overflows a float: {exc}") from None
-    return ConditionReport(tuple(E), info)
+    return ConditionReport(tuple(entries), tuple(info))
 
 
 # -- the restrain monitor -------------------------------------------------------------
@@ -259,6 +263,21 @@ DEFAULT_MULTIPLIERS = {
     "q_safety": 1.25,   # Dirichlet Q inflation
 }
 
+
+def _multipliers(overrides: dict[str, float] | None) -> dict[str, float]:
+    """DEFAULT_MULTIPLIERS with ``overrides`` set; an unknown key or a value
+    that is not finite and positive is a ``ValueError``."""
+    mult = dict(DEFAULT_MULTIPLIERS)
+    for key, value in (overrides or {}).items():
+        if key not in DEFAULT_MULTIPLIERS:
+            raise ValueError(f"unknown multiplier {key!r}; "
+                             f"expected one of {sorted(DEFAULT_MULTIPLIERS)}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"multiplier {key} must be finite and positive, got {value}")
+        mult[key] = value
+    return mult
+
+
 # Dirichlet witness searches per ladder stage; each retry doubles Q
 INDEPENDENCE_RETRIES = 8
 
@@ -318,15 +337,7 @@ def try_restrain(
         raise ValueError("epsilon must lie in (0, 1)")
     if len(traj.times) < 2 or not np.all(np.diff(traj.times) > 0):
         raise ValueError("the trajectory needs at least two samples at increasing times")
-    mult = dict(DEFAULT_MULTIPLIERS)
-    for key, value in (multipliers or {}).items():
-        if key not in DEFAULT_MULTIPLIERS:
-            raise ValueError(
-                f"unknown multiplier {key!r}; expected one of {sorted(DEFAULT_MULTIPLIERS)}"
-            )
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"multiplier {key} must be finite and positive, got {value}")
-        mult[key] = value
+    mult = _multipliers(multipliers)
     try:
         return RestrainResult(_ladder(system, traj, mu0, budget, morse, exps, mult), None)
     except _Failed as failed:
@@ -350,8 +361,8 @@ def _ladder(
     R, center = ham.domain.R, np.asarray(ham.integrable.center)
     log: list[ConditionEntry] = []
 
-    _require(log, 0, ConditionEntry("(x) mu_0 << gamma", mu0, small * gamma))
-    _require(log, 0, ConditionEntry("(xi) mu_0 << 1", mu0, small))
+    for e in _mu0_rows(mu0, gamma, small):
+        _require(log, 0, e)
     _require(log, 0, ConditionEntry("(n+1)^2 mu_0 < R/2", (n + 1) ** 2 * mu0, R / 2))
 
     frame = ResonanceFrame.build([], n=n)
@@ -376,9 +387,8 @@ def _ladder(
         if len(curve) < 1:
             raise _Failed(j, "domain", "curve left B_R immediately")
 
-        length_cap = mult["length"] * gamma * float(frame.l_index) ** (-tau)
-        _require(log, j, ConditionEntry(f"(C_{j}) c_{j} << gamma L_{j}^-tau", c_j, length_cap),
-                 f"c_j={c_j} > cap={length_cap}")
+        cap = _cap_row(j, c_j, frame.l_index, gamma, tau, mult)
+        _require(log, j, cap, f"c_j={c_j} > cap={cap.rhs}")
 
         reach = float(np.max(np.max(np.abs(curve - curve[0]), axis=1)))
         if reach >= c_j and c_j < 1:
@@ -433,27 +443,20 @@ def _ladder(
         T_next = float(dr.vector.period)
         mu_next = scale / T_next
 
-        checks = [
-            ConditionEntry(f"(B_{j+1}) |grad h - w_{j+1}| < mu_{j+1}",
-                           float(dr.error), mu_next),
-            ConditionEntry(f"(B_{j+1}) T mu << 1", T_next * mu_next, small),
-            ConditionEntry(f"(B_{j+1}) m T mu << 1", budget.m * T_next * mu_next, small),
-            ConditionEntry(f"(B_{j+1}) mu << 1", mu_next, small),
-            ConditionEntry(f"(B_{j+1}) eps < mu^2", eps, mu_next ** 2),
-            ConditionEntry(f"nesting 2 mu_{j+1} <= mu_{j}", 2 * mu_next, mu_j),
-        ]
+        guard, rows = _stage_rows(j, c_j, mu_j, T_next, mu_next, budget.m, eps, small)
         if j >= 1:
-            checks.append(ConditionEntry(f"(B_{j+1}) |w_{j+1} - w_{j}| << mu_{j}",
-                                         frequency_gap(dr.vector, frame.vectors[-1]),
-                                         small * mu_j))
             # guard (iv) would certify independence analytically; the monitor
             # verified independence exactly (rational rank), so this margin is
-            # informational only.  As in check_conditions' (i), the rhs is
-            # (T_j mu_j / L_j)^2tau, which is c_j^2
-            log.append(ConditionEntry(f"guard (iv, info) mu_{j+1} << c_{j}^2tau",
-                                      mu_next, small * c_j ** 2))
-        for e in checks:
+            # informational only
+            log.append(guard)
+        _require(log, j, ConditionEntry(f"(B_{j+1}) |grad h - w_{j+1}| < mu_{j+1}",
+                                        float(dr.error), mu_next))
+        for e in rows:
             _require(log, j, e)
+        if j >= 1:
+            _require(log, j, ConditionEntry(f"(B_{j+1}) |w_{j+1} - w_{j}| << mu_{j}",
+                                            frequency_gap(dr.vector, frame.vectors[-1]),
+                                            small * mu_j))
 
         # normalizing transform: budget the normalized-vs-raw discrepancy
         disp_budget += _transform_displacement(system, point, extended, mus + [mu_next], budget)
@@ -465,7 +468,7 @@ def _ladder(
         centers.append(np.array(point))
         idx_j = idx_next
         mu_j = mu_next
-        c_j = float((T_next * mu_next / frame.l_index) ** tau)
+        c_j = _length(T_next, mu_next, frame.l_index, tau)
 
     # the last interval [t_n, t_{n+1}] is measured as the others are, on the
     # samples up to the horizon t_{n+1} = min(tau_m, last sample)

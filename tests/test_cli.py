@@ -382,9 +382,10 @@ class TestConditions:
         code, out, _ = run(
             capsys, "conditions", "--n", "2", "--tau", "2", "--gamma", "0.9",
             "--eps", "1e-12", "--m", "1", "--mu0", "1e-2",
-            "--mus", "5e-5,2e-5", "--Ts", "2,3", "--Ls", "2,3",
+            "--mus", "5e-5,3e-5", "--Ts", "2,3", "--Ls", "2,3",
         )
-        assert code == 2   # condition (i) fails at these parameters
+        assert code == 2   # nesting 2 mu_2 <= mu_1 fails at these parameters
+        assert "[FAIL] nesting 2 mu_2 <= mu_1" in out
         assert "overall: FAIL" in out
 
     def test_nan_input_is_error(self, capsys):
@@ -398,7 +399,7 @@ class TestConditions:
 
     @pytest.mark.parametrize("name, value", [
         ("Ls", "0,3"), ("Ts", "-2,3"), ("eps", "-1e-12"), ("gamma", "0"),
-        ("mu0", "-1e-2"), ("mus", "5e-5,0"), ("m", "-1"), ("multiplier", "-1"),
+        ("mu0", "-1e-2"), ("mus", "5e-5,0"), ("m", "-1"),
     ])
     def test_non_positive_input_is_error(self, capsys, name, value):
         # each is rejected before a row prints, not by a ZeroDivisionError
@@ -419,6 +420,43 @@ class TestConditions:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: a condition term overflows a float")
+
+
+MULTIPLIER_ERRORS = [
+    ("bogus=1", "unknown multiplier 'bogus'"),
+    ("smallness=-1", "multiplier smallness must be finite and positive"),
+    ("c_mu", "malformed multiplier 'c_mu'"),
+    ("c_mu=abc", "malformed multiplier 'c_mu=abc'"),
+    ("c_mu=1.2,", "malformed multiplier ''"),
+    ("smallness=2,smallness=3", "multiplier 'smallness' given twice"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ("restrain", "--system", "quasiconvex", "--eps", "1e-6", "--seed", "12", "--t-cap", "8"),
+    ("conditions", "--n", "2", "--tau", "2", "--gamma", "0.9", "--eps", "1e-12", "--m", "1",
+     "--mu0", "1e-2", "--mus", "5e-5,2e-5", "--Ts", "2,3", "--Ls", "2,3"),
+], ids=["restrain", "conditions"])
+@pytest.mark.parametrize("text, message", MULTIPLIER_ERRORS,
+                         ids=[t for t, _ in MULTIPLIER_ERRORS])
+def test_multipliers_error_names_the_item(capsys, command, text, message):
+    # restrain and conditions read one syntax, checked by one validator
+    code, out, err = run(capsys, *command, "--multipliers", text)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text", ["bogus=1", "smallness=-1", "c_mu"])
+def test_restrain_checks_multipliers_before_integrating(capsys, monkeypatch, text):
+    # a long run used to integrate in full before its multipliers were read
+    import driftbench.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
+    code, out, _ = run(capsys, "restrain", "--system", "quasiconvex", "--eps", "1e-6",
+                       "--m-multiplier", "9", "--t-cap", "5000", "--step", "0.005",
+                       "--multipliers", text)
+    assert code == 1 and out == "" and calls == []
 
 
 class TestScaling:

@@ -1,6 +1,5 @@
-"""Every command of README's CLI block runs and exits as documented: 0, and 2
-for ``conditions``, whose example parameters fail a condition on purpose.
-The restrain line's certificate keeps its condition log and reports the
+"""Every command of README's CLI block runs and exits 0, ``conditions`` on
+the ladder that the restrain line certifies.  The restrain line's certificate keeps its condition log and reports the
 horizon it covers, the criterion 11 regime keeps failing at (B_1), the
 pendulum study command given in prose builds the study's config, and the
 Layout table lists every module of the package."""
@@ -38,7 +37,7 @@ def test_cli_line_exit_code(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)   # the --out files land in tmp_path
     code = main(argv[1:])
     out = capsys.readouterr()
-    assert code == (2 if argv[1] == "conditions" else 0), out
+    assert code == 0, out
 
 
 # the README restrain certificate's condition log as ([flag], name), in log

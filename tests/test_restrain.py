@@ -24,7 +24,6 @@ from driftbench.normalform import (
     local_normal_form,
 )
 from driftbench.restrain import (
-    ConditionParams,
     RestrainFrame,
     chain_bound,
     check_conditions,
@@ -105,60 +104,130 @@ class TestTimeBudget:
             time_budget(1e-3, Gevrey(1.0, 0.5), exponents(2, 2), mult)
 
 
+# the paper's conditions (i)-(xi) and a row that shows each, for n = 2: the
+# guard row is (i) at stages j >= 1 and (iv) at stage 0, where c_0 = mu_0
+FAMILY_ROWS = {
+    "i": ("info", "guard (iv, info) mu_2 << c_1^2tau"),
+    "ii": ("info", "(ii) c_1 << mu_1"),
+    "iii": ("entries", "(B_2) m T mu << 1"),
+    "iv": ("info", "guard (iv, info) mu_1 << c_0^2tau"),
+    "v": ("entries", "(B_2) eps < mu^2"),
+    "vi": ("entries", "(C_1) c_1 << gamma L_1^-tau"),
+    "vii": ("entries", "(B_2) T mu << 1"),
+    "viii": ("entries", "(B_2) mu << 1"),
+    "ix": ("entries", "nesting 2 mu_2 <= mu_1"),
+    "x": ("entries", "(x) mu_0 << gamma"),
+    "xi": ("entries", "(xi) mu_0 << 1"),
+}
+
+# the ladder rows that read the trajectory; check_conditions writes the others
+TRAJECTORY_ROWS = ("(n+1)^2 mu_0", "|I^", "|grad h", "|w_")
+
+
 class TestCheckConditions:
-    def _params(self, eps=1e-12, mu0=1e-2, mult=1.0):
+    def _args(self, eps=1e-12, mu0=1e-2, **kw):
         # mu_j realized as T_j^{-1} eps^{a_j} exactly
         exps = exponents(2, 2)
         Ts = (2.0, 3.0)
         mus = tuple(
             float(eps) ** float(a) / T for a, T in zip(exps.a_list, Ts)
         )
-        return ConditionParams(
-            n=2, tau=2.0, gamma=0.9, eps=eps, m=1, mu0=mu0,
-            mus=mus, Ts=Ts, Ls=(2, 3), multiplier=mult,
-        )
+        return dict(n=2, tau=2.0, gamma=0.9, eps=eps, m=1, mu0=mu0,
+                    mus=mus, Ts=Ts, Ls=(2, 3)) | kw
 
     def test_condition_iv_positive_margin_at_small_eps(self):
         # mu_1 << mu_0^2 in log-eps units: a_1 - 2b = 1/144 - 2/432 > 0
-        p = self._params(eps=1e-12, mu0=1e-12 ** float(exponents(2, 2).b))
-        rep = check_conditions(p)
-        entry = next(e for e in rep.entries if e.name.startswith("(iv)"))
+        rep = check_conditions(**self._args(eps=1e-12, mu0=1e-12 ** float(exponents(2, 2).b)))
+        entry = next(e for e in rep.info if e.name == FAMILY_ROWS["iv"][1])
         assert entry.ok
         assert entry.log_margin > 0
 
     def test_eps_close_to_one_fails(self):
-        p = self._params(eps=0.5, mu0=0.9)
-        rep = check_conditions(p)
+        rep = check_conditions(**self._args(eps=0.5, mu0=0.9))
         assert not rep.passed
         assert len([e for e in rep.entries if not e.ok]) >= 2
 
     def test_small_gamma_fails_condition_x(self):
-        p = ConditionParams(
-            n=2, tau=2.0, gamma=1e-6, eps=1e-12, m=1, mu0=1e-2,
-            mus=(1e-5, 4e-6), Ts=(2.0, 3.0), Ls=(2, 3),
-        )
-        rep = check_conditions(p)
+        rep = check_conditions(n=2, tau=2.0, gamma=1e-6, eps=1e-12, m=1, mu0=1e-2,
+                               mus=(1e-5, 4e-6), Ts=(2.0, 3.0), Ls=(2, 3))
         failing = [e.name for e in rep.entries if not e.ok]
         assert any(name.startswith("(x)") for name in failing)
 
     def test_tau_below_two_rejected(self):
         # the info rows are read at the exponents of tau itself, never at 2
-        p = dataclasses.replace(self._params(), tau=1.5)
         with pytest.raises(ValueError, match="tau must be >= 2"):
-            check_conditions(p)
+            check_conditions(**self._args(tau=1.5))
 
-    def test_eleven_condition_families_present(self):
-        rep = check_conditions(self._params())
-        tags = {e.name.split(" ")[0] for e in rep.entries}
-        assert tags == {f"({t})" for t in
-                        ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi")}
+    def test_every_condition_family_is_shown(self):
+        # each of (i)-(xi) is a required row or, where the monitor does not
+        # require it, an info row
+        rep = check_conditions(**self._args())
+        for kind, name in FAMILY_ROWS.values():
+            assert name in [e.name for e in getattr(rep, kind)]
+
+    def test_multipliers_are_the_ladders(self):
+        # length scales the caps, smallness every << row, c_mu the ratio rows
+        mult = {"c_mu": 1.2, "smallness": 3.0, "length": 4.0}
+        base = check_conditions(**self._args())
+        rep = check_conditions(**self._args(multipliers=mult))
+        for e, e1 in zip(base.entries + base.info, rep.entries + rep.info):
+            factor = (4.0 if e.name.startswith("(C_") else 1.2 if "ratio" in e.name
+                      else 3.0 if "<<" in e.name else 1.0)
+            assert (e1.name, e1.lhs) == (e.name, e.lhs)
+            assert e1.rhs == pytest.approx(factor * e.rhs, rel=1e-15)
+
+    @pytest.mark.parametrize("mult, message", [
+        ({"smalness": 3.0}, "unknown multiplier 'smalness'"),
+        ({"smallness": -1.0}, "multiplier smallness must be finite and positive"),
+        ({"length": math.nan}, "multiplier length must be finite and positive"),
+    ])
+    def test_invalid_multiplier_rejected(self, mult, message):
+        with pytest.raises(ValueError, match=message):
+            check_conditions(**self._args(multipliers=mult))
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            check_conditions(ConditionParams(
-                n=2, tau=2.0, gamma=0.9, eps=1e-6, m=1, mu0=1e-2,
-                mus=(1e-3,), Ts=(2.0,), Ls=(2,),
-            ))
+            check_conditions(n=2, tau=2.0, gamma=0.9, eps=1e-6, m=1, mu0=1e-2,
+                             mus=(1e-3,), Ts=(2.0,), Ls=(2,))
+
+
+def test_conditions_reproduce_the_ladder_rows():
+    # README-regime certificates: check_conditions on each certificate's own
+    # radii, periods, lattice indices, m and multipliers passes and writes
+    # every row of its log that does not read the trajectory, bit for bit
+    system = quasi_convex(1e-6)
+    exps = exponents(2, F(2))
+    budget = time_budget(1e-6, system.hamiltonian.regularity, exps)
+    cfg = IntegratorConfig(step=0.05, sample_stride=20)
+    mult = {"c_mu": 1.2, "smallness": 3.0, "length": 4.0}
+
+    def bits(e):
+        return e.name, float(e.lhs).hex(), float(e.rhs).hex()
+
+    certified = 0
+    for s in range(40):
+        start = initial_condition(system, np.random.default_rng(s))
+        traj = integrate(system, start, min(budget.tau_m, 8.0), cfg)
+        res = try_restrain(system, traj, 0.05, budget, MorseParams(0.9, 2.0),
+                           exps=exps, multipliers=mult)
+        if not res.restrained:
+            continue
+        certified += 1
+        cert = res.certificate
+        vecs = cert.frame.vectors
+        rep = check_conditions(
+            2, 2.0, 0.9, 1e-6, budget.m, cert.mu0, cert.mus,
+            [float(pv.period) for pv in vecs],
+            [ResonanceFrame.build(vecs[:j]).l_index for j in range(1, len(vecs) + 1)],
+            cert.multipliers,
+        )
+        assert rep.passed
+        logged = [bits(e) for e in cert.condition_log
+                  if not any(t in e.name for t in TRAJECTORY_ROWS)]
+        assert set(logged) <= {bits(e) for e in rep.entries + rep.info}
+        assert [r for r in logged if not r[0].startswith("guard")] == [
+            bits(e) for e in rep.entries]
+    assert certified == 30
 
 
 def _certified_setup():
