@@ -150,9 +150,12 @@ def _length(T: float, mu: float, L: int, tau: float) -> float:
 
 def _stage_rows(j: int, c_j: float, mu_j: float, T_next: float, mu_next: float,
                 m: int, eps: float, small: float) -> tuple[ConditionEntry, list[ConditionEntry]]:
-    """Stage j's guard row (information only) and its (B_{j+1}) rows that
-    read the witness' period and radius alone."""
-    guard = ConditionEntry(f"guard (iv, info) mu_{j+1} << c_{j}^2tau", mu_next, small * c_j ** 2)
+    """Stage j's guard row and its (B_{j+1}) rows that read the witness'
+    period and radius alone.  The guard is the paper's (iv) mu_1 << mu_0^2 at
+    j = 0 and (i) at j >= 1; it would certify independence analytically, and
+    the monitor decides independence exactly (rational rank), so it is logged
+    for information only."""
+    guard = ConditionEntry(f"guard (iv, info) mu_{j+1} << c_{j}^2", mu_next, small * c_j ** 2)
     return guard, [
         ConditionEntry(f"(B_{j+1}) T mu << 1", T_next * mu_next, small),
         ConditionEntry(f"(B_{j+1}) m T mu << 1", m * T_next * mu_next, small),
@@ -444,11 +447,7 @@ def _ladder(
         mu_next = scale / T_next
 
         guard, rows = _stage_rows(j, c_j, mu_j, T_next, mu_next, budget.m, eps, small)
-        if j >= 1:
-            # guard (iv) would certify independence analytically; the monitor
-            # verified independence exactly (rational rank), so this margin is
-            # informational only
-            log.append(guard)
+        log.append(guard)
         _require(log, j, ConditionEntry(f"(B_{j+1}) |grad h - w_{j+1}| < mu_{j+1}",
                                         float(dr.error), mu_next))
         for e in rows:

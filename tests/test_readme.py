@@ -48,6 +48,7 @@ README_RESTRAIN_CONDITIONS = [
     ("ok", "(n+1)^2 mu_0 < R/2"),
     ("ok", "(C_0) c_0 << gamma L_0^-tau"),
     ("ok", "(C_0) |I^0(t) - I^0(t_0)| < mu_0"),
+    ("VIOLATED", "guard (iv, info) mu_1 << c_0^2"),
     ("ok", "(B_1) |grad h - w_1| < mu_1"),
     ("ok", "(B_1) T mu << 1"),
     ("ok", "(B_1) m T mu << 1"),
@@ -56,7 +57,7 @@ README_RESTRAIN_CONDITIONS = [
     ("ok", "nesting 2 mu_1 <= mu_0"),
     ("ok", "(C_1) c_1 << gamma L_1^-tau"),
     ("ok", "(C_1) |I^1(t) - I^1(t_1)| < mu_1"),
-    ("VIOLATED", "guard (iv, info) mu_2 << c_1^2tau"),
+    ("VIOLATED", "guard (iv, info) mu_2 << c_1^2"),
     ("ok", "(B_2) |grad h - w_2| < mu_2"),
     ("ok", "(B_2) T mu << 1"),
     ("ok", "(B_2) m T mu << 1"),

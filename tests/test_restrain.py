@@ -107,10 +107,10 @@ class TestTimeBudget:
 # the paper's conditions (i)-(xi) and a row that shows each, for n = 2: the
 # guard row is (i) at stages j >= 1 and (iv) at stage 0, where c_0 = mu_0
 FAMILY_ROWS = {
-    "i": ("info", "guard (iv, info) mu_2 << c_1^2tau"),
+    "i": ("info", "guard (iv, info) mu_2 << c_1^2"),
     "ii": ("info", "(ii) c_1 << mu_1"),
     "iii": ("entries", "(B_2) m T mu << 1"),
-    "iv": ("info", "guard (iv, info) mu_1 << c_0^2tau"),
+    "iv": ("info", "guard (iv, info) mu_1 << c_0^2"),
     "v": ("entries", "(B_2) eps < mu^2"),
     "vi": ("entries", "(C_1) c_1 << gamma L_1^-tau"),
     "vii": ("entries", "(B_2) T mu << 1"),
