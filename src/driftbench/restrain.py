@@ -123,7 +123,7 @@ class ConditionEntry:
 @dataclass(frozen=True)
 class ConditionReport:
     entries: tuple[ConditionEntry, ...]
-    info: tuple[ConditionEntry, ...]      # consistency rows, not pass/fail
+    info: tuple[ConditionEntry, ...]      # rows the monitor does not require
 
     @property
     def passed(self) -> bool:
