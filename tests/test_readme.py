@@ -1,8 +1,9 @@
 """Every command of README's CLI block runs and exits 0, ``conditions`` on
-the ladder that the restrain line certifies.  The restrain line's certificate keeps its condition log and reports the
-horizon it covers, the criterion 11 regime keeps failing at (B_1), the
-pendulum study command given in prose builds the study's config, and the
-Layout table lists every module of the package."""
+the ladder that the restrain line certifies.  The restrain line's
+certificate keeps its condition log and reports the horizon it covers, the
+criterion 11 regime keeps failing at (B_1), the pendulum study command
+given in prose builds the study's config, and the Layout table lists every
+module of the package."""
 
 import math
 import re
